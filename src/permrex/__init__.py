@@ -47,9 +47,10 @@ from .regex_ast import (
     Sym,
     Union,
     alphabetic_length,
-    ast_equal,
+    fold,
     metrics,
     parse,
+    postorder,
     render,
     render_to,
 )
@@ -99,9 +100,10 @@ __all__ = [
     "Sym",
     "Union",
     "alphabetic_length",
-    "ast_equal",
+    "fold",
     "metrics",
     "parse",
+    "postorder",
     "render",
     "render_to",
     "Certificate",

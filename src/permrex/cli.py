@@ -72,13 +72,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     expr = _BUILDERS[args.builder](
         construct.AlphabetSet.first_n(args.n), limits=_limits_from(args)
     )
-    sink, owned = _open_sink(args.output)
-    try:
-        regex_ast.render_to(expr, sink.write, fmt=args.format)
-        sink.write("\n")
-    finally:
-        if owned:
-            sink.close()
+    # Rendered before the output is opened, so a refusal leaves no partial file.
+    _emit(args, regex_ast.render(expr, args.format))
     return 0
 
 
@@ -186,28 +181,36 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     started = time.monotonic()
     grid = args.grid
     bits = args.precision_bits
-    reports = [
-        bounds.check_fn_bounds(args.max_n, base_bits=bits),
-        bounds.check_stirling_sandwich(args.max_n, base_bits=bits),
-        bounds.check_lemma_sa(grid, base_bits=bits),
-    ]
-    for alpha_name, alpha in (
-        ("alpha_low", bounds.alpha_low),
-        ("alpha_high", bounds.alpha_high),
-    ):
+
+    def growth_template(alpha_name: str, alpha) -> bounds.BoundReport:
         usable = bounds.filter_ga_domain(grid, alpha, base_bits=bits)
         report = bounds.check_lemma_ga(usable, alpha, base_bits=bits)
-        report = dataclasses.replace(
+        return dataclasses.replace(
             report, inequality=f"{report.inequality}[{alpha_name}]"
         )
+
+    checks = [
+        lambda: bounds.check_fn_bounds(args.max_n, base_bits=bits),
+        lambda: bounds.check_stirling_sandwich(args.max_n, base_bits=bits),
+        lambda: bounds.check_lemma_sa(grid, base_bits=bits),
+        lambda: growth_template("alpha_low", bounds.alpha_low),
+        lambda: growth_template("alpha_high", bounds.alpha_high),
+        lambda: bounds.check_lemma_gaS(grid, Fraction(2), base_bits=bits),
+        lambda: bounds.check_lemma_gaS(grid, Fraction(5, 2), base_bits=bits),
+    ]
+    reports = []
+    entries = []
+    for check in checks:
+        begun = time.monotonic()
+        report = check()
+        seconds = round(time.monotonic() - begun, 3)
         reports.append(report)
-    for beta in (Fraction(2), Fraction(5, 2)):
-        reports.append(bounds.check_lemma_gaS(grid, beta, base_bits=bits))
+        entries.append(_bound_report_dict(report) | {"seconds": seconds})
     payload = {
         "max_n": args.max_n,
         "precision_bits": bits,
         "grid_points": len(grid),
-        "reports": [_bound_report_dict(r) for r in reports],
+        "reports": entries,
     }
     _emit_json(args, payload, started)
     return 0 if all(r.status == bounds.CERTIFIED for r in reports) else 1

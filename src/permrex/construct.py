@@ -8,6 +8,9 @@ exactly the permutations of S:
   * build_divide_and_conquer  split S into halves over all C(n, n//2)
                               choices; length f(n), the optimal one
 
+The tail and divide-and-conquer builders are one split construction that
+differs only in the size of the first part (1, or half of S).
+
 Every builder predicts its output's alphabetic length first and refuses
 with SizeCap when it exceeds the configured symbol budget, so a typo in
 n cannot allocate gigabytes.  Subset enumeration is colexicographic;
@@ -18,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterator
+from functools import cache, reduce
+from typing import Callable, Iterator
 
 from . import lengths
 from .errors import InvalidArgs, InvalidSize, SizeCap
@@ -93,61 +96,45 @@ def subsets_of_size(s, k: int) -> Iterator[AlphabetSet]:
         yield AlphabetSet(tuple(members[i] for i in indices))
 
 
-def build_divide_and_conquer(s: AlphabetSet, limits: BuildLimits = DEFAULT_LIMITS) -> Regex:
-    """The optimal expression: split s into a floor(n/2) half and its complement.
+def _build_split(
+    s: AlphabetSet, limits: BuildLimits, predicted: int, first_size: Callable[[int], int]
+) -> Regex:
+    """Union, over every first part A of s with |A| = first_size(|s|) in colex
+    order, of (permutations of A)(permutations of s minus A), recursively.
 
-    Union terms follow the colex order of the chosen halves.  Sub-expressions
-    for repeated subsets are shared, so the returned value is a DAG whose
-    tree expansion has alphabetic length exactly f(|s|); length queries on it
-    stay cheap because they memoize on node identity.
+    Sub-expressions for repeated subsets are built once and shared, so the
+    result is a DAG whose tree expansion has alphabetic length `predicted`.
     """
-    predicted = lengths.f(s.n)
     if predicted > limits.max_symbols:
         raise SizeCap(predicted, limits.max_symbols)
-    cache: dict[tuple[int, ...], Regex] = {}
 
+    @cache
     def expr_for(members: tuple[int, ...]) -> Regex:
         if len(members) == 1:
             return Sym(members[0])
-        hit = cache.get(members)
-        if hit is not None:
-            return hit
-        half = len(members) // 2
-        member_set = AlphabetSet(members)
         terms: list[Regex] = []
-        for chosen in subsets_of_size(member_set, half):
+        for chosen in subsets_of_size(members, first_size(len(members))):
             chosen_set = set(chosen.members)
             complement = tuple(m for m in members if m not in chosen_set)
             terms.append(Concat(expr_for(chosen.members), expr_for(complement)))
-        built = reduce(Union, terms)
-        cache[members] = built
-        return built
+        return reduce(Union, terms)
 
     return expr_for(s.members)
+
+
+def build_divide_and_conquer(s: AlphabetSet, limits: BuildLimits = DEFAULT_LIMITS) -> Regex:
+    """The optimal expression: split s into a floor(n/2) half and its complement.
+
+    Union terms follow the colex order of the chosen halves; the tree
+    expansion has alphabetic length exactly f(|s|).
+    """
+    return _build_split(s, limits, lengths.f(s.n), lambda size: size // 2)
 
 
 def build_tail_recursive(s: AlphabetSet, limits: BuildLimits = DEFAULT_LIMITS) -> Regex:
-    """Sum over the first symbol i of i followed by permutations of the rest."""
-    predicted = lengths.t(s.n)
-    if predicted > limits.max_symbols:
-        raise SizeCap(predicted, limits.max_symbols)
-    cache: dict[tuple[int, ...], Regex] = {}
-
-    def expr_for(members: tuple[int, ...]) -> Regex:
-        if len(members) == 1:
-            return Sym(members[0])
-        hit = cache.get(members)
-        if hit is not None:
-            return hit
-        terms = [
-            Concat(Sym(first), expr_for(tuple(m for m in members if m != first)))
-            for first in members
-        ]
-        built = reduce(Union, terms)
-        cache[members] = built
-        return built
-
-    return expr_for(s.members)
+    """Sum over the first symbol i of i followed by permutations of the rest:
+    the split whose first part has one symbol.  Length t(|s|)."""
+    return _build_split(s, limits, lengths.t(s.n), lambda size: 1)
 
 
 def build_flat_union(s: AlphabetSet, limits: BuildLimits = DEFAULT_LIMITS) -> Regex:

@@ -1,9 +1,16 @@
-"""Regular-expression syntax trees over numbered alphabets.
+"""Regular expressions over numbered alphabets, as one hash-consed DAG.
 
 Expressions are built from six node kinds: EmptySet, Epsilon, Sym,
 Union, Concat, and Star.  The size measure used throughout the package
 is *alphabetic length*: the number of Sym leaves.  Operators and
 parentheses are free.
+
+Every node is interned when it is built: constructing a node whose kind
+and children (by identity) already exist returns the existing object.
+Structurally equal expressions are therefore the same object, equality
+and hashing are plain identity, and the builders and the parser share
+one DAG.  The intern table holds every node ever built and lives as long
+as the process.
 
 Two textual formats are supported.  The compact format writes symbols
 as bare digits with juxtaposition for concatenation ("(12+21)(34+43)")
@@ -11,38 +18,56 @@ and is only valid while every symbol id is a single digit.  The spaced
 format separates every token with single spaces and works for any
 alphabet size; it is the canonical interchange form.
 
-Trees produced by the builders can be hundreds of thousands of nodes
-deep (a flat union over 8 symbols is a 40319-deep chain), so every
-traversal here is iterative.  Node equality and hashing are structural
-and likewise stack-safe.
+Expressions can be hundreds of thousands of nodes deep (a flat union
+over 8 symbols is a 40319-deep chain), so nothing here recurses:
+`postorder` visits the distinct nodes with an explicit stack, `fold`
+computes bottom-up values on top of it, and rendering and parsing keep
+their own stacks.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator, Literal, TypeVar
 
 from .errors import CompactOverflow, InvalidArgs, RegexSyntaxError, SymbolOutOfRange
 
 RenderFormat = Literal["compact", "spaced"]
+T = TypeVar("T")
+
+# (kind, *fields) -> the one node with that kind and those fields.
+_INTERNED: dict[tuple, "Regex"] = {}
 
 
 class Regex:
-    """Base class for all expression nodes.  Immutable; equality is structural."""
+    """Base class for all expression nodes.  Immutable and interned, so
+    equality is identity."""
 
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Regex):
-            return NotImplemented
-        return ast_equal(self, other)
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(
+                    f"{cls.__name__} takes {len(cls.__slots__)} arguments, got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            _INTERNED[key] = node
+        return node
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
-    def __hash__(self) -> int:
-        return _structural_hash(self)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # Copies and unpickled nodes go back through the intern table.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         text = render(self, "spaced")
@@ -51,43 +76,89 @@ class Regex:
         return f"{type(self).__name__}<{text}>"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class EmptySet(Regex):
     """The empty language.  Never emitted by the builders; parsed as '&'."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
 class Epsilon(Regex):
     """The empty word.  Never emitted by the builders; parsed as 'e'."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
 class Sym(Regex):
     """A single alphabet symbol, identified by an integer id >= 1."""
 
+    __slots__ = ("sym",)
     sym: int
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Union(Regex):
+    __slots__ = ("left", "right")
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Concat(Regex):
+    __slots__ = ("left", "right")
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Star(Regex):
+    __slots__ = ("child",)
     child: Regex
+
+
+def _children(node: Regex) -> tuple[Regex, ...]:
+    kind = type(node)
+    if kind is Union or kind is Concat:
+        return node.left, node.right
+    if kind is Star:
+        return (node.child,)
+    return ()
+
+
+_EXIT = object()
+
+
+def postorder(expr: Regex) -> Iterator[Regex]:
+    """Each distinct node of `expr` once, after its children (left first).
+
+    A node shared by several parents is yielded at its first occurrence
+    only.  Iterative, so chain depth is unbounded.
+    """
+    seen: set[Regex] = set()
+    # A node to visit, or _EXIT followed (below it) by a node to yield.
+    stack: list[object] = [expr]
+    while stack:
+        node = stack.pop()
+        if node is _EXIT:
+            yield stack.pop()
+        elif node not in seen:
+            seen.add(node)
+            stack += (node, _EXIT)
+            stack += reversed(_children(node))
+
+
+def fold(expr: Regex, combine: Callable[..., T]) -> T:
+    """Bottom-up value of `expr`: `combine(node, *child_values)` is called
+    once per distinct node, so shared subexpressions are computed once.
+
+    Sym, Epsilon and EmptySet get no child values, Star one, Union and
+    Concat two (left, right).
+    """
+    values: dict[Regex, T] = {}
+    for node in postorder(expr):
+        values[node] = combine(node, *map(values.__getitem__, _children(node)))
+    return values[expr]
 
 
 @dataclass(frozen=True, slots=True)
 class RegexMetrics:
-    """Size summary of one tree: Sym-leaf count, node count, height."""
+    """Size summary of one expression: Sym-leaf count, node count, height."""
 
     alphabetic_length: int
     node_count: int
@@ -97,146 +168,22 @@ class RegexMetrics:
 def alphabetic_length(expr: Regex) -> int:
     """Count Sym leaves. Union/Concat add children, Star keeps its child's count.
 
-    Shared subtrees (the divide-and-conquer builder memoizes) are counted
-    once per logical occurrence, as if the DAG were expanded to a tree.
+    Shared subexpressions (the builders' DAGs) are counted once per logical
+    occurrence, as if the DAG were expanded to a tree.
     """
-    memo: dict[int, int] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Sym:
-            memo[key] = 1
-            stack.pop()
-        elif kind is Epsilon or kind is EmptySet:
-            memo[key] = 0
-            stack.pop()
-        elif kind is Star:
-            child = node.child
-            got = memo.get(id(child))
-            if got is None:
-                stack.append(child)
-            else:
-                memo[key] = got
-                stack.pop()
-        else:  # Union | Concat
-            left_len = memo.get(id(node.left))
-            right_len = memo.get(id(node.right))
-            if left_len is not None and right_len is not None:
-                memo[key] = left_len + right_len
-                stack.pop()
-            else:
-                if right_len is None:
-                    stack.append(node.right)
-                if left_len is None:
-                    stack.append(node.left)
-    return memo[id(expr)]
+    return fold(expr, lambda node, *kids: 1 if type(node) is Sym else sum(kids))
 
 
 def metrics(expr: Regex) -> RegexMetrics:
-    """Alphabetic length, node count, and height of the tree in one pass."""
-    memo: dict[int, tuple[int, int, int]] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Sym:
-            memo[key] = (1, 1, 0)
-            stack.pop()
-        elif kind is Epsilon or kind is EmptySet:
-            memo[key] = (0, 1, 0)
-            stack.pop()
-        elif kind is Star:
-            got = memo.get(id(node.child))
-            if got is None:
-                stack.append(node.child)
-            else:
-                memo[key] = (got[0], got[1] + 1, got[2] + 1)
-                stack.pop()
-        else:
-            lv = memo.get(id(node.left))
-            rv = memo.get(id(node.right))
-            if lv is not None and rv is not None:
-                memo[key] = (lv[0] + rv[0], lv[1] + rv[1] + 1, max(lv[2], rv[2]) + 1)
-                stack.pop()
-            else:
-                if rv is None:
-                    stack.append(node.right)
-                if lv is None:
-                    stack.append(node.left)
-    alen, nodes, height = memo[id(expr)]
-    return RegexMetrics(alphabetic_length=alen, node_count=nodes, height=height)
+    """Alphabetic length, node count and height of the expanded tree."""
 
+    def measure(node: Regex, *kids: tuple[int, int, int]) -> tuple[int, int, int]:
+        if not kids:
+            return int(type(node) is Sym), 1, 0
+        lengths, counts, heights = zip(*kids)
+        return sum(lengths), sum(counts) + 1, max(heights) + 1
 
-def ast_equal(a: Regex, b: Regex) -> bool:
-    """Structural equality, safe for arbitrarily deep trees."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        kind = type(x)
-        if kind is not type(y):
-            return False
-        if kind is Sym:
-            if x.sym != y.sym:
-                return False
-        elif kind is Union or kind is Concat:
-            stack.append((x.left, y.left))
-            stack.append((x.right, y.right))
-        elif kind is Star:
-            stack.append((x.child, y.child))
-        # Epsilon / EmptySet carry no data
-    return True
-
-
-def _structural_hash(expr: Regex) -> int:
-    memo: dict[int, int] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Sym:
-            memo[key] = hash((2, node.sym))
-            stack.pop()
-        elif kind is Epsilon:
-            memo[key] = hash((1,))
-            stack.pop()
-        elif kind is EmptySet:
-            memo[key] = hash((0,))
-            stack.pop()
-        elif kind is Star:
-            got = memo.get(id(node.child))
-            if got is None:
-                stack.append(node.child)
-            else:
-                memo[key] = hash((5, got))
-                stack.pop()
-        else:
-            tag = 3 if kind is Union else 4
-            lv = memo.get(id(node.left))
-            rv = memo.get(id(node.right))
-            if lv is not None and rv is not None:
-                memo[key] = hash((tag, lv, rv))
-                stack.pop()
-            else:
-                if rv is None:
-                    stack.append(node.right)
-                if lv is None:
-                    stack.append(node.left)
-    return memo[id(expr)]
+    return RegexMetrics(*fold(expr, measure))
 
 
 # Operator precedence, loosest first.  A child is parenthesized exactly
@@ -251,53 +198,76 @@ _PREC = {Union: _PREC_UNION, Concat: _PREC_CONCAT, Star: _PREC_STAR,
 
 
 def render_to(expr: Regex, write: Callable[[str], None], fmt: RenderFormat = "spaced") -> None:
-    """Stream the textual form of `expr` to `write`, one token at a time.
+    """Write the textual form of `expr` to `write`, in a single call.
 
-    Compact output may have been partially written when CompactOverflow
-    is raised; callers that need all-or-nothing behavior should use
-    render() or pre-check the alphabet.
+    The text of a node with two or more parents is built once and reused
+    at each occurrence; it excludes the parentheses a parent may put
+    around it.  Nothing is written when CompactOverflow is raised.
     """
     if fmt not in ("compact", "spaced"):
         raise InvalidArgs(f"unknown render format {fmt!r}")
     compact = fmt == "compact"
-    first = True
+    sep = "" if compact else " "
+    # Parent edges per node, counted in one pass over the distinct nodes.
+    parents: dict[Regex, int] = {expr: 0}
+    stack: list = [expr]
+    while stack:
+        for child in _children(stack.pop()):
+            if child in parents:
+                parents[child] += 1
+            else:
+                parents[child] = 1
+                stack.append(child)
+    # Only the shared nodes are kept while the text is built.
+    shared = {node for node, count in parents.items() if count > 1}
+    del parents
+    texts: dict[Regex, str] = {}
+    parts: list[str] = []
+    # A token to append, a node to render, or (node, start): the shared
+    # node's text is parts[start:], to be joined and kept.
+    stack = [expr]
 
-    def emit(token: str) -> None:
-        nonlocal first
-        if not compact and not first:
-            write(" ")
-        write(token)
-        first = False
+    def push(child: Regex, prec: int) -> None:
+        if _PREC[type(child)] < prec:
+            stack.extend((")", child, "("))
+        else:
+            stack.append(child)
 
-    stack: list[str | tuple[Regex, bool]] = [(expr, False)]
     while stack:
         item = stack.pop()
-        if type(item) is str:
-            emit(item)
-            continue
-        node, parens = item
-        kind = type(node)
-        seq: list[str | tuple[Regex, bool]]
-        if kind is Sym:
-            if compact and node.sym > 9:
+        kind = type(item)
+        if kind is str:
+            parts.append(item)
+        elif kind is tuple:
+            node, start = item
+            texts[node] = text = sep.join(parts[start:])
+            del parts[start:]
+            parts.append(text)
+        elif kind is Sym:
+            if compact and item.sym > 9:
                 raise CompactOverflow(
-                    f"symbol {node.sym} has no single-digit form; use the spaced format")
-            seq = [str(node.sym)]
+                    f"symbol {item.sym} has no single-digit form; use the spaced format")
+            parts.append(str(item.sym))
         elif kind is Epsilon:
-            seq = ["e"]
+            parts.append("e")
         elif kind is EmptySet:
-            seq = ["&"]
-        elif kind is Union:
-            seq = [(node.left, _PREC[type(node.left)] < _PREC_UNION), "+",
-                   (node.right, _PREC[type(node.right)] < _PREC_UNION)]
-        elif kind is Concat:
-            seq = [(node.left, _PREC[type(node.left)] < _PREC_CONCAT),
-                   (node.right, _PREC[type(node.right)] < _PREC_CONCAT)]
-        else:  # Star
-            seq = [(node.child, _PREC[type(node.child)] < _PREC_STAR), "*"]
-        if parens:
-            seq = ["(", *seq, ")"]
-        stack.extend(reversed(seq))
+            parts.append("&")
+        elif item in texts:
+            parts.append(texts[item])
+        else:
+            if item in shared:
+                stack.append((item, len(parts)))
+            if kind is Star:
+                stack.append("*")
+                push(item.child, _PREC_STAR)
+            elif kind is Union:
+                push(item.right, _PREC_UNION)
+                stack.append("+")
+                push(item.left, _PREC_UNION)
+            else:  # Concat
+                push(item.right, _PREC_CONCAT)
+                push(item.left, _PREC_CONCAT)
+    write(sep.join(parts))
 
 
 def render(expr: Regex, fmt: RenderFormat = "spaced") -> str:
@@ -307,66 +277,13 @@ def render(expr: Regex, fmt: RenderFormat = "spaced") -> str:
     return "".join(parts)
 
 
-_TOK_SYM = "sym"
-_TOK_PLUS = "+"
-_TOK_STAR = "*"
-_TOK_LPAREN = "("
-_TOK_RPAREN = ")"
-_TOK_EPS = "eps"
-_TOK_EMPTY = "empty"
-
-
-def _tokenize(text: str, n: int) -> Iterator[tuple[str, int, int]]:
-    """Yield (kind, value, offset) triples.
-
-    Digit runs are split into single-digit symbols while n <= 9 (the
-    compact convention) and read as whole decimal ids once n >= 10
-    (where only the spaced format is legal, so runs are unambiguous).
-    """
-    multi_digit = n >= 10
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch.isdigit():
-            if multi_digit:
-                j = i + 1
-                while j < size and text[j].isdigit():
-                    j += 1
-                value = int(text[i:j])
-                offset = i
-                i = j
-            else:
-                value = int(ch)
-                offset = i
-                i += 1
-            if not 1 <= value <= n:
-                raise SymbolOutOfRange(
-                    f"symbol {value} outside [1, {n}] at offset {offset}")
-            yield _TOK_SYM, value, offset
-        elif ch == "+":
-            yield _TOK_PLUS, 0, i
-            i += 1
-        elif ch == "*":
-            yield _TOK_STAR, 0, i
-            i += 1
-        elif ch == "(":
-            yield _TOK_LPAREN, 0, i
-            i += 1
-        elif ch == ")":
-            yield _TOK_RPAREN, 0, i
-            i += 1
-        elif ch == "e":
-            yield _TOK_EPS, 0, i
-            i += 1
-        elif ch == "&":
-            yield _TOK_EMPTY, 0, i
-            i += 1
-        else:
-            raise RegexSyntaxError(f"unexpected character {ch!r}", i)
+# One token per match: group 1 holds a symbol's digits, otherwise the match
+# is one operator or other character.  Blanks between tokens are skipped.
+# Digit runs are split into single-digit symbols while n <= 9 (the compact
+# convention) and read as whole decimal ids once n >= 10 (where only the
+# spaced format is legal, so runs are unambiguous).
+_TOKEN_SINGLE_DIGIT = re.compile(r"(\d)|[^ \t\r\n]")
+_TOKEN_MULTI_DIGIT = re.compile(r"(\d+)|[^ \t\r\n]")
 
 
 def _fold_concat(terms: list[Regex]) -> Regex:
@@ -384,37 +301,47 @@ def _fold_union(alts: list[Regex]) -> Regex:
 
 
 def parse(text: str, n: int) -> Regex:
-    """Parse compact or spaced text into a tree over the alphabet {1..n}.
+    """Parse compact or spaced text into an expression over the alphabet {1..n}.
 
     Union binds loosest, then concatenation, then postfix star.  Chains
-    associate to the left, so parse(render(e)) reproduces e exactly for
-    trees in that left-leaning normal form.  Parenthesis nesting is
-    handled with an explicit stack; input depth is unbounded.
+    associate to the left, so parse(render(e)) is e itself for
+    expressions in that left-leaning normal form, builder output
+    included.  Parenthesis nesting is handled with an explicit stack;
+    input depth is unbounded.
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
+    tokens = (_TOKEN_MULTI_DIGIT if n >= 10 else _TOKEN_SINGLE_DIGIT).finditer(text)
     # One frame per open parenthesis: (completed alternatives, current concat run).
     frames: list[tuple[list[Regex], list[Regex]]] = [([], [])]
-    for kind, value, offset in _tokenize(text, n):
+    for match in tokens:
+        offset = match.start()
         alts, terms = frames[-1]
-        if kind is _TOK_SYM:
+        digits = match.group(1)
+        if digits is not None:
+            value = int(digits)
+            if not 1 <= value <= n:
+                raise SymbolOutOfRange(
+                    f"symbol {value} outside [1, {n}] at offset {offset}")
             terms.append(Sym(value))
-        elif kind is _TOK_EPS:
+            continue
+        token = match.group()
+        if token == "e":
             terms.append(Epsilon())
-        elif kind is _TOK_EMPTY:
+        elif token == "&":
             terms.append(EmptySet())
-        elif kind is _TOK_STAR:
+        elif token == "*":
             if not terms:
                 raise RegexSyntaxError("star needs an expression to repeat", offset)
             terms[-1] = Star(terms[-1])
-        elif kind is _TOK_PLUS:
+        elif token == "+":
             if not terms:
                 raise RegexSyntaxError("empty union alternative", offset)
             alts.append(_fold_concat(terms))
             terms.clear()
-        elif kind is _TOK_LPAREN:
+        elif token == "(":
             frames.append(([], []))
-        else:  # _TOK_RPAREN
+        elif token == ")":
             if len(frames) == 1:
                 raise RegexSyntaxError("unbalanced ')'", offset)
             if not terms:
@@ -422,6 +349,8 @@ def parse(text: str, n: int) -> Regex:
             alts.append(_fold_concat(terms))
             frames.pop()
             frames[-1][1].append(_fold_union(alts))
+        else:
+            raise RegexSyntaxError(f"unexpected character {token!r}", offset)
     if len(frames) > 1:
         raise RegexSyntaxError("unclosed '('", len(text))
     alts, terms = frames[0]

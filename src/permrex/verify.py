@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded, InvalidArgs
-from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union
+from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold, postorder
 
 DEFAULT_VERIFY_CAP = 7
 
@@ -45,11 +45,6 @@ class PositionNfa:
     @property
     def n_positions(self) -> int:
         return len(self.symbols)
-
-    @property
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        """(position id, symbol id) pairs in leaf order."""
-        return tuple(enumerate(self.symbols))
 
     def symbol_masks(self) -> dict[int, int]:
         masks: dict[int, int] = {}
@@ -189,84 +184,43 @@ _EMPTY = object()    # denotes the empty language
 _UNKNOWN = object()  # length not certifiable by this abstraction
 
 
+def _word_length(node: Regex, *kids: object) -> object:
+    kind = type(node)
+    if kind is Sym:
+        return 1
+    if kind is Epsilon:
+        return 0
+    if kind is EmptySet:
+        return _EMPTY
+    if kind is Star:
+        # Star of nothing (or of epsilon) is just epsilon.
+        return 0 if kids[0] is _EMPTY or kids[0] == 0 else _UNKNOWN
+    left, right = kids
+    if kind is Union:
+        if left is _EMPTY:
+            return right
+        if right is _EMPTY:
+            return left
+        return left if left == right and left is not _UNKNOWN else _UNKNOWN
+    # Concat
+    if left is _EMPTY or right is _EMPTY:
+        return _EMPTY
+    if left is _UNKNOWN or right is _UNKNOWN:
+        return _UNKNOWN
+    return left + right
+
+
 def uniform_length(expr: Regex) -> int | None:
     """Exact word length k when every word of L(expr) has length k and L is
     provably nonempty; None when the language is empty or not certifiably
     uniform (any union of unequal lengths, or a star over nonempty words).
     """
-    memo: dict[int, object] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Sym:
-            memo[key] = 1
-            stack.pop()
-        elif kind is Epsilon:
-            memo[key] = 0
-            stack.pop()
-        elif kind is EmptySet:
-            memo[key] = _EMPTY
-            stack.pop()
-        elif kind is Star:
-            got = memo.get(id(node.child), None)
-            if got is None:
-                stack.append(node.child)
-                continue
-            if got is _EMPTY or got == 0:
-                memo[key] = 0  # star of nothing (or of epsilon) is just epsilon
-            else:
-                memo[key] = _UNKNOWN
-            stack.pop()
-        else:
-            lv = memo.get(id(node.left), None)
-            rv = memo.get(id(node.right), None)
-            if lv is None or rv is None:
-                if rv is None:
-                    stack.append(node.right)
-                if lv is None:
-                    stack.append(node.left)
-                continue
-            if kind is Union:
-                if lv is _EMPTY:
-                    memo[key] = rv
-                elif rv is _EMPTY:
-                    memo[key] = lv
-                elif lv is _UNKNOWN or rv is _UNKNOWN or lv != rv:
-                    memo[key] = _UNKNOWN
-                else:
-                    memo[key] = lv
-            else:  # Concat
-                if lv is _EMPTY or rv is _EMPTY:
-                    memo[key] = _EMPTY
-                elif lv is _UNKNOWN or rv is _UNKNOWN:
-                    memo[key] = _UNKNOWN
-                else:
-                    memo[key] = lv + rv
-            stack.pop()
-    out = memo[id(expr)]
+    out = fold(expr, _word_length)
     return out if isinstance(out, int) else None
 
 
 def contains_star(expr: Regex) -> bool:
-    seen: set[int] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        kind = type(node)
-        if kind is Star:
-            return True
-        if kind is Union or kind is Concat:
-            stack.append(node.left)
-            stack.append(node.right)
-    return False
+    return any(type(node) is Star for node in postorder(expr))
 
 
 def _live_positions(nfa: PositionNfa) -> int:

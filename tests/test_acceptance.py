@@ -166,7 +166,7 @@ class TestAC10:
         assert nfa.n_positions == regex_ast.alphabetic_length(expr)
         TestAC10.checked["positions"] += 1
         again = regex_ast.parse(regex_ast.render(expr, "spaced"), 4)
-        assert regex_ast.ast_equal(again, expr)
+        assert again is expr
         TestAC10.checked["roundtrip"] += 1
 
     @settings(max_examples=40, deadline=None)

@@ -43,6 +43,16 @@ def test_gen_compact_wide_alphabet_is_input_error(capsys):
     assert "spaced" in err
 
 
+def test_gen_refusal_leaves_existing_output_unchanged(tmp_path, capsys):
+    target = tmp_path / "r10.txt"
+    target.write_text("previous contents\n")
+    code, _, err = run(capsys, "gen", "dnc", "--n", "10", "--format", "compact",
+                       "--output", str(target))
+    assert code == 2
+    assert "spaced" in err
+    assert target.read_text() == "previous contents\n"
+
+
 def test_len_json(capsys):
     code, out, _ = run(capsys, "len", "--max-n", "10")
     assert code == 0
@@ -136,6 +146,7 @@ def test_bounds_small(capsys):
     assert statuses["growth_template_bracket[alpha_high]"] == "certified"
     assert statuses["doubling_identity_beta_2"] == "certified"
     assert statuses["doubling_identity_beta_5/2"] == "certified"
+    assert all(r["seconds"] >= 0 for r in report["reports"])
 
 
 def test_bounds_bad_grid(capsys):

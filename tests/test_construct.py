@@ -118,22 +118,31 @@ def test_builders_work_on_sparse_alphabets():
 
 def test_dnc_shares_subproblems_across_the_union():
     expr = construct.build_divide_and_conquer(first_n(8))
-    seen = set()
-    stack = [expr]
-    nodes = 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes += 1
-        for attr in ("left", "right", "child"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                stack.append(child)
+    nodes = sum(1 for _ in regex_ast.postorder(expr))
     # Alphabetic length counts occurrences (6720 at n = 8); the shared
     # DAG must be far smaller than the fully expanded tree.
     assert nodes < 2500
+
+
+BUILDERS = {
+    "dnc": construct.build_divide_and_conquer,
+    "tail": construct.build_tail_recursive,
+    "flat": construct.build_flat_union,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_parse_of_rendering_is_the_built_dag(name):
+    for n in range(1, 8):
+        expr = BUILDERS[name](first_n(n))
+        for fmt in ("compact", "spaced"):
+            assert regex_ast.parse(regex_ast.render(expr, fmt), n) is expr
+
+
+@pytest.mark.parametrize("name", ["dnc", "tail"])
+def test_parse_of_wide_rendering_is_the_built_dag(name):
+    expr = BUILDERS[name](first_n(10))
+    assert regex_ast.parse(regex_ast.render(expr, "spaced"), 10) is expr
 
 
 def test_size_caps_refuse_before_building():

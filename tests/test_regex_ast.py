@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -46,6 +49,36 @@ def test_structural_equality_and_hash():
     assert ra.EmptySet() != ra.Epsilon()
 
 
+def test_construction_interns_nodes():
+    assert ra.Union(sym(1), sym(2)) is ra.Union(sym(1), sym(2))
+    assert ra.Epsilon() is ra.Epsilon()
+    assert ra.Concat(sym(1), sym(2)) is not ra.Union(sym(1), sym(2))
+    with pytest.raises(AttributeError):
+        sym(1).sym = 2
+    expr = ra.Concat(ra.Star(ra.Union(sym(1), sym(2))), ra.EmptySet())
+    assert copy.deepcopy(expr) is expr
+    assert pickle.loads(pickle.dumps(expr)) is expr
+
+
+def test_postorder_yields_each_distinct_node_after_its_children():
+    shared = ra.Union(sym(1), sym(2))
+    expr = ra.Concat(ra.Star(shared), shared)
+    assert list(ra.postorder(expr)) == [
+        sym(1), sym(2), shared, ra.Star(shared), expr]
+
+
+def test_fold_combines_each_distinct_node_once():
+    shared = ra.Union(sym(1), sym(2))
+    calls = []
+
+    def count(node, *kids):
+        calls.append(node)
+        return 1 + sum(kids)
+
+    assert ra.fold(ra.Concat(shared, shared), count) == 7
+    assert len(calls) == 4
+
+
 def test_deep_chain_operations_do_not_recurse():
     expr = sym(1)
     for _ in range(200_000):
@@ -74,6 +107,13 @@ def test_render_precedence_parentheses():
     assert ra.render(ra.Concat(inner, sym(3)), "compact") == "(1+2)3"
     assert ra.render(ra.Star(sym(1)), "compact") == "1*"
     assert ra.render(ra.Star(ra.Concat(sym(1), sym(2))), "compact") == "(12)*"
+
+
+def test_render_shared_node_under_different_parentheses():
+    u = ra.Union(sym(1), sym(2))
+    assert ra.render(ra.Union(ra.Concat(u, sym(3)), u), "compact") == "(1+2)3+1+2"
+    assert ra.render(ra.Concat(ra.Star(u), u), "compact") == "(1+2)*(1+2)"
+    assert ra.render(ra.Concat(ra.Star(u), u), "spaced") == "( 1 + 2 ) * ( 1 + 2 )"
 
 
 def test_render_compact_rejects_wide_symbols():
@@ -134,7 +174,7 @@ def test_parse_error_carries_offset():
 def test_round_trip_exact_for_normal_form(expr):
     for fmt in ("compact", "spaced"):
         again = ra.parse(ra.render(expr, fmt), 3)
-        assert ra.ast_equal(again, expr)
+        assert again is expr
 
 
 @settings(max_examples=200)
