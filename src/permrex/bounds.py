@@ -8,6 +8,15 @@ violated, or undecided - and undecided answers are retried up the
 precision ladder (default 200 bits, doubling to a 2000-bit ceiling)
 rather than glossed over.
 
+Every check runs through one ladder and one sweep: `_sweep` feeds each
+(label, judge) point to `_climb`, which re-runs the judge one rung higher
+until it decides, and the report keeps the worst certified point.  There
+are two judges.  `_le_judge` certifies lhs <= rhs pairs, and serves the
+factorial sandwich, the bracket lemmas, the growth bound and the domain
+filter of the growth-template bracket.  The doubling identity has its own
+judge: the two sides must overlap, or it is violated, and both radii must
+drop below IDENTITY_TIGHTNESS, or it is undecided.
+
 The checks certify, against exact integer f(n):
 
   * the factorial sandwich  e^(1/(12n+1)) S(n) <= n! <= e^(1/12n) S(n)
@@ -29,9 +38,11 @@ and comparisons accept touching intervals for <=.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath
 from mpmath import iv, mp
@@ -41,40 +52,39 @@ from .errors import DomainError, InvalidArgs, UndecidedAtPrecision
 
 DEFAULT_PRECISION_BITS = 200
 MAX_PRECISION_BITS = 2000
+MAX_GRID_POINTS = 10_000
+IDENTITY_TIGHTNESS = Fraction(1, 10**30)  # radius both sides of the identity must reach
 
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
 VIOLATED = "violated"
 
 
+def require_precision(bits: int) -> int:
+    """Return bits if it is a usable starting precision, else raise InvalidArgs."""
+    if not 16 <= bits <= MAX_PRECISION_BITS:
+        raise InvalidArgs(
+            f"precision must be in [16, {MAX_PRECISION_BITS}] bits, got {bits}")
+    return bits
+
+
 def precision_ladder(base_bits: int = DEFAULT_PRECISION_BITS) -> list[int]:
     """Escalation schedule: base, then doubling, clamped at the ceiling."""
-    if base_bits < 16:
-        raise InvalidArgs(f"precision must be at least 16 bits, got {base_bits}")
-    ladder = [base_bits]
+    ladder = [require_precision(base_bits)]
     while ladder[-1] < MAX_PRECISION_BITS:
         ladder.append(min(ladder[-1] * 2, MAX_PRECISION_BITS))
     return ladder
 
 
-class _Precision:
-    """Context manager that sets iv.prec and restores it on exit."""
-
-    def __init__(self, bits: int):
-        self.bits = bits
-        self._saved = 0
-
-    def __enter__(self) -> "_Precision":
-        self._saved = iv.prec
-        iv.prec = self.bits
-        return self
-
-    def __exit__(self, *exc) -> None:
-        iv.prec = self._saved
-
-
-def precision(bits: int) -> _Precision:
-    return _Precision(bits)
+@contextmanager
+def precision(bits: int) -> Iterator[None]:
+    """Set iv.prec for the block and restore it on exit."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -267,18 +277,13 @@ def stirling_S(x: Enclosure) -> Enclosure:
     return Enclosure(root * power)
 
 
-def g_alpha(x: Enclosure, alpha) -> Enclosure:
+def g_alpha(x: Enclosure, alpha: Enclosure) -> Enclosure:
     """Enclosure of the growth template g_a(x) = 4^x * x^(a - lg(x)/4).
-
-    `alpha` may be an Enclosure, an exact rational, or a zero-argument
-    callable producing an Enclosure at the ambient precision.
 
     Integer x stays exact where possible: 4^k is a single mantissa bit,
     and x = 1 short-circuits to exactly 4 because 1^w = 1 for any w.
     The exactness matters: the growth bound on f is *tight* at n = 1.
     """
-    if not isinstance(alpha, Enclosure):
-        alpha = alpha() if callable(alpha) else Enclosure.from_fraction(Fraction(alpha))
     if not x.is_positive():
         raise DomainError(f"g_a(x) needs x > 0, got {format_interval(x)}")
     xi = x.exact_int()
@@ -296,31 +301,34 @@ def g_alpha(x: Enclosure, alpha) -> Enclosure:
     return Enclosure(four_pow * iv.exp(exponent * log_x))
 
 
-def alpha_low() -> Enclosure:
-    """5/4 - lg(pi)/2, the exponent in the certified lower bound on f."""
-    lg_pi = iv.log(iv.pi) / iv.log(iv.mpf(2))
-    return Enclosure(iv.mpf(5) / iv.mpf(4) - lg_pi / 2)
-
-
-def alpha_high() -> Enclosure:
-    """lg(5) - 3/4 - lg(pi)/2, the exponent in the certified upper bound on f."""
-    ln2 = iv.log(iv.mpf(2))
-    lg5 = iv.log(iv.mpf(5)) / ln2
-    lg_pi = iv.log(iv.pi) / ln2
-    return Enclosure(lg5 - iv.mpf(3) / iv.mpf(4) - lg_pi / 2)
-
-
 def alpha_for_beta(beta: Fraction | int) -> Enclosure:
     """The exponent lg(beta) + 1/4 - lg(pi)/2 that makes the doubling
     identity beta * S(2x)/S(x)^2 * g_a(x) = g_a(2x) hold."""
     fr = Fraction(beta)
     if fr <= 0:
         raise InvalidArgs(f"beta must be positive, got {beta}")
+    return _alpha_at(fr, iv.prec)
+
+
+@lru_cache(maxsize=64)
+def _alpha_at(beta: Fraction, bits: int) -> Enclosure:
+    # Keyed by the ambient precision `bits`: every sweep point asks again for
+    # the same two alphas at the same few rungs.
     ln2 = iv.log(iv.mpf(2))
-    b = iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
+    b = iv.mpf(beta.numerator) / iv.mpf(beta.denominator)
     lg_beta = iv.log(b) / ln2
     lg_pi = iv.log(iv.pi) / ln2
     return Enclosure(lg_beta + iv.mpf(1) / iv.mpf(4) - lg_pi / 2)
+
+
+def alpha_low() -> Enclosure:
+    """5/4 - lg(pi)/2, the exponent in the certified lower bound on f."""
+    return alpha_for_beta(2)
+
+
+def alpha_high() -> Enclosure:
+    """lg(5) - 3/4 - lg(pi)/2, the exponent in the certified upper bound on f."""
+    return alpha_for_beta(Fraction(5, 2))
 
 
 # -- report plumbing --------------------------------------------------------
@@ -351,60 +359,71 @@ def ensure_certified(*reports: BoundReport) -> None:
                 f"{report.inequality} violated: {report.failures}")
 
 
-# Each sweep point is (label, make) where make() evaluates, at the ambient
-# precision, the list of (lhs, rhs) pairs whose lhs <= rhs must be certified.
-_PointFactory = Callable[[], list[tuple[Enclosure, Enclosure]]]
+# A judge evaluates one sweep point at the ambient precision and returns
+# (verdict, rank, margin).  Among certified points the lowest rank is the
+# worst one, and its margin is the one the report prints.
+Judgement = tuple[str, object, Enclosure]
+Judge = Callable[[], Judgement]
 
 
-def _sweep_le(
+def _climb(judge: Judge, ladder: Sequence[int]) -> tuple[Judgement, int]:
+    """Run judge up the ladder; return its first decided judgement (or the
+    undecided one from the top rung) and the bits it used."""
+    for bits in ladder:
+        with precision(bits):
+            judgement = judge()
+        if judgement[0] != UNDECIDED:
+            break
+    return judgement, bits
+
+
+def _sweep(
     inequality: str,
     domain: str,
-    points: Sequence[tuple[str, _PointFactory]],
+    points: Sequence[tuple[str, Judge]],
     base_bits: int,
 ) -> BoundReport:
+    """Decide every point up the ladder; violated outranks undecided."""
     ladder = precision_ladder(base_bits)
-    worst_margin_lo = None
-    worst_margin_str = ""
-    worst_point = ""
-    max_bits = ladder[0]
-    failures: list[str] = []
     status = CERTIFIED
-    for label, make in points:
-        point_status = UNDECIDED
-        margins: list[Enclosure] = []
-        for bits in ladder:
-            max_bits = max(max_bits, bits)
-            with precision(bits):
-                pairs = make()
-                outcomes = [compare_le(lhs, rhs) for lhs, rhs in pairs]
-                margins = [rhs - lhs for lhs, rhs in pairs]
-            if VIOLATED in outcomes:
-                point_status = VIOLATED
-                break
-            if all(outcome == CERTIFIED for outcome in outcomes):
-                point_status = CERTIFIED
-                break
-        if point_status is not CERTIFIED:
-            status = VIOLATED if point_status is VIOLATED else (
-                status if status is VIOLATED else UNDECIDED)
-            failures.append(f"{label}: {point_status}")
+    failures: list[str] = []
+    worst: tuple[object, str, Enclosure] | None = None
+    max_bits = ladder[0]
+    for label, judge in points:
+        (verdict, rank, margin), bits = _climb(judge, ladder)
+        max_bits = max(max_bits, bits)
+        if verdict == CERTIFIED:
+            if worst is None or rank < worst[0]:
+                worst = (rank, label, margin)
             continue
-        for margin in margins:
-            margin_lo = margin.lo
-            if worst_margin_lo is None or margin_lo < worst_margin_lo:
-                worst_margin_lo = margin_lo
-                worst_margin_str = format_interval(margin)
-                worst_point = label
+        failures.append(f"{label}: {verdict}")
+        if status != VIOLATED:
+            status = verdict
     return BoundReport(
         inequality=inequality,
         domain=domain,
         status=status,
         points_checked=len(points),
-        worst_margin=worst_margin_str,
-        worst_point=worst_point,
+        worst_margin="" if worst is None else format_interval(worst[2]),
+        worst_point="" if worst is None else worst[1],
         max_precision_bits=max_bits,
         failures=tuple(failures),
     )
+
+
+def _le_judge(make: Callable[[], list[tuple[Enclosure, Enclosure]]]) -> Judge:
+    """Judge of a point where every (lhs, rhs) pair from make() must satisfy
+    lhs <= rhs.  Rank and margin come from the smallest rhs - lhs."""
+
+    def judge() -> Judgement:
+        pairs = make()
+        verdicts = [compare_le(lhs, rhs) for lhs, rhs in pairs]
+        margin = min((rhs - lhs for lhs, rhs in pairs), key=lambda m: m.lo)
+        verdict = (VIOLATED if VIOLATED in verdicts
+                   else UNDECIDED if UNDECIDED in verdicts else CERTIFIED)
+        return verdict, margin.lo, margin
+
+    return judge
 
 
 # -- certified sweeps -------------------------------------------------------
@@ -416,20 +435,17 @@ def check_stirling_sandwich(
     if max_n < 0:
         raise InvalidArgs(f"max_n must be >= 0, got {max_n}")
 
-    def point(n: int) -> tuple[str, _PointFactory]:
-        def make() -> list[tuple[Enclosure, Enclosure]]:
-            s = stirling_S(Enclosure.from_int(n))
-            fact = Enclosure.from_int(math.factorial(n))
-            lower = enc_exp(Enclosure.from_fraction(Fraction(1, 12 * n + 1))) * s
-            upper = enc_exp(Enclosure.from_fraction(Fraction(1, 12 * n))) * s
-            return [(lower, fact), (fact, upper)]
+    def pairs(n: int) -> list[tuple[Enclosure, Enclosure]]:
+        s = stirling_S(Enclosure.from_int(n))
+        fact = Enclosure.from_int(math.factorial(n))
+        lower = enc_exp(Enclosure.from_fraction(Fraction(1, 12 * n + 1))) * s
+        upper = enc_exp(Enclosure.from_fraction(Fraction(1, 12 * n))) * s
+        return [(lower, fact), (fact, upper)]
 
-        return f"n={n}", make
-
-    return _sweep_le(
+    return _sweep(
         inequality="factorial_sandwich",
         domain=f"n in [1, {max_n}]",
-        points=[point(n) for n in range(1, max_n + 1)],
+        points=[(f"n={n}", _le_judge(partial(pairs, n))) for n in range(1, max_n + 1)],
         base_bits=base_bits,
     )
 
@@ -443,21 +459,18 @@ def check_lemma_sa(
         if x < 1:
             raise DomainError(f"grid point {x} < 1")
 
-    def point(x: Fraction) -> tuple[str, _PointFactory]:
-        def make() -> list[tuple[Enclosure, Enclosure]]:
-            s_mid = stirling_S(Enclosure.from_fraction(x + Fraction(1, 2)))
-            mid_sq = s_mid * s_mid
-            product = stirling_S(Enclosure.from_fraction(x)) * stirling_S(
-                Enclosure.from_fraction(x + 1))
-            stretched = enc_exp(Enclosure.from_fraction(Fraction(1, 2) / x)) * mid_sq
-            return [(mid_sq, product), (product, stretched)]
+    def pairs(x: Fraction) -> list[tuple[Enclosure, Enclosure]]:
+        s_mid = stirling_S(Enclosure.from_fraction(x + Fraction(1, 2)))
+        mid_sq = s_mid * s_mid
+        product = stirling_S(Enclosure.from_fraction(x)) * stirling_S(
+            Enclosure.from_fraction(x + 1))
+        stretched = enc_exp(Enclosure.from_fraction(Fraction(1, 2) / x)) * mid_sq
+        return [(mid_sq, product), (product, stretched)]
 
-        return f"x={x}", make
-
-    return _sweep_le(
+    return _sweep(
         inequality="stirling_midpoint_bracket",
         domain=_grid_domain(xs),
-        points=[point(x) for x in xs],
+        points=[(f"x={x}", _le_judge(partial(pairs, x))) for x in xs],
         base_bits=base_bits,
     )
 
@@ -480,49 +493,28 @@ def check_lemma_ga(
     """Certify e^(-1/2 sqrt x) (5/2) g_a(x+1/2) <= g_a(x) + g_a(x+1)
     <= e^(1/2 sqrt x) (5/2) g_a(x+1/2) at grid points with x >= 4^a."""
     xs = [Fraction(x) for x in grid]
+    inside = set(filter_ga_domain(xs, alpha, base_bits))
+    for x in xs:
+        if x not in inside:
+            raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
     make_alpha = _alpha_factory(alpha)
-    _require_ga_domain(xs, make_alpha, base_bits)
 
-    def point(x: Fraction) -> tuple[str, _PointFactory]:
-        def make() -> list[tuple[Enclosure, Enclosure]]:
-            a = make_alpha()
-            five_halves = Enclosure.from_fraction(Fraction(5, 2))
-            mid = five_halves * g_alpha(
-                Enclosure.from_fraction(x + Fraction(1, 2)), a)
-            total = g_alpha(Enclosure.from_fraction(x), a) + g_alpha(
-                Enclosure.from_fraction(x + 1), a)
-            wobble = Enclosure.from_fraction(Fraction(1, 2)) / enc_sqrt(
-                Enclosure.from_fraction(x))
-            return [
-                (enc_exp(-wobble) * mid, total),
-                (total, enc_exp(wobble) * mid),
-            ]
+    def pairs(x: Fraction) -> list[tuple[Enclosure, Enclosure]]:
+        a = make_alpha()
+        five_halves = Enclosure.from_fraction(Fraction(5, 2))
+        mid = five_halves * g_alpha(Enclosure.from_fraction(x + Fraction(1, 2)), a)
+        total = g_alpha(Enclosure.from_fraction(x), a) + g_alpha(
+            Enclosure.from_fraction(x + 1), a)
+        wobble = Enclosure.from_fraction(Fraction(1, 2)) / enc_sqrt(
+            Enclosure.from_fraction(x))
+        return [(enc_exp(-wobble) * mid, total), (total, enc_exp(wobble) * mid)]
 
-        return f"x={x}", make
-
-    return _sweep_le(
+    return _sweep(
         inequality="growth_template_bracket",
         domain=_grid_domain(xs),
-        points=[point(x) for x in xs],
+        points=[(f"x={x}", _le_judge(partial(pairs, x))) for x in xs],
         base_bits=base_bits,
     )
-
-
-def _require_ga_domain(
-    xs: Sequence[Fraction], make_alpha: Callable[[], Enclosure], base_bits: int
-) -> None:
-    # The bracket only holds from 4^alpha onward; refuse points that are not
-    # certifiably inside, escalating precision before giving up.
-    for x in xs:
-        verdict = UNDECIDED
-        for bits in precision_ladder(base_bits):
-            with precision(bits):
-                threshold = enc_pow(Enclosure.from_int(4), make_alpha())
-                verdict = compare_le(threshold, Enclosure.from_fraction(x))
-            if verdict is not UNDECIDED:
-                break
-        if verdict is not CERTIFIED:
-            raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
 
 
 def filter_ga_domain(
@@ -532,117 +524,77 @@ def filter_ga_domain(
 ) -> list[Fraction]:
     """Grid points certifiably >= 4^alpha (the bracket's domain)."""
     make_alpha = _alpha_factory(alpha)
-    kept: list[Fraction] = []
-    for x in (Fraction(x) for x in grid):
-        for bits in precision_ladder(base_bits):
-            with precision(bits):
-                threshold = enc_pow(Enclosure.from_int(4), make_alpha())
-                verdict = compare_le(threshold, Enclosure.from_fraction(x))
-            if verdict is not UNDECIDED:
-                break
-        if verdict is CERTIFIED:
-            kept.append(x)
-    return kept
+    ladder = precision_ladder(base_bits)
+
+    def inside(x: Fraction) -> bool:
+        judge = _le_judge(lambda: [
+            (enc_pow(Enclosure.from_int(4), make_alpha()), Enclosure.from_fraction(x))])
+        (verdict, _, _), _ = _climb(judge, ladder)
+        return verdict == CERTIFIED
+
+    return [x for x in map(Fraction, grid) if inside(x)]
 
 
 def check_lemma_gaS(
     grid: Iterable[Fraction | int],
     beta: Fraction | int,
     base_bits: int = DEFAULT_PRECISION_BITS,
-    tightness: Fraction = Fraction(1, 10**30),
 ) -> BoundReport:
     """Certify the doubling identity beta S(2x)/S(x)^2 g_a(x) = g_a(2x)
     with a = lg(beta) + 1/4 - lg(pi)/2: at every grid point the two sides'
-    enclosures must overlap while both radii sit below `tightness`."""
+    enclosures must overlap while both radii sit below IDENTITY_TIGHTNESS."""
     xs = [Fraction(x) for x in grid]
     for x in xs:
         if x <= 0:
             raise DomainError(f"grid point {x} <= 0")
-    ladder = precision_ladder(base_bits)
-    tight = Fraction(tightness)
-    failures: list[str] = []
-    status = CERTIFIED
-    worst_radius = None
-    worst_point = ""
-    worst_str = ""
-    max_bits = ladder[0]
-    for x in xs:
-        point_status = UNDECIDED
-        lhs = rhs = None
-        for bits in ladder:
-            max_bits = max(max_bits, bits)
-            with precision(bits):
-                a = alpha_for_beta(beta)
-                s_x = stirling_S(Enclosure.from_fraction(x))
-                s_2x = stirling_S(Enclosure.from_fraction(2 * x))
-                lhs = (
-                    Enclosure.from_fraction(Fraction(beta))
-                    * s_2x / (s_x * s_x)
-                    * g_alpha(Enclosure.from_fraction(x), a)
-                )
-                rhs = g_alpha(Enclosure.from_fraction(2 * x), a)
-                lhs_rad, rhs_rad = lhs.rad, rhs.rad
-                tight_mpf = mp.mpf(tight.numerator) / mp.mpf(tight.denominator)
-            if not overlap(lhs, rhs):
-                point_status = VIOLATED
-                break
-            if lhs_rad < tight_mpf and rhs_rad < tight_mpf:
-                point_status = CERTIFIED
-                break
-        if point_status is not CERTIFIED:
-            status = VIOLATED if point_status is VIOLATED else (
-                status if status is VIOLATED else UNDECIDED)
-            failures.append(f"x={x}: {point_status}")
-            continue
+    tight = mp.mpf(IDENTITY_TIGHTNESS.numerator) / mp.mpf(IDENTITY_TIGHTNESS.denominator)
+
+    def judge(x: Fraction) -> Judgement:
+        a = alpha_for_beta(beta)
+        s_x = stirling_S(Enclosure.from_fraction(x))
+        s_2x = stirling_S(Enclosure.from_fraction(2 * x))
+        lhs = (
+            Enclosure.from_fraction(Fraction(beta))
+            * s_2x / (s_x * s_x)
+            * g_alpha(Enclosure.from_fraction(x), a)
+        )
+        rhs = g_alpha(Enclosure.from_fraction(2 * x), a)
         radius = max(lhs.rad, rhs.rad)
-        if worst_radius is None or radius > worst_radius:
-            worst_radius = radius
-            worst_point = f"x={x}"
-            worst_str = format_interval(rhs - lhs)
-    return BoundReport(
+        verdict = (VIOLATED if not overlap(lhs, rhs)
+                   else CERTIFIED if radius < tight else UNDECIDED)
+        return verdict, -radius, rhs - lhs
+
+    return _sweep(
         inequality=f"doubling_identity_beta_{beta}",
         domain=_grid_domain(xs),
-        status=status,
-        points_checked=len(xs),
-        worst_margin=worst_str,
-        worst_point=worst_point,
-        max_precision_bits=max_bits,
-        failures=tuple(failures),
+        points=[(f"x={x}", partial(judge, x)) for x in xs],
+        base_bits=base_bits,
     )
 
 
-def check_fn_bounds(
-    max_n: int,
-    base_bits: int = DEFAULT_PRECISION_BITS,
-    power_of_two_strengthening: bool = True,
-) -> BoundReport:
+def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
     """Certify 0.195 g_al(n) <= f(n) <= (1/4) g_ah(n) for 1 <= n <= max_n,
     plus f(n) <= (1/4) g_al(n) whenever n is a power of two."""
     if max_n < 1:
         raise InvalidArgs(f"max_n must be >= 1, got {max_n}")
     lengths.f(max_n)  # warm the exact table before timing-sensitive sweeps
 
-    def point(n: int) -> tuple[str, _PointFactory]:
-        power_of_two = n & (n - 1) == 0
+    def pairs(n: int) -> list[tuple[Enclosure, Enclosure]]:
+        x = Enclosure.from_int(n)
+        exact = Enclosure.from_int(lengths.f(n))
+        quarter = Enclosure.from_fraction(Fraction(1, 4))
+        low_template = g_alpha(x, alpha_low())
+        lower = Enclosure.from_fraction(Fraction(195, 1000)) * low_template
+        upper = quarter * g_alpha(x, alpha_high())
+        checks = [(lower, exact), (exact, upper)]
+        if n & (n - 1) == 0:  # power of two
+            checks.append((exact, quarter * low_template))
+        return checks
 
-        def make() -> list[tuple[Enclosure, Enclosure]]:
-            x = Enclosure.from_int(n)
-            exact = Enclosure.from_int(lengths.f(n))
-            quarter = Enclosure.from_fraction(Fraction(1, 4))
-            low_template = g_alpha(x, alpha_low())
-            lower = Enclosure.from_fraction(Fraction(195, 1000)) * low_template
-            upper = quarter * g_alpha(x, alpha_high())
-            pairs = [(lower, exact), (exact, upper)]
-            if power_of_two and power_of_two_strengthening:
-                pairs.append((exact, quarter * low_template))
-            return pairs
-
-        return f"n={n}", make
-
-    return _sweep_le(
+    return _sweep(
         inequality="fn_growth_bounds",
         domain=f"n in [1, {max_n}]",
-        points=[point(n) for n in range(1, max_n + 1)],
+        points=[(f"n={n}", _le_judge(partial(pairs, n))) for n in range(1, max_n + 1)],
         base_bits=base_bits,
     )
 
@@ -672,6 +624,7 @@ def estimate_power_of_two(
     """
     if not 0 <= m_max <= 10:
         raise InvalidArgs(f"m_max must be in [0, 10], got {m_max}")
+    require_precision(base_bits)
     rows: list[EstimateRow] = []
     previous_abs = None
     with precision(base_bits):
@@ -706,15 +659,22 @@ def default_grid(
     stop: Fraction = Fraction(100),
     step: Fraction = Fraction(1, 4),
 ) -> list[Fraction]:
-    """The quarter-step grid used by the analytic sweeps."""
+    """The grid start, start + step, ... <= stop used by the analytic sweeps;
+    the default is the quarter-step grid on [1, 100]."""
+    return [Fraction(start) + i * step for i in range(grid_size(start, stop, step))]
+
+
+def grid_size(start: Fraction, stop: Fraction, step: Fraction) -> int:
+    """Number of points of default_grid(start, stop, step), counted without
+    building them; refuses empty steps, reversed ranges and grids above
+    MAX_GRID_POINTS."""
     if step <= 0 or stop < start:
         raise InvalidArgs("grid needs step > 0 and stop >= start")
-    out = []
-    x = Fraction(start)
-    while x <= stop:
-        out.append(x)
-        x += step
-    return out
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise InvalidArgs(
+            f"grid has {count} points, more than the {MAX_GRID_POINTS} allowed")
+    return count
 
 
 def _grid_domain(xs: Sequence[Fraction]) -> str:

@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import bounds, construct, lengths, oracle, regex_ast, verify
-from .errors import PermrexError
+from .errors import InvalidArgs, PermrexError
 
 _BUILDERS = {
     "dnc": construct.build_divide_and_conquer,
@@ -177,10 +177,27 @@ def _bound_report_dict(report: bounds.BoundReport) -> dict:
     return dataclasses.asdict(report) | {"failures": list(report.failures)}
 
 
+def _precision_bits(args: argparse.Namespace) -> int:
+    """--precision-bits, else PERMREX_PRECISION_BITS, else the default.
+    Only the commands that take a precision read the variable."""
+    bits = args.precision_bits
+    if bits is None:
+        raw = os.environ.get(_ENV_PRECISION, str(bounds.DEFAULT_PRECISION_BITS))
+        try:
+            bits = int(raw)
+        except ValueError:
+            print(
+                f"error: {_ENV_PRECISION} must be an integer, got {raw!r}",
+                file=sys.stderr,
+            )
+            raise SystemExit(2) from None
+    return bounds.require_precision(bits)
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    grid = args.grid
-    bits = args.precision_bits
+    bits = _precision_bits(args)
+    grid = bounds.default_grid(*args.grid)
 
     def growth_template(alpha_name: str, alpha) -> bounds.BoundReport:
         usable = bounds.filter_ga_domain(grid, alpha, base_bits=bits)
@@ -218,7 +235,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    rows = bounds.estimate_power_of_two(args.max_m, base_bits=args.precision_bits)
+    rows = bounds.estimate_power_of_two(args.max_m, base_bits=_precision_bits(args))
     row_dicts = [
         {
             "m": row.m,
@@ -289,13 +306,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 for k, value, ratio in opt.rows
             ],
         },
+        "languages_by_cost": [
+            {"cost": cost, "languages": count}
+            for cost, count in oracle.languages_by_cost(args.n)
+        ],
         "semantics": opt.semantics,
     }
     _emit_json(args, report, started)
     return 0 if opt.passed else 1
 
 
-def _parse_grid(text: str) -> tuple[Fraction, ...]:
+def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -305,29 +326,12 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         start, stop, step = (Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid number: {exc}") from None
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError("grid needs step > 0 and stop >= start")
-    points = []
-    x = start
-    while x <= stop:
-        points.append(x)
-        x += step
-    return tuple(points)
-
-
-def _env_precision_default() -> int:
-    raw = os.environ.get(_ENV_PRECISION)
-    if raw is None:
-        return bounds.DEFAULT_PRECISION_BITS
+    # Only counted here; the points are built once the precision is accepted.
     try:
-        value = int(raw)
-    except ValueError:
-        print(
-            f"error: {_ENV_PRECISION} must be an integer, got {raw!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2) from None
-    return value
+        bounds.grid_size(start, stop, step)
+    except InvalidArgs as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return start, stop, step
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -401,15 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds", help="certified interval checks for the growth bounds"
     )
     bnd.add_argument("--max-n", type=int, default=1024)
-    bnd.add_argument(
-        "--precision-bits", type=int, default=_env_precision_default()
-    )
+    bnd.add_argument("--precision-bits", type=int, default=None)
     bnd.add_argument(
         "--grid",
         type=_parse_grid,
-        default=None,
+        default="1:100:0.25",
         help="start:stop:step for the continuous-domain sweeps "
-        "(default 1:100:0.25)",
+        f"(default %(default)s, at most {bounds.MAX_GRID_POINTS} points)",
     )
     bnd.add_argument("--output", default=None)
     bnd.set_defaults(func=_cmd_bounds)
@@ -418,9 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate", help="closed-form f(2^m) approximation vs exact values"
     )
     est.add_argument("--max-m", type=int, default=8)
-    est.add_argument(
-        "--precision-bits", type=int, default=_env_precision_default()
-    )
+    est.add_argument("--precision-bits", type=int, default=None)
     est.add_argument("--format", choices=["json", "csv"], default="json")
     est.add_argument("--output", default=None)
     est.set_defaults(func=_cmd_estimate)
@@ -439,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "grid", "absent") is None:
-        args.grid = bounds.default_grid()
     try:
         return args.func(args)
     except PermrexError as exc:

@@ -281,6 +281,12 @@ def ell(n: int, k: int) -> int:
     return best
 
 
+def languages_by_cost(n: int) -> list[tuple[int, int]]:
+    """(cost, number of nonempty languages whose minimal cost it is), by cost."""
+    costs, counts = np.unique(_table_for(n).costs[1:], return_counts=True)
+    return list(zip(costs.tolist(), counts.tolist()))
+
+
 @dataclass(frozen=True)
 class MainOptReport:
     """Exact-rational check that per-permutation cost is minimized by P_n."""

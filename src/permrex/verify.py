@@ -24,10 +24,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CapExceeded, InvalidArgs
-from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold, postorder
+from .errors import CapExceeded, InvalidArgs, SizeCap
+from .regex_ast import (
+    Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, alphabetic_length, fold, postorder)
 
 DEFAULT_VERIFY_CAP = 7
+# The follow table is dense, about positions^2 / 8 bytes: 2 GB at this cap.
+MAX_POSITIONS = 1 << 17
 
 Word = tuple[int, ...]
 
@@ -279,13 +282,17 @@ def language_equals_permutations(
 ) -> Certificate:
     """Certify L(expr) = P_n by checking all n^n length-n words plus the
     structural uniform-length property.  Refuses n beyond `cap` because the
-    enumeration is n^n.
+    enumeration is n^n, and expressions over MAX_POSITIONS symbol
+    occurrences because the automaton's follow table is quadratic in them.
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
     if n > cap:
         raise CapExceeded(
             f"exhaustive verification capped at n = {cap} ({n}^{n} words is too many)")
+    positions = alphabetic_length(expr)
+    if positions > MAX_POSITIONS:
+        raise SizeCap(positions, MAX_POSITIONS, what="automaton positions")
 
     nfa = glushkov(expr)
     ulen = uniform_length(expr)

@@ -108,7 +108,7 @@ def test_ac6_triple_growth_sweep(capsys):
 
 
 def test_ac7_growth_bound_certification(capsys):
-    reportobj = bounds.check_fn_bounds(1024, power_of_two_strengthening=True)
+    reportobj = bounds.check_fn_bounds(1024)
     ok = reportobj.status == bounds.CERTIFIED
     ok = ok and reportobj.points_checked == 1024
     ok = ok and reportobj.max_precision_bits <= bounds.MAX_PRECISION_BITS
@@ -124,9 +124,9 @@ def test_ac8_supporting_analytics(capsys):
     for alpha in (bounds.alpha_low, bounds.alpha_high):
         usable = bounds.filter_ga_domain(grid, alpha)
         ok = ok and bounds.check_lemma_ga(usable, alpha).status == bounds.CERTIFIED
+    ok = ok and bounds.IDENTITY_TIGHTNESS == Fraction(1, 10**30)
     for beta in (Fraction(2), Fraction(5, 2)):
-        gas = bounds.check_lemma_gaS(
-            grid, beta, tightness=Fraction(1, 10**30))
+        gas = bounds.check_lemma_gaS(grid, beta)
         ok = ok and gas.status == bounds.CERTIFIED
     with capsys.disabled():
         report("AC8", ok)

@@ -41,6 +41,8 @@ def test_precision_ladder():
     assert bounds.precision_ladder(2000) == [2000]
     with pytest.raises(InvalidArgs):
         bounds.precision_ladder(8)
+    with pytest.raises(InvalidArgs):
+        bounds.precision_ladder(2001)
 
 
 def test_precision_context_restores():
@@ -251,13 +253,6 @@ def test_check_fn_bounds_certifies_with_tight_power_of_two():
     assert report.worst_margin == "[0.0, 0.0]"
 
 
-def test_check_fn_bounds_strengthening_toggle():
-    # The sharper power-of-two upper bound is optional; with it off the
-    # sweep still certifies (n = 1 stays tight since g_a(1) = 4 for any a).
-    report = bounds.check_fn_bounds(64, power_of_two_strengthening=False)
-    assert report.status == bounds.CERTIFIED
-
-
 def test_power_of_two_strengthening_is_powers_only():
     # The sharper bound f(n) <= (1/4) g_low(n) genuinely fails off the
     # power-of-two lattice for large enough n, so the sweep must not
@@ -299,6 +294,9 @@ def test_estimate_rows_match_reference():
         assert not row.anomalous
     with pytest.raises(InvalidArgs):
         bounds.estimate_power_of_two(11)
+    for bits in (2, 2001):
+        with pytest.raises(InvalidArgs):
+            bounds.estimate_power_of_two(1, base_bits=bits)
 
 
 def test_ensure_certified_raises_on_undecided():
@@ -314,6 +312,38 @@ def test_ensure_certified_raises_on_undecided():
         max_precision_bits=200, failures=("x=1: violated",))
     with pytest.raises(AssertionError):
         bounds.ensure_certified(bad)
+
+
+def test_sweep_reports_violated_and_undecided_points():
+    def le_point(label, lhs, rhs):
+        # lhs and rhs build their enclosures at the ladder's precision.
+        return label, bounds._le_judge(lambda: [(lhs(), rhs())])
+
+    def one():
+        return bounds.Enclosure.from_int(1)
+
+    def two():
+        return bounds.Enclosure.from_int(2)
+
+    def wide_one():  # encloses 1 at every precision without being a point
+        return bounds.Enclosure.from_fraction(Fraction(1, 3)) * 3
+
+    undecided = le_point("1 <= 1", wide_one, one)
+    violated = le_point("2 <= 1", two, one)
+    certified = le_point("1 <= 2", one, two)
+    report = bounds._sweep("demo", "three points",
+                           [undecided, violated, certified], base_bits=200)
+    assert report.status == bounds.VIOLATED  # violated wins over undecided
+    assert report.failures == ("1 <= 1: undecided", "2 <= 1: violated")
+    assert report.max_precision_bits == bounds.MAX_PRECISION_BITS
+    assert report.points_checked == 3
+    assert report.worst_point == "1 <= 2"
+    assert report.worst_margin == "[1.0, 1.0]"
+    report = bounds._sweep("demo", "two points", [certified, undecided],
+                           base_bits=200)
+    assert report.status == bounds.UNDECIDED
+    assert report.failures == ("1 <= 1: undecided",)
+    assert report.max_precision_bits == bounds.MAX_PRECISION_BITS
 
 
 def test_sweep_escalates_precision_when_needed():
@@ -332,3 +362,8 @@ def test_default_grid():
     assert grid[1] - grid[0] == Fraction(1, 4)
     with pytest.raises(InvalidArgs):
         bounds.default_grid(Fraction(2), Fraction(1), Fraction(1, 4))
+    assert bounds.grid_size(Fraction(1), Fraction(100), Fraction(1, 4)) == 397
+    assert bounds.grid_size(Fraction(0), Fraction(1), Fraction(1, 3)) == 4
+    assert bounds.grid_size(Fraction(0), Fraction(9999), Fraction(1)) == 10_000
+    with pytest.raises(InvalidArgs):
+        bounds.grid_size(Fraction(0), Fraction(10_000), Fraction(1))

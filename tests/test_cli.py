@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from permrex import cli
+from permrex import bounds, cli
 
 
 def run(capsys, *argv):
@@ -149,6 +149,56 @@ def test_bounds_small(capsys):
     assert all(r["seconds"] >= 0 for r in report["reports"])
 
 
+# Every field but `seconds` of each `bounds --max-n 16 --grid 2:30:4` report:
+# (inequality, domain, status, points_checked, worst_margin, worst_point,
+#  max_precision_bits, failures).  Both doubling-identity sweeps escalate.
+GOLDEN_BOUNDS_200 = [
+    ("fn_growth_bounds", "n in [1, 16]", "certified", 16, "[0.0, 0.0]", "n=1", 200, []),
+    ("factorial_sandwich", "n in [1, 16]", "certified", 16,
+     "[0.000599142468994, 0.000599142468994]", "n=3", 200, []),
+    ("stirling_midpoint_bracket", "x in [2, 30], 8 points", "certified", 8,
+     "[0.863830355606, 0.863830355606]", "x=2", 200, []),
+    ("growth_template_bracket[alpha_low]", "x in [2, 30], 8 points", "certified", 8,
+     "[22.8391017342, 22.8391017342]", "x=2", 200, []),
+    ("growth_template_bracket[alpha_high]", "x in [6, 30], 7 points", "certified", 7,
+     "[3685.16504176, 3685.16504176]", "x=6", 200, []),
+    ("doubling_identity_beta_2", "x in [2, 30], 8 points", "certified", 8,
+     "[-2.88889491658e-33, 1.36018802322e-33]", "x=22", 400, []),
+    ("doubling_identity_beta_5/2", "x in [2, 30], 8 points", "certified", 8,
+     "[-9.87039096498e-33, 4.71852836375e-33]", "x=22", 400, []),
+]
+# The same at --precision-bits 16, where the printed margins are as wide as
+# the 16-bit enclosures (of alpha_for_beta(2) and (5/2) too) make them.
+GOLDEN_BOUNDS_16 = [
+    ("fn_growth_bounds", "n in [1, 16]", "certified", 16, "[0.0, 0.0]", "n=1", 16, []),
+    ("factorial_sandwich", "n in [1, 16]", "certified", 16,
+     "[0.0001220703125, 0.001220703125]", "n=3", 32, []),
+    ("stirling_midpoint_bracket", "x in [2, 30], 8 points", "certified", 8,
+     "[0.861083984375, 0.866455078125]", "x=2", 32, []),
+    ("growth_template_bracket[alpha_low]", "x in [2, 30], 8 points", "certified", 8,
+     "[22.8173828125, 22.8623046875]", "x=2", 16, []),
+    ("growth_template_bracket[alpha_high]", "x in [6, 30], 7 points", "certified", 7,
+     "[3669.0, 3698.0]", "x=6", 16, []),
+    ("doubling_identity_beta_2", "x in [2, 30], 8 points", "certified", 8,
+     "[-1.88079096132e-35, 1.73032768441e-35]", "x=2", 256, []),
+    ("doubling_identity_beta_5/2", "x in [2, 30], 8 points", "certified", 8,
+     "[-3.31019209192e-35, 3.00926553811e-35]", "x=2", 256, []),
+]
+GOLDEN_FIELDS = ("inequality", "domain", "status", "points_checked", "worst_margin",
+                 "worst_point", "max_precision_bits", "failures")
+
+
+@pytest.mark.parametrize("extra, golden", [
+    ((), GOLDEN_BOUNDS_200),
+    (("--precision-bits", "16"), GOLDEN_BOUNDS_16),
+])
+def test_bounds_golden_reports(capsys, extra, golden):
+    code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4", *extra)
+    assert code == 0
+    reports = json.loads(out)["report"]["reports"]
+    assert [tuple(r[f] for f in GOLDEN_FIELDS) for r in reports] == golden
+
+
 def test_bounds_bad_grid(capsys):
     with pytest.raises(SystemExit) as info:
         cli.run(["bounds", "--grid", "5:1:1"])
@@ -168,6 +218,47 @@ def test_bounds_env_precision_invalid(capsys, monkeypatch):
     with pytest.raises(SystemExit) as info:
         cli.run(["bounds", "--max-n", "4", "--grid", "4:5:1"])
     assert info.value.code == 2
+
+
+def test_env_precision_read_only_by_precision_commands(capsys, monkeypatch):
+    monkeypatch.setenv("PERMREX_PRECISION_BITS", "many")
+    code, out, _ = run(capsys, "gen", "dnc", "--n", "3")
+    assert code == 0 and out.strip()
+    code, out, _ = run(capsys, "len", "--max-n", "3")
+    assert code == 0
+    assert json.loads(out)["report"]["f"][2]["value"] == 15
+
+
+def _exit_code_and_err(capsys, argv):
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:  # argparse refusals
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["estimate", "--precision-bits", "4001"], "precision"),
+    (["bounds", "--precision-bits", "4001"], "precision"),
+    (["bounds", "--grid", "1:100:1e-7"], "grid"),
+])
+def test_out_of_range_inputs_refused_up_front(capsys, monkeypatch, argv, word):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("refusal came after work started")
+
+    # Building the grid and evaluating any point both go through these.
+    monkeypatch.setattr(bounds, "default_grid", forbidden)
+    monkeypatch.setattr(bounds, "precision", forbidden)
+    code, err = _exit_code_and_err(capsys, argv)
+    assert code == 2
+    assert word in err
+
+
+def test_verify_refuses_oversized_automaton(capsys):
+    code, _, err = run(capsys, "verify", "--builder", "flat", "--n", "8",
+                       "--verify-cap", "8")
+    assert code == 2
+    assert "positions" in err
 
 
 def test_estimate_json(capsys):
@@ -197,6 +288,9 @@ def test_oracle_full(capsys):
     assert report["per_permutation_cost"]["tightest_k"] == 2
     assert report["per_permutation_cost"]["rows"][1] == {
         "k": 2, "ell": 5, "ratio": "5/2"}
+    by_cost = {row["cost"]: row["languages"] for row in report["languages_by_cost"]}
+    assert sum(by_cost.values()) == 2**15 - 1
+    assert by_cost[24] == 1
 
 
 def test_oracle_single_k(capsys):
