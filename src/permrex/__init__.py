@@ -62,6 +62,7 @@ from .verify import (
     language_equals_permutations,
     naive_matches,
     uniform_length,
+    word_symbols,
 )
 
 __version__ = "0.1.0"
@@ -113,5 +114,6 @@ __all__ = [
     "language_equals_permutations",
     "naive_matches",
     "uniform_length",
+    "word_symbols",
     "__version__",
 ]

@@ -321,6 +321,18 @@ def _alpha_at(beta: Fraction, bits: int) -> Enclosure:
     return Enclosure(lg_beta + iv.mpf(1) / iv.mpf(4) - lg_pi / 2)
 
 
+def _constant(value: Fraction) -> Enclosure:
+    """Enclosure of a rational constant at the ambient precision."""
+    return _constant_at(value, iv.prec)
+
+
+@lru_cache(maxsize=64)
+def _constant_at(value: Fraction, bits: int) -> Enclosure:
+    # Keyed by `bits` like _alpha_at: the sweeps reuse a few constants at
+    # every point and every rung.
+    return Enclosure.from_fraction(value)
+
+
 def alpha_low() -> Enclosure:
     """5/4 - lg(pi)/2, the exponent in the certified lower bound on f."""
     return alpha_for_beta(2)
@@ -493,20 +505,18 @@ def check_lemma_ga(
     """Certify e^(-1/2 sqrt x) (5/2) g_a(x+1/2) <= g_a(x) + g_a(x+1)
     <= e^(1/2 sqrt x) (5/2) g_a(x+1/2) at grid points with x >= 4^a."""
     xs = [Fraction(x) for x in grid]
-    inside = set(filter_ga_domain(xs, alpha, base_bits))
     for x in xs:
-        if x not in inside:
+        if not _in_ga_domain(x, alpha, base_bits):
             raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
     make_alpha = _alpha_factory(alpha)
 
     def pairs(x: Fraction) -> list[tuple[Enclosure, Enclosure]]:
         a = make_alpha()
-        five_halves = Enclosure.from_fraction(Fraction(5, 2))
-        mid = five_halves * g_alpha(Enclosure.from_fraction(x + Fraction(1, 2)), a)
+        mid = _constant(Fraction(5, 2)) * g_alpha(
+            Enclosure.from_fraction(x + Fraction(1, 2)), a)
         total = g_alpha(Enclosure.from_fraction(x), a) + g_alpha(
             Enclosure.from_fraction(x + 1), a)
-        wobble = Enclosure.from_fraction(Fraction(1, 2)) / enc_sqrt(
-            Enclosure.from_fraction(x))
+        wobble = _constant(Fraction(1, 2)) / enc_sqrt(Enclosure.from_fraction(x))
         return [(enc_exp(-wobble) * mid, total), (total, enc_exp(wobble) * mid)]
 
     return _sweep(
@@ -523,16 +533,18 @@ def filter_ga_domain(
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[Fraction]:
     """Grid points certifiably >= 4^alpha (the bracket's domain)."""
+    require_precision(base_bits)
+    return [x for x in map(Fraction, grid) if _in_ga_domain(x, alpha, base_bits)]
+
+
+@lru_cache(maxsize=2 * MAX_GRID_POINTS)
+def _in_ga_domain(x: Fraction, alpha: AlphaLike, base_bits: int) -> bool:
+    # Cached: check_lemma_ga re-checks the points filter_ga_domain kept.
     make_alpha = _alpha_factory(alpha)
-    ladder = precision_ladder(base_bits)
-
-    def inside(x: Fraction) -> bool:
-        judge = _le_judge(lambda: [
-            (enc_pow(Enclosure.from_int(4), make_alpha()), Enclosure.from_fraction(x))])
-        (verdict, _, _), _ = _climb(judge, ladder)
-        return verdict == CERTIFIED
-
-    return [x for x in map(Fraction, grid) if inside(x)]
+    judge = _le_judge(lambda: [
+        (enc_pow(Enclosure.from_int(4), make_alpha()), Enclosure.from_fraction(x))])
+    (verdict, _, _), _ = _climb(judge, precision_ladder(base_bits))
+    return verdict == CERTIFIED
 
 
 def check_lemma_gaS(
@@ -554,7 +566,7 @@ def check_lemma_gaS(
         s_x = stirling_S(Enclosure.from_fraction(x))
         s_2x = stirling_S(Enclosure.from_fraction(2 * x))
         lhs = (
-            Enclosure.from_fraction(Fraction(beta))
+            _constant(Fraction(beta))
             * s_2x / (s_x * s_x)
             * g_alpha(Enclosure.from_fraction(x), a)
         )
@@ -582,9 +594,9 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
     def pairs(n: int) -> list[tuple[Enclosure, Enclosure]]:
         x = Enclosure.from_int(n)
         exact = Enclosure.from_int(lengths.f(n))
-        quarter = Enclosure.from_fraction(Fraction(1, 4))
+        quarter = _constant(Fraction(1, 4))
         low_template = g_alpha(x, alpha_low())
-        lower = Enclosure.from_fraction(Fraction(195, 1000)) * low_template
+        lower = _constant(Fraction(195, 1000)) * low_template
         upper = quarter * g_alpha(x, alpha_high())
         checks = [(lower, exact), (exact, upper)]
         if n & (n - 1) == 0:  # power of two

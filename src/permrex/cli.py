@@ -2,11 +2,11 @@
 
 Subcommands map one-to-one onto the library's checkable claims: `gen`
 emits permutation regexes, `len`/`table` tabulate the length
-recurrences, `verify` certifies language equality at small n, `lemmas`
-runs the exact combinatorial sweeps, `bounds` runs the certified
-interval sweeps, `estimate` prints the closed-form approximation
-against exact values, and `oracle` runs the exhaustive minimality
-search.  Exit status: 0 success, 1 a check ran and failed, 2 usage or
+recurrences, `verify` certifies language equality (by the split proof,
+or exhaustively at small n), `lemmas` runs the exact combinatorial
+sweeps, `bounds` runs the certified interval sweeps, `estimate` prints
+the closed-form approximation against exact values, and `oracle` runs
+the exhaustive minimality search.  Exit status: 0 success, 1 a check ran and failed, 2 usage or
 input errors.
 """
 

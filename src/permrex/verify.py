@@ -1,12 +1,26 @@
-"""Automaton-based certification that an expression denotes exactly P_n.
+"""Certification that an expression denotes exactly P_n.
 
-The position automaton keeps one NFA state per Sym leaf, so its state
-count doubles as a structural cross-check of alphabetic length.  State
-sets are Python ints used as bitmasks; stepping a set is an or-loop
-over its set bits, which keeps the hot path in C.
+language_equals_permutations tries a proof first and falls back to an
+exhaustive walk.
 
-The headline operation, language_equals_permutations, combines three
-facts into an unconditional certificate for star-free inputs:
+The proof follows the construction of the split builders.  Every
+permutation of S splits uniquely after its first k symbols, so a
+concatenation of the permutations of A with those of a disjoint B is the
+*block* of permutations of A u B whose first |A| symbols are A.  A union
+of blocks over one support S is every permutation of S exactly when each
+maximal chain of subsets from the empty set to S meets the family of
+block prefixes, because the prefix sets of a permutation form such a
+chain.  One fold over the distinct DAG nodes computes these descriptors
+and tests a family only where a concatenation consumes it, or at the
+root.  Anything else (stars, epsilon, the empty set, overlapping or
+differing supports) is unknown and sends the expression to the walk.
+
+The walk runs the position automaton, which keeps one NFA state per Sym
+leaf, so its state count doubles as a structural cross-check of
+alphabetic length.  State sets are Python ints used as bitmasks;
+stepping a set is an or-loop over its set bits, which keeps the hot path
+in C.  It combines three facts into an unconditional certificate for
+star-free inputs:
 
   1. every word of length n over the alphabet is classified by running
      the automaton down the prefix tree (dead prefixes are pruned, with
@@ -22,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 from .errors import CapExceeded, InvalidArgs, SizeCap
 from .regex_ast import (
@@ -226,39 +240,134 @@ def contains_star(expr: Regex) -> bool:
     return any(type(node) is Star for node in postorder(expr))
 
 
-def _live_positions(nfa: PositionNfa) -> int:
-    """Positions both reachable from the start and able to reach acceptance."""
-    forward = nfa.first
-    while True:
-        grown = forward | _step(nfa, forward)
-        if grown == forward:
-            break
-        forward = grown
-    reverse: list[int] = [0] * len(nfa.follow)
-    for p, targets in enumerate(nfa.follow):
-        mask = targets
-        while mask:
-            low = mask & -mask
-            reverse[low.bit_length() - 1] |= 1 << p
-            mask ^= low
-    backward = nfa.last
-    while True:
-        step = 0
-        mask = backward
-        while mask:
-            low = mask & -mask
-            step |= reverse[low.bit_length() - 1]
-            mask ^= low
-        grown = backward | step
-        if grown == backward:
-            break
-        backward = grown
-    return forward & backward
+def _word_symbols(node: Regex, *kids: object) -> object:
+    kind = type(node)
+    if kind is Sym:
+        return frozenset((node.sym,))
+    if kind is Epsilon:
+        return frozenset()
+    if kind is EmptySet:
+        return _EMPTY
+    if kind is Star:
+        return frozenset() if kids[0] is _EMPTY else kids[0]
+    left, right = kids
+    if kind is Concat and (left is _EMPTY or right is _EMPTY):
+        return _EMPTY
+    if left is _EMPTY:
+        return right
+    if right is _EMPTY or right <= left:
+        return left
+    return left | right
+
+
+def word_symbols(expr: Regex) -> frozenset[int] | None:
+    """The symbols that some word of L(expr) reads; None when L is empty.
+
+    A position of the Glushkov automaton lies on an accepted word exactly
+    when its symbol occurrence does, so these are the symbols of its live
+    positions.
+    """
+    out = fold(expr, _word_symbols)
+    return None if out is _EMPTY else out
+
+
+# The split proof is tried up to this n; the cover search is over 2^n
+# subsets.  A split expression for n = 16 would need far more than the
+# builders' 10^7 symbols.
+MAX_SPLIT_N = 16
+
+# A split descriptor is (support, prefix) for the block of permutations of
+# `support` whose first |prefix| symbols are `prefix`, or (support, left,
+# right) for the union of two descriptors over one support.  Symbol sets
+# are bitmasks (bit s for symbol s).  (S, S) is every permutation of S.
+Split = tuple
+
+
+def _covers(family: Split) -> bool:
+    """Whether the union of the blocks in `family` is every permutation of
+    its support: no maximal chain from the empty set to the support avoids
+    every block prefix.  The linked unions are flattened here, once."""
+    support = family[0]
+    prefixes: set[int] = set()
+    joined: set[int] = set()
+    stack = [family]
+    while stack:
+        part = stack.pop()
+        if len(part) == 2:
+            prefixes.add(part[1])
+        elif id(part) not in joined:
+            joined.add(id(part))
+            stack += part[1:]
+    bits = [1 << s for s in range(support.bit_length()) if support >> s & 1]
+    reached = {0}
+    stack = [0]
+    while stack:
+        below = stack.pop()
+        for bit in bits:
+            grown = below | bit
+            if grown in reached or grown in prefixes:
+                continue
+            if grown == support:
+                return False
+            reached.add(grown)
+            stack.append(grown)
+    return True
+
+
+def _split_certifies(expr: Regex, n: int) -> bool:
+    """Whether the split structure of `expr` proves L(expr) = P_n."""
+    if n > MAX_SPLIT_N:
+        return False
+    permutations_of: dict[Regex, int] = {}
+
+    def perm_support(node: Regex, split: Split | None) -> int:
+        """The support S if L(node) is certified to be every permutation of
+        S, else 0.  Each consumed family is tested once."""
+        if split is None:
+            return 0
+        if len(split) == 2:
+            # One block covers its support only when its prefix is all of it:
+            # a chain that starts outside the prefix never meets it.
+            return split[0] if split[0] == split[1] else 0
+        if node not in permutations_of:
+            permutations_of[node] = split[0] if _covers(split) else 0
+        return permutations_of[node]
+
+    def describe(node: Regex, *kids: Split | None) -> Split | None:
+        kind = type(node)
+        if kind is Sym:
+            # A symbol outside 1..n can never be part of a proof of P_n.
+            bit = 1 << node.sym if 1 <= node.sym <= n else 0
+            return (bit, bit) if bit else None
+        if kind is Concat:
+            first = perm_support(node.left, kids[0])
+            rest = perm_support(node.right, kids[1]) if first else 0
+            return (first | rest, first) if rest and not first & rest else None
+        if kind is Union:
+            left, right = kids
+            if left is None or right is None or left[0] != right[0]:
+                return None
+            if left[0] == left[1]:
+                return left
+            if right[0] == right[1]:
+                return right
+            return left[0], left, right
+        return None
+
+    full = ((1 << n) - 1) << 1
+    root = fold(expr, describe)
+    return root is not None and root[0] == full and perm_support(expr, root) == full
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Result of the exhaustive language comparison against P_n."""
+    """Result of the language comparison against P_n.
+
+    `method` is "structural" when the split structure proved the equality;
+    every count is then implied by the proof (`words_tested` is the n^n
+    length-n words decided, not words enumerated).  It is "exhaustive"
+    when the automaton walked all n^n words.
+    """
 
     n: int
     positions: int
@@ -271,7 +380,8 @@ class Certificate:
     uniform_length: int | None
     star_free: bool
     passed: bool
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
+    method: Literal["structural", "exhaustive"]
 
 
 _MAX_WITNESSES = 20
@@ -280,13 +390,38 @@ _MAX_WITNESSES = 20
 def language_equals_permutations(
     expr: Regex, n: int, cap: int = DEFAULT_VERIFY_CAP
 ) -> Certificate:
-    """Certify L(expr) = P_n by checking all n^n length-n words plus the
-    structural uniform-length property.  Refuses n beyond `cap` because the
+    """Certify L(expr) = P_n.
+
+    The split structure is tried first, for any n.  When it does not prove
+    the equality, all n^n length-n words are checked plus the structural
+    uniform-length property.  That walk refuses n beyond `cap` because the
     enumeration is n^n, and expressions over MAX_POSITIONS symbol
     occurrences because the automaton's follow table is quadratic in them.
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
+    if _split_certifies(expr, n):
+        factorial = math.factorial(n)
+        return Certificate(
+            n=n,
+            positions=alphabetic_length(expr),
+            words_tested=n**n,
+            accepted=factorial,
+            expected_accepted=factorial,
+            permutations_accepted=factorial,
+            short_words_accepted=0,
+            accepts_empty_word=False,
+            uniform_length=n,
+            star_free=True,
+            passed=True,
+            violations=(),
+            method="structural",
+        )
+    return _exhaustive_certificate(expr, n, cap)
+
+
+def _exhaustive_certificate(expr: Regex, n: int, cap: int) -> Certificate:
+    """The walk over all n^n length-n words, under `cap` and MAX_POSITIONS."""
     if n > cap:
         raise CapExceeded(
             f"exhaustive verification capped at n = {cap} ({n}^{n} words is too many)")
@@ -306,12 +441,9 @@ def language_equals_permutations(
         if len(violations) < _MAX_WITNESSES:
             violations.append(message)
 
-    live = _live_positions(nfa)
-    foreign = {s for s in set(nfa.symbols) if not 1 <= s <= n}
-    for s in sorted(foreign):
-        if live & masks[s]:
+    for s in sorted(word_symbols(expr) or ()):
+        if not 1 <= s <= n:
             note(f"a reachable, accepting path reads symbol {s} outside 1..{n}")
-
     if nfa.accepts_epsilon:
         note("accepts the empty word")
     if ulen != n:
@@ -377,4 +509,5 @@ def language_equals_permutations(
         star_free=star_free,
         passed=passed,
         violations=tuple(violations),
+        method="exhaustive",
     )

@@ -53,6 +53,11 @@ def _flatten(expr, kind):
     return parts
 
 
+def union_terms(expr):
+    """The terms of the union chain at `expr`, left to right."""
+    return _flatten(expr, ra.Union)
+
+
 def normalize(expr):
     """Reassociate unions and concatenations to the left, recursively.
 

@@ -1,10 +1,14 @@
 import csv
+import functools
 import io
 import json
+import math
 
 import pytest
 
-from permrex import bounds, cli
+from permrex import bounds, cli, construct, lengths, regex_ast
+
+from conftest import union_terms
 
 
 def run(capsys, *argv):
@@ -95,6 +99,7 @@ def test_verify_regex_file_fail(tmp_path, capsys):
     assert code == 1
     cert = json.loads(out)["report"]["certificate"]
     assert cert["passed"] is False
+    assert cert["method"] == "exhaustive"
     assert any("non-permutation" in v for v in cert["violations"])
 
 
@@ -111,10 +116,26 @@ def test_verify_missing_file(capsys):
     assert "nope" in err
 
 
-def test_verify_cap(capsys):
-    code, _, err = run(capsys, "verify", "--builder", "dnc", "--n", "8")
+def test_verify_cap(tmp_path, capsys):
+    # dnc n=8 with its first term dropped is not a split proof, so it needs
+    # the n^n walk, which the default cap refuses.
+    terms = union_terms(construct.build_divide_and_conquer(construct.AlphabetSet.first_n(8)))
+    dropped = tmp_path / "dnc8-drop.rx"
+    dropped.write_text(regex_ast.render(functools.reduce(regex_ast.Union, terms[1:])))
+    code, _, err = run(capsys, "verify", "--regex-file", str(dropped), "--n", "8")
     assert code == 2
     assert "capped" in err
+
+
+@pytest.mark.parametrize("n", [10, 13])
+def test_verify_structural_past_the_cap(capsys, n):
+    code, out, _ = run(capsys, "verify", "--builder", "dnc", "--n", str(n))
+    assert code == 0
+    cert = json.loads(out)["report"]["certificate"]
+    assert cert["method"] == "structural" and cert["passed"] is True
+    assert cert["words_tested"] == n**n
+    assert cert["accepted"] == cert["permutations_accepted"] == math.factorial(n)
+    assert cert["positions"] == lengths.f(n)
 
 
 def test_verify_syntax_error(tmp_path, capsys):
@@ -147,6 +168,23 @@ def test_bounds_small(capsys):
     assert statuses["doubling_identity_beta_2"] == "certified"
     assert statuses["doubling_identity_beta_5/2"] == "certified"
     assert all(r["seconds"] >= 0 for r in report["reports"])
+
+
+def test_bounds_builds_domains_and_constants_once(capsys):
+    bounds._in_ga_domain.cache_clear()
+    bounds._constant_at.cache_clear()
+    code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4")
+    assert code == 0
+    report = json.loads(out)["report"]
+    kept = sum(r["points_checked"] for r in report["reports"]
+               if r["inequality"].startswith("growth_template_bracket"))
+    domain = bounds._in_ga_domain.cache_info()
+    # Each grid point is decided once per alpha; the bracket only looks them up.
+    assert domain.misses == 2 * report["grid_points"]
+    assert domain.hits == kept
+    # Five distinct constants (1/4, 195/1000, 5/2, 1/2, 2), one per rung used.
+    constants = bounds._constant_at.cache_info()
+    assert constants.misses <= 5 * len(bounds.precision_ladder())
 
 
 # Every field but `seconds` of each `bounds --max-n 16 --grid 2:30:4` report:
