@@ -312,6 +312,7 @@ def parse(text: str, n: int) -> Regex:
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
     tokens = (_TOKEN_MULTI_DIGIT if n >= 10 else _TOKEN_SINGLE_DIGIT).finditer(text)
+    width = len(str(n))
     # One frame per open parenthesis: (completed alternatives, current concat run).
     frames: list[tuple[list[Regex], list[Regex]]] = [([], [])]
     for match in tokens:
@@ -319,6 +320,15 @@ def parse(text: str, n: int) -> Regex:
         alts, terms = frames[-1]
         digits = match.group(1)
         if digits is not None:
+            # An id with more significant digits than n is out of range; it is
+            # refused before int(), which Python limits to 4300 digits.
+            if len(digits) > width:
+                digits = digits.lstrip("0") or "0"
+                if len(digits) > width:
+                    shown = digits if len(digits) <= 20 else (
+                        f"{digits[:20]}... ({len(digits)} digits)")
+                    raise SymbolOutOfRange(
+                        f"symbol {shown} outside [1, {n}] at offset {offset}")
             value = int(digits)
             if not 1 <= value <= n:
                 raise SymbolOutOfRange(

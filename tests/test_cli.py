@@ -1,8 +1,11 @@
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import re
+import sys
 
 import pytest
 
@@ -47,14 +50,44 @@ def test_gen_compact_wide_alphabet_is_input_error(capsys):
     assert "spaced" in err
 
 
-def test_gen_refusal_leaves_existing_output_unchanged(tmp_path, capsys):
-    target = tmp_path / "r10.txt"
+# One refusal per command kind; each comes after argument parsing.
+@pytest.mark.parametrize("argv, word", [
+    pytest.param(["gen", "dnc", "--n", "10", "--format", "compact"], "spaced", id="gen"),
+    pytest.param(["table", "--max-n", "1750"], "digits", id="table"),
+    pytest.param(["verify", "--regex-file", "{tmp}/huge-id.rx", "--n", "10"], "5000 digits",
+                 id="verify"),
+    pytest.param(["bounds", "--precision-bits", "4001"], "precision", id="bounds"),
+])
+def test_refusal_leaves_existing_output_unchanged(tmp_path, capsys, argv, word):
+    (tmp_path / "huge-id.rx").write_text("1 " + "9" * 5000 + "\n")
+    target = tmp_path / "out.txt"
     target.write_text("previous contents\n")
-    code, _, err = run(capsys, "gen", "dnc", "--n", "10", "--format", "compact",
-                       "--output", str(target))
-    assert code == 2
-    assert "spaced" in err
-    assert target.read_text() == "previous contents\n"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert word in err
+    assert target.read_bytes() == b"previous contents\n"
+
+
+_TIMES = re.compile(r'"(elapsed_seconds|seconds)": [0-9.e-]+')
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "dnc", "--n", "4"],
+    ["len", "--max-n", "5"],
+    ["table", "--max-n", "5"],
+    ["verify", "--builder", "tail", "--n", "4"],
+    ["lemmas", "--max-n", "8"],
+    ["bounds", "--max-n", "4", "--grid", "4:5:1"],
+    ["estimate", "--max-m", "2", "--format", "csv"],
+    ["oracle", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_stdout_and_output_file_carry_the_same_bytes(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n")
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert _TIMES.sub("", target.read_bytes().decode()) == _TIMES.sub("", out)
 
 
 def test_len_json(capsys):
@@ -82,6 +115,37 @@ def test_table_json(capsys):
     payload = json.loads(out)
     assert payload["report"]["rows"][2] == {
         "n": 3, "f": 15, "t": 15, "flat": 18}
+
+
+@pytest.fixture
+def set_int_digit_limit():
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("command, printed", [
+    ("len", lambda n: [lengths.f(n)]),
+    ("table", lambda n: [lengths.f(n), lengths.t(n), lengths.flat_length(n)]),
+], ids=["len", "table"])
+def test_max_n_refused_exactly_past_the_int_digit_limit(
+        capsys, set_int_digit_limit, command, printed):
+    limit = 640  # the lowest limit Python allows, which keeps the tables small
+    # Every printed value grows with n, so the row of max_n holds the largest.
+    last = next(n for n in itertools.count(1)
+                if any(len(str(v)) > limit for v in printed(n + 1)))
+    set_int_digit_limit(limit)
+    code, out, _ = run(capsys, command, "--max-n", str(last))
+    assert code == 0 and out.endswith("\n")
+    code, out, err = run(capsys, command, "--max-n", str(last + 1))
+    assert (code, out) == (2, "")
+    assert f"more than {limit} digits" in err
+
+
+def test_benchmark_table_sizes_print_at_the_default_digit_limit(capsys, set_int_digit_limit):
+    set_int_digit_limit(4300)
+    assert run(capsys, "len", "--max-n", "2000")[0] == 0
+    assert run(capsys, "table", "--max-n", "300")[0] == 0
 
 
 def test_verify_builder_pass(capsys):
@@ -253,9 +317,9 @@ def test_bounds_env_precision(capsys, monkeypatch):
 
 def test_bounds_env_precision_invalid(capsys, monkeypatch):
     monkeypatch.setenv("PERMREX_PRECISION_BITS", "many")
-    with pytest.raises(SystemExit) as info:
-        cli.run(["bounds", "--max-n", "4", "--grid", "4:5:1"])
-    assert info.value.code == 2
+    code, out, err = run(capsys, "bounds", "--max-n", "4", "--grid", "4:5:1")
+    assert (code, out) == (2, "")
+    assert err == "error: PERMREX_PRECISION_BITS must be an integer, got 'many'\n"
 
 
 def test_env_precision_read_only_by_precision_commands(capsys, monkeypatch):
@@ -279,14 +343,17 @@ def _exit_code_and_err(capsys, argv):
     (["estimate", "--precision-bits", "4001"], "precision"),
     (["bounds", "--precision-bits", "4001"], "precision"),
     (["bounds", "--grid", "1:100:1e-7"], "grid"),
+    (["len", "--max-n", "7500"], "digits"),
+    (["table", "--max-n", "1750"], "digits"),
 ])
 def test_out_of_range_inputs_refused_up_front(capsys, monkeypatch, argv, word):
     def forbidden(*args, **kwargs):
         raise AssertionError("refusal came after work started")
 
-    # Building the grid and evaluating any point both go through these.
+    # Building the grid, evaluating any point and tabulating f go through these.
     monkeypatch.setattr(bounds, "default_grid", forbidden)
     monkeypatch.setattr(bounds, "precision", forbidden)
+    monkeypatch.setattr(lengths, "f_table", forbidden)
     code, err = _exit_code_and_err(capsys, argv)
     assert code == 2
     assert word in err

@@ -163,6 +163,19 @@ def test_parse_rejects_malformed_input(text, n, exc):
         ra.parse(text, n)
 
 
+def test_parse_refuses_oversized_symbol_ids_before_converting_them():
+    # 5000 digits is past Python's int() limit; the message shows 20 of them.
+    with pytest.raises(SymbolOutOfRange) as info:
+        ra.parse("1 " + "9" * 5000, 10)
+    message = str(info.value)
+    assert "(5000 digits) outside [1, 10] at offset 2" in message
+    assert len(message) < 100
+    with pytest.raises(SymbolOutOfRange, match="symbol 100 outside"):
+        ra.parse("0100", 10)
+    # Leading zeros do not count, however many there are.
+    assert ra.parse("0" * 5000 + "7 010", 10) is ra.Concat(ra.Sym(7), ra.Sym(10))
+
+
 def test_parse_error_carries_offset():
     with pytest.raises(RegexSyntaxError) as info:
         ra.parse("12+(3", 3)
