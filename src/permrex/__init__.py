@@ -9,8 +9,6 @@ cross-checks optimality against an exhaustive search at tiny n.
 
 from .construct import (
     AlphabetSet,
-    BuildLimits,
-    DEFAULT_LIMITS,
     build_divide_and_conquer,
     build_flat_union,
     build_tail_recursive,
@@ -20,15 +18,12 @@ from .errors import (
     CompactOverflow,
     DomainError,
     InvalidArgs,
-    InvalidSize,
     PermrexError,
     RegexSyntaxError,
     SizeCap,
     SymbolOutOfRange,
-    UndecidedAtPrecision,
 )
 from .lengths import (
-    binomial,
     check_opt_choice,
     check_triple_growth,
     f,
@@ -69,8 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetSet",
-    "BuildLimits",
-    "DEFAULT_LIMITS",
     "build_divide_and_conquer",
     "build_flat_union",
     "build_tail_recursive",
@@ -78,13 +71,10 @@ __all__ = [
     "CompactOverflow",
     "DomainError",
     "InvalidArgs",
-    "InvalidSize",
     "PermrexError",
     "RegexSyntaxError",
     "SizeCap",
     "SymbolOutOfRange",
-    "UndecidedAtPrecision",
-    "binomial",
     "check_opt_choice",
     "check_triple_growth",
     "f",

@@ -48,11 +48,12 @@ import mpmath
 from mpmath import iv, mp
 
 from . import lengths
-from .errors import DomainError, InvalidArgs, UndecidedAtPrecision
+from .errors import DomainError, InvalidArgs
 
 DEFAULT_PRECISION_BITS = 200
 MAX_PRECISION_BITS = 2000
 MAX_GRID_POINTS = 10_000
+MAX_SWEEP_N = 16_384  # the two n-sweeps take about 100 s there
 IDENTITY_TIGHTNESS = Fraction(1, 10**30)  # radius both sides of the identity must reach
 
 CERTIFIED = "certified"
@@ -359,18 +360,6 @@ class BoundReport:
     failures: tuple[str, ...] = ()
 
 
-def ensure_certified(*reports: BoundReport) -> None:
-    """Raise when any report is not fully certified."""
-    for report in reports:
-        if report.status == UNDECIDED:
-            raise UndecidedAtPrecision(
-                f"{report.inequality} undecided at {report.max_precision_bits} bits: "
-                f"{report.failures}")
-        if report.status == VIOLATED:
-            raise AssertionError(
-                f"{report.inequality} violated: {report.failures}")
-
-
 # A judge evaluates one sweep point at the ambient precision and returns
 # (verdict, rank, margin).  Among certified points the lowest rank is the
 # worst one, and its margin is the one the report prints.
@@ -487,31 +476,21 @@ def check_lemma_sa(
     )
 
 
-AlphaLike = Fraction | int | Callable[[], Enclosure]
-
-
-def _alpha_factory(alpha: AlphaLike) -> Callable[[], Enclosure]:
-    if callable(alpha):
-        return alpha
-    fr = Fraction(alpha)
-    return lambda: Enclosure.from_fraction(fr)
-
-
 def check_lemma_ga(
     grid: Iterable[Fraction | int],
-    alpha: AlphaLike,
+    alpha: Callable[[], Enclosure],
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> BoundReport:
     """Certify e^(-1/2 sqrt x) (5/2) g_a(x+1/2) <= g_a(x) + g_a(x+1)
-    <= e^(1/2 sqrt x) (5/2) g_a(x+1/2) at grid points with x >= 4^a."""
+    <= e^(1/2 sqrt x) (5/2) g_a(x+1/2) at grid points with x >= 4^a.
+    alpha, such as alpha_low, encloses a at the ambient precision."""
     xs = [Fraction(x) for x in grid]
     for x in xs:
         if not _in_ga_domain(x, alpha, base_bits):
             raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
-    make_alpha = _alpha_factory(alpha)
 
     def pairs(x: Fraction) -> list[tuple[Enclosure, Enclosure]]:
-        a = make_alpha()
+        a = alpha()
         mid = _constant(Fraction(5, 2)) * g_alpha(
             Enclosure.from_fraction(x + Fraction(1, 2)), a)
         total = g_alpha(Enclosure.from_fraction(x), a) + g_alpha(
@@ -529,7 +508,7 @@ def check_lemma_ga(
 
 def filter_ga_domain(
     grid: Iterable[Fraction | int],
-    alpha: AlphaLike,
+    alpha: Callable[[], Enclosure],
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[Fraction]:
     """Grid points certifiably >= 4^alpha (the bracket's domain)."""
@@ -538,11 +517,10 @@ def filter_ga_domain(
 
 
 @lru_cache(maxsize=2 * MAX_GRID_POINTS)
-def _in_ga_domain(x: Fraction, alpha: AlphaLike, base_bits: int) -> bool:
+def _in_ga_domain(x: Fraction, alpha: Callable[[], Enclosure], base_bits: int) -> bool:
     # Cached: check_lemma_ga re-checks the points filter_ga_domain kept.
-    make_alpha = _alpha_factory(alpha)
     judge = _le_judge(lambda: [
-        (enc_pow(Enclosure.from_int(4), make_alpha()), Enclosure.from_fraction(x))])
+        (enc_pow(Enclosure.from_int(4), alpha()), Enclosure.from_fraction(x))])
     (verdict, _, _), _ = _climb(judge, precision_ladder(base_bits))
     return verdict == CERTIFIED
 

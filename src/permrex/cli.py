@@ -28,7 +28,7 @@ import time
 from fractions import Fraction
 
 from . import bounds, construct, lengths, oracle, regex_ast, verify
-from .errors import InvalidArgs, PermrexError
+from .errors import InvalidArgs, PermrexError, RegexSyntaxError
 
 # Looked up at call time, so a caller may wrap the entries.
 _BUILDERS = {
@@ -67,6 +67,12 @@ def _require_printable(max_n: int, largest) -> None:
         )
 
 
+def _require_max_n(max_n: int, limit: int) -> None:
+    """Refuse, before any sweep, a `--max-n` above the command's limit."""
+    if max_n > limit:
+        raise InvalidArgs(f"--max-n must be at most {limit}, got {max_n}")
+
+
 def _cmd_gen(args: argparse.Namespace) -> tuple[dict | str, int]:
     return regex_ast.render(_build(args), args.format), 0
 
@@ -93,7 +99,13 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict | str, int]:
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
     if args.regex_file is not None:
         with open(args.regex_file, "r", encoding="utf-8") as handle:
-            expr = regex_ast.parse(handle.read(), args.n)
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                # read() decodes the whole file at once, so exc.start is
+                # the byte offset in the file.
+                raise RegexSyntaxError(f"not UTF-8 text: {exc.reason}", exc.start) from None
+        expr = regex_ast.parse(text, args.n)
         source = {"kind": "regex-file", "path": args.regex_file}
     else:
         expr = _build(args)
@@ -104,6 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict | str, int]:
+    _require_max_n(args.max_n, lengths.MAX_LEMMA_N)
     choice_failures = []
     for n in range(2, args.max_n + 1):
         result = lengths.check_opt_choice(n)
@@ -140,6 +153,7 @@ def _precision_bits(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
+    _require_max_n(args.max_n, bounds.MAX_SWEEP_N)
     bits = _precision_bits(args)
     grid = bounds.default_grid(*args.grid)
 

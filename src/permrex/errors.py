@@ -13,10 +13,6 @@ class InvalidArgs(PermrexError, ValueError):
     """Arguments outside an operation's documented precondition."""
 
 
-class InvalidSize(InvalidArgs):
-    """Subset size out of range for the given alphabet."""
-
-
 class SymbolOutOfRange(PermrexError, ValueError):
     """A symbol id fell outside [1, n] for the alphabet in force."""
 
@@ -48,7 +44,3 @@ class CapExceeded(PermrexError, RuntimeError):
 
 class DomainError(PermrexError, ValueError):
     """Real-valued operation evaluated outside its certified domain."""
-
-
-class UndecidedAtPrecision(PermrexError, RuntimeError):
-    """An enclosure comparison stayed undecided at the maximum precision."""

@@ -281,9 +281,10 @@ def render(expr: Regex, fmt: RenderFormat = "spaced") -> str:
 # is one operator or other character.  Blanks between tokens are skipped.
 # Digit runs are split into single-digit symbols while n <= 9 (the compact
 # convention) and read as whole decimal ids once n >= 10 (where only the
-# spaced format is legal, so runs are unambiguous).
-_TOKEN_SINGLE_DIGIT = re.compile(r"(\d)|[^ \t\r\n]")
-_TOKEN_MULTI_DIGIT = re.compile(r"(\d+)|[^ \t\r\n]")
+# spaced format is legal, so runs are unambiguous).  Only ASCII digits are
+# symbols: `\d` would also match other scripts' digits, which int() reads.
+_TOKEN_SINGLE_DIGIT = re.compile(r"([0-9])|[^ \t\r\n]")
+_TOKEN_MULTI_DIGIT = re.compile(r"([0-9]+)|[^ \t\r\n]")
 
 
 def _fold_concat(terms: list[Regex]) -> Regex:

@@ -63,7 +63,7 @@ def test_ac3_language_correctness(capsys):
     ok = True
     for name, build in builders.items():
         for n in range(1, 8):
-            if name == "flat" and n > construct.DEFAULT_LIMITS.flat_cap:
+            if name == "flat" and n > construct.FLAT_CAP:
                 continue
             expr = build(construct.AlphabetSet.first_n(n))
             cert = verify.language_equals_permutations(expr, n)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from permrex import bounds, lengths
-from permrex.errors import DomainError, InvalidArgs, UndecidedAtPrecision
+from permrex.errors import DomainError, InvalidArgs
 
 # Reference values computed once with plain high-precision floating point
 # (mpmath.mp at 300 bits), a separate code path from the interval module.
@@ -183,7 +183,6 @@ def test_check_stirling_sandwich_certifies():
     assert report.status == bounds.CERTIFIED
     assert report.points_checked == 100
     assert report.failures == ()
-    bounds.ensure_certified(report)
 
 
 def test_check_stirling_sandwich_empty_range():
@@ -210,7 +209,8 @@ def test_check_lemma_ga_certifies_inside_domain():
 
 def test_check_lemma_ga_rejects_point_below_domain():
     with pytest.raises(DomainError):
-        bounds.check_lemma_ga([Fraction(1)], 1)  # needs x >= 4^1
+        # alpha = 1 needs x >= 4^1.
+        bounds.check_lemma_ga([Fraction(1)], lambda: bounds.Enclosure.from_int(1))
 
 
 def test_filter_ga_domain_drops_small_points():
@@ -297,21 +297,6 @@ def test_estimate_rows_match_reference():
     for bits in (2, 2001):
         with pytest.raises(InvalidArgs):
             bounds.estimate_power_of_two(1, base_bits=bits)
-
-
-def test_ensure_certified_raises_on_undecided():
-    report = bounds.BoundReport(
-        inequality="demo", domain="x", status=bounds.UNDECIDED,
-        points_checked=1, worst_margin="", worst_point="",
-        max_precision_bits=2000, failures=("x=1: undecided",))
-    with pytest.raises(UndecidedAtPrecision):
-        bounds.ensure_certified(report)
-    bad = bounds.BoundReport(
-        inequality="demo", domain="x", status=bounds.VIOLATED,
-        points_checked=1, worst_margin="", worst_point="",
-        max_precision_bits=200, failures=("x=1: violated",))
-    with pytest.raises(AssertionError):
-        bounds.ensure_certified(bad)
 
 
 def test_sweep_reports_violated_and_undecided_points():

@@ -1,17 +1,23 @@
 import csv
 import functools
+import importlib.util
 import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from permrex import bounds, cli, construct, lengths, regex_ast
 
 from conftest import union_terms
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(capsys, *argv):
@@ -345,18 +351,81 @@ def _exit_code_and_err(capsys, argv):
     (["bounds", "--grid", "1:100:1e-7"], "grid"),
     (["len", "--max-n", "7500"], "digits"),
     (["table", "--max-n", "1750"], "digits"),
+    (["lemmas", "--max-n", str(lengths.MAX_LEMMA_N + 1)], "at most"),
+    (["bounds", "--max-n", str(bounds.MAX_SWEEP_N + 1)], "at most"),
 ])
 def test_out_of_range_inputs_refused_up_front(capsys, monkeypatch, argv, word):
     def forbidden(*args, **kwargs):
         raise AssertionError("refusal came after work started")
 
-    # Building the grid, evaluating any point and tabulating f go through these.
-    monkeypatch.setattr(bounds, "default_grid", forbidden)
-    monkeypatch.setattr(bounds, "precision", forbidden)
-    monkeypatch.setattr(lengths, "f_table", forbidden)
+    # Building the grid, evaluating any point, tabulating f and the n-sweeps
+    # go through these.
+    for module, name in [(bounds, "default_grid"), (bounds, "precision"),
+                         (bounds, "check_fn_bounds"), (bounds, "check_stirling_sandwich"),
+                         (lengths, "f_table"), (lengths, "check_opt_choice"),
+                         (lengths, "check_triple_growth")]:
+        monkeypatch.setattr(module, name, forbidden)
     code, err = _exit_code_and_err(capsys, argv)
     assert code == 2
     assert word in err
+
+
+def _load_perfbench(monkeypatch, name):
+    """Load perfbench/<name>.py from the checkout, as the benchmark runs it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # its modules import each other
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_max_n_defaults_and_benchmark_values_are_within_the_limits(tmp_path, monkeypatch):
+    limits = {"lemmas": lengths.MAX_LEMMA_N, "bounds": bounds.MAX_SWEEP_N}
+    parser = cli.build_parser()
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    argvs = [[command] for command in limits] + [
+        list(c.argv) for c in workloads.WORKLOADS["proofs"](tmp_path, 1)
+        if c.argv[0] in limits]
+    assert len(argvs) > len(limits)
+    for argv in argvs:
+        assert parser.parse_args(argv).max_n <= limits[argv[0]], argv
+
+
+def test_benchmark_trace_hooks_resolve():
+    # perfbench/layers.py wraps these names through sys.modules right after
+    # `import permrex.cli`; a rename or a lazy import would break its traced
+    # run.  A fresh interpreter, because this one has imported every module.
+    probe = (
+        "import json, sys\n"
+        "import layers\n"
+        "import permrex.cli\n"
+        "missing = [f'{m}.{a}' for m, a, _ in layers.WRAPPED\n"
+        "           if not callable(getattr(sys.modules.get('permrex.' + m), a, None))]\n"
+        "print(json.dumps([missing, sorted(permrex.cli._BUILDERS)]))\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], ["dnc", "flat", "tail"]]
+
+
+@pytest.mark.parametrize("content, n, message", [
+    (b"1\xff2", 2, "not UTF-8 text: invalid start byte (at offset 1)"),
+    # The offset counts bytes of the file, before newline translation.
+    (b"12+21\r\n" * 1000 + b"\xe2\x82", 2,
+     "not UTF-8 text: unexpected end of data (at offset 7000)"),
+    ("\uff11\uff12+\uff12\uff11".encode(), 2, "unexpected character '\uff11' (at offset 0)"),
+    ("10 \uff11\uff11".encode(), 12, "unexpected character '\uff11' (at offset 3)"),
+], ids=["bad-byte", "truncated-at-end", "fullwidth-n2", "fullwidth-n12"])
+def test_verify_refuses_files_that_are_not_regex_text(tmp_path, capsys, content, n, message):
+    path = tmp_path / "bad.rx"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--regex-file", str(path), "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_verify_refuses_oversized_automaton(capsys):

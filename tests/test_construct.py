@@ -41,19 +41,6 @@ def test_alphabet_set_validation():
         construct.AlphabetSet.first_n(0)
 
 
-def test_subsets_of_size_colex_order():
-    got = [s.members for s in construct.subsets_of_size((1, 2, 3, 4), 2)]
-    assert got == [
-        (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
-
-
-def test_subsets_of_size_validation():
-    with pytest.raises(InvalidArgs):
-        list(construct.subsets_of_size((1, 2), 3))
-    with pytest.raises(InvalidArgs):
-        list(construct.subsets_of_size((1, 2), 0))
-
-
 def test_dnc_matches_published_display_for_n4():
     expr = construct.build_divide_and_conquer(first_n(4))
     assert regex_ast.render(expr, "compact") == R4_COMPACT
@@ -146,21 +133,16 @@ def test_parse_of_wide_rendering_is_the_built_dag(name):
 
 
 def test_size_caps_refuse_before_building():
-    small = construct.BuildLimits(max_symbols=100, flat_cap=8)
+    # f(13) fits in MAX_SYMBOLS, f(14) does not; t(10) fits, t(11) does not.
+    assert lengths.f(13) < construct.MAX_SYMBOLS < lengths.f(14)
+    assert lengths.t(10) < construct.MAX_SYMBOLS < lengths.t(11)
+    assert lengths.flat_length(construct.FLAT_CAP) < construct.MAX_SYMBOLS
     with pytest.raises(SizeCap) as info:
-        construct.build_divide_and_conquer(first_n(6), limits=small)
-    assert info.value.predicted == lengths.f(6)
-    with pytest.raises(SizeCap):
-        construct.build_tail_recursive(first_n(6), limits=small)
-    with pytest.raises(SizeCap):
-        construct.build_flat_union(first_n(9))
-    # Defaults admit n = 13 for the halved-split builder but not n = 14.
-    assert lengths.f(13) < construct.DEFAULT_LIMITS.max_symbols
-    assert lengths.f(14) > construct.DEFAULT_LIMITS.max_symbols
-
-
-def test_limits_validation():
-    with pytest.raises(InvalidArgs):
-        construct.BuildLimits(max_symbols=0, flat_cap=8)
-    with pytest.raises(InvalidArgs):
-        construct.BuildLimits(max_symbols=10, flat_cap=0)
+        construct.build_divide_and_conquer(first_n(14))
+    assert info.value.predicted == lengths.f(14)
+    with pytest.raises(SizeCap) as info:
+        construct.build_tail_recursive(first_n(11))
+    assert info.value.predicted == lengths.t(11)
+    with pytest.raises(SizeCap) as info:
+        construct.build_flat_union(first_n(construct.FLAT_CAP + 1))
+    assert info.value.cap == construct.FLAT_CAP

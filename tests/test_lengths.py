@@ -41,28 +41,6 @@ def test_flat_length():
     assert lengths.flat_length(8) == 8 * math.factorial(8)
 
 
-def test_binomial_against_pascal_triangle():
-    # Independent small-case oracle: build Pascal's triangle by addition.
-    rows = [[1]]
-    for _ in range(21):
-        prev = rows[-1]
-        rows.append(
-            [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    for n in range(22):
-        for k in range(n + 1):
-            assert lengths.binomial(n, k) == rows[n][k]
-    assert lengths.binomial(21, 10) == 352716
-
-
-def test_binomial_rejects_bad_args():
-    with pytest.raises(InvalidArgs):
-        lengths.binomial(-1, 0)
-    with pytest.raises(InvalidArgs):
-        lengths.binomial(3, 4)
-    with pytest.raises(InvalidArgs):
-        lengths.binomial(3, -1)
-
-
 def test_f_power_of_two_product_identity():
     # At n = 2^m the recurrence telescopes to n * n! / product of
     # factorials of the halving chain 2^(m-1), ..., 2, 1.
@@ -79,7 +57,7 @@ def test_f_power_of_two_product_identity():
 @settings(max_examples=60)
 @given(st.integers(2, 200))
 def test_f_recurrence_holds(n):
-    assert lengths.f(n) == lengths.binomial(n, n // 2) * (
+    assert lengths.f(n) == math.comb(n, n // 2) * (
         lengths.f(n // 2) + lengths.f((n + 1) // 2))
 
 

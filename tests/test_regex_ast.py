@@ -176,6 +176,18 @@ def test_parse_refuses_oversized_symbol_ids_before_converting_them():
     assert ra.parse("0" * 5000 + "7 010", 10) is ra.Concat(ra.Sym(7), ra.Sym(10))
 
 
+@pytest.mark.parametrize("text, n, offset", [
+    ("\uff11\uff12+\uff12\uff11", 2, 0),   # fullwidth 12+21
+    ("12+2\u0661", 2, 4),                     # Arabic-Indic one
+    ("1 \uff12", 12, 2),
+    ("1\uff12", 12, 1),                       # not the id 12
+])
+def test_parse_takes_only_ascii_digits_as_symbols(text, n, offset):
+    with pytest.raises(RegexSyntaxError, match="unexpected character") as info:
+        ra.parse(text, n)
+    assert info.value.offset == offset
+
+
 def test_parse_error_carries_offset():
     with pytest.raises(RegexSyntaxError) as info:
         ra.parse("12+(3", 3)
