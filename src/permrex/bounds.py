@@ -1,12 +1,14 @@
 """Certified real-number checks for the growth of f(n).
 
-All real arithmetic goes through Enclosure, a thin wrapper around
-mpmath's endpoint interval type: every value is a closed interval
-guaranteed to contain the exact real, and every operation rounds
-outward.  A comparison can therefore come back three ways - certified,
-violated, or undecided - and undecided answers are retried up the
-precision ladder (default 200 bits, doubling to a 2000-bit ceiling)
-rather than glossed over.
+Every real value is an mpmath interval (`iv.mpf`): a closed interval
+guaranteed to contain the exact real, on which every operation rounds
+outward.  Rationals enter through `rational`, integers as `iv.mpf(n)`,
+and an interval input x = [a, b] as `iv.mpf([a, b])`.  mpmath's
+comparisons on intervals are three-valued (True, False, or None when
+the intervals overlap), so a check can come back certified, violated,
+or undecided, and undecided answers are retried up the precision ladder
+(default 200 bits, doubling to a 2000-bit ceiling) rather than glossed
+over.
 
 Every check runs through one ladder and one sweep: `_sweep` feeds each
 (label, judge) point to `_climb`, which re-runs the judge one rung higher
@@ -88,221 +90,115 @@ def precision(bits: int) -> Iterator[None]:
         iv.prec = saved
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    numerator, denominator = mpmath.libmp.to_rational(x._mpf_)
-    return Fraction(int(numerator), int(denominator))
+def rational(q: Fraction) -> iv.mpf:
+    """The interval of the rational q at the ambient precision."""
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-class Enclosure:
-    """A closed interval certain to contain one exact real value.
-
-    Wraps an mpmath interval; construct via from_int / from_fraction or
-    arithmetic on existing enclosures.  Width reflects both input
-    uncertainty and outward rounding at the precision in force when
-    each operation ran; values built at different precisions mix freely.
-    """
-
-    __slots__ = ("_iv",)
-
-    def __init__(self, value):
-        self._iv = iv.convert(value)
-
-    @classmethod
-    def from_int(cls, value: int) -> "Enclosure":
-        return cls(iv.mpf(value))
-
-    @classmethod
-    def from_fraction(cls, value: Fraction | int) -> "Enclosure":
-        fr = Fraction(value)
-        return cls(iv.mpf(fr.numerator) / iv.mpf(fr.denominator))
-
-    # -- inspection ---------------------------------------------------------
-
-    def endpoints(self):
-        """Both endpoints as exact mpf values (no rounding on extraction)."""
-        lo_raw, hi_raw = self._iv._mpi_
-        return mp.make_mpf(lo_raw), mp.make_mpf(hi_raw)
-
-    @property
-    def lo(self):
-        return self.endpoints()[0]
-
-    @property
-    def hi(self):
-        return self.endpoints()[1]
-
-    @property
-    def mid(self):
-        lo, hi = self.endpoints()
-        return (lo + hi) / 2
-
-    @property
-    def rad(self):
-        lo, hi = self.endpoints()
-        with mp.workprec(mp.prec + 10):
-            return (hi - lo) / 2
-
-    def exact_int(self) -> int | None:
-        """The integer this enclosure pins down exactly, if any."""
-        lo, hi = self.endpoints()
-        if lo != hi or not mp.isint(lo):
-            return None
-        return int(lo)
-
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
-    def is_finite(self) -> bool:
-        lo, hi = self.endpoints()
-        return bool(mp.isfinite(lo) and mp.isfinite(hi))
-
-    def contains(self, value) -> bool:
-        # Exact: endpoints are dyadic rationals, so Fraction comparison is safe.
-        if not self.is_finite():
-            return False
-        lo, hi = (_mpf_to_fraction(e) for e in self.endpoints())
-        target = Fraction(value)
-        return lo <= target <= hi
-
-    def __repr__(self) -> str:
-        return f"Enclosure{format_interval(self)}"
-
-    # -- arithmetic (always outward-rounded by the backing library) ---------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Enclosure):
-            return other._iv
-        if isinstance(other, int):
-            return iv.mpf(other)
-        if isinstance(other, Fraction):
-            return iv.mpf(other.numerator) / iv.mpf(other.denominator)
-        return NotImplemented
-
-    def __add__(self, other):
-        coerced = self._coerce(other)
-        return NotImplemented if coerced is NotImplemented else Enclosure(self._iv + coerced)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        coerced = self._coerce(other)
-        return NotImplemented if coerced is NotImplemented else Enclosure(self._iv - coerced)
-
-    def __rsub__(self, other):
-        coerced = self._coerce(other)
-        return NotImplemented if coerced is NotImplemented else Enclosure(coerced - self._iv)
-
-    def __mul__(self, other):
-        coerced = self._coerce(other)
-        return NotImplemented if coerced is NotImplemented else Enclosure(self._iv * coerced)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        coerced = self._coerce(other)
-        return NotImplemented if coerced is NotImplemented else Enclosure(self._iv / coerced)
-
-    def __rtruediv__(self, other):
-        coerced = self._coerce(other)
-        return NotImplemented if coerced is NotImplemented else Enclosure(coerced / self._iv)
-
-    def __neg__(self):
-        return Enclosure(-self._iv)
+def endpoints(x: iv.mpf) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """Both endpoints as exact mpf values (no rounding on extraction)."""
+    lo, hi = x._mpi_
+    return mp.make_mpf(lo), mp.make_mpf(hi)
 
 
-def format_interval(x: Enclosure, digits: int = 12) -> str:
-    lo, hi = x.endpoints()
+def exact_int(x: iv.mpf) -> int | None:
+    """The integer the interval x pins down exactly, if any."""
+    lo, hi = endpoints(x)
+    if lo != hi or not mp.isint(lo):
+        return None
+    return int(lo)
+
+
+def contains(x: iv.mpf, q: Fraction | int) -> bool:
+    """Whether x holds the rational q; exact, as both endpoints are dyadic."""
+    lo, hi = endpoints(x)
+    if not (mp.isfinite(lo) and mp.isfinite(hi)):
+        return False
+    lo, hi = (Fraction(*map(int, mpmath.libmp.to_rational(e._mpf_))) for e in (lo, hi))
+    return lo <= q <= hi
+
+
+def format_interval(x: iv.mpf, digits: int = 12) -> str:
+    lo, hi = endpoints(x)
     return f"[{mpmath.nstr(lo, digits)}, {mpmath.nstr(hi, digits)}]"
 
 
-def enc_exp(x: Enclosure) -> Enclosure:
-    return Enclosure(iv.exp(x._iv))
-
-
-def enc_log(x: Enclosure) -> Enclosure:
-    if not x.is_positive():
+def enc_log(x: iv.mpf) -> iv.mpf:
+    if not x > 0:
         raise DomainError(f"log needs a certainly-positive argument, got {format_interval(x)}")
-    return Enclosure(iv.log(x._iv))
+    return iv.log(x)
 
 
-def enc_sqrt(x: Enclosure) -> Enclosure:
-    if x.lo < 0:
+def enc_sqrt(x: iv.mpf) -> iv.mpf:
+    if not x >= 0:
         raise DomainError(f"sqrt needs a nonnegative argument, got {format_interval(x)}")
-    return Enclosure(iv.sqrt(x._iv))
+    return iv.sqrt(x)
 
 
-def enc_pi() -> Enclosure:
-    return Enclosure(+iv.pi)
-
-
-def enc_pow(base: Enclosure, exponent: Enclosure | Fraction | int) -> Enclosure:
+def enc_pow(base: iv.mpf, exponent: iv.mpf | Fraction | int) -> iv.mpf:
     """base ** exponent via exp(exponent * log base); exact for integer
     exponents and for base exactly 1."""
     if isinstance(exponent, int) or (
         isinstance(exponent, Fraction) and exponent.denominator == 1
     ):
-        return Enclosure(base._iv ** int(exponent))
+        return base ** int(exponent)
     if isinstance(exponent, Fraction):
-        exponent = Enclosure.from_fraction(exponent)
-    if base.exact_int() == 1:
-        return Enclosure.from_int(1)
-    return enc_exp(exponent * enc_log(base))
+        exponent = rational(exponent)
+    if exact_int(base) == 1:
+        return iv.mpf(1)
+    return iv.exp(exponent * enc_log(base))
 
 
-def compare_le(lhs: Enclosure, rhs: Enclosure) -> str:
+def compare_le(lhs: iv.mpf, rhs: iv.mpf) -> str:
     """Three-valued certified comparison of the exact values inside."""
-    outcome = lhs._iv <= rhs._iv
-    if outcome is True:
+    if (lhs <= rhs) is True:
         return CERTIFIED
     # Strictly disjoint the wrong way round means the exact values violate.
-    if rhs._iv < lhs._iv:
+    if rhs < lhs:
         return VIOLATED
     return UNDECIDED
 
 
-def overlap(lhs: Enclosure, rhs: Enclosure) -> bool:
-    """True when the two enclosures intersect (consistent with equality)."""
-    return not (lhs._iv < rhs._iv) and not (rhs._iv < lhs._iv)
+def overlap(lhs: iv.mpf, rhs: iv.mpf) -> bool:
+    """True when the two intervals intersect (consistent with equality)."""
+    return not (lhs < rhs) and not (rhs < lhs)
 
 
 # -- the Stirling term and the growth template ------------------------------
 
-def stirling_S(x: Enclosure) -> Enclosure:
-    """Enclosure of S(x) = sqrt(2 pi x) * (x/e)^x for certainly-positive x."""
-    if not x.is_positive():
+def stirling_S(x: iv.mpf) -> iv.mpf:
+    """Interval of S(x) = sqrt(2 pi x) * (x/e)^x for certainly-positive x."""
+    if not x > 0:
         raise DomainError(f"S(x) needs x > 0, got {format_interval(x)}")
-    v = x._iv
-    root = iv.sqrt(2 * iv.pi * v)
-    power = iv.exp(v * (iv.log(v) - 1))  # (x/e)^x
-    return Enclosure(root * power)
+    root = iv.sqrt(2 * iv.pi * x)
+    power = iv.exp(x * (iv.log(x) - 1))  # (x/e)^x
+    return root * power
 
 
-def g_alpha(x: Enclosure, alpha: Enclosure) -> Enclosure:
-    """Enclosure of the growth template g_a(x) = 4^x * x^(a - lg(x)/4).
+def g_alpha(x: iv.mpf, alpha: iv.mpf) -> iv.mpf:
+    """Interval of the growth template g_a(x) = 4^x * x^(a - lg(x)/4).
 
     Integer x stays exact where possible: 4^k is a single mantissa bit,
     and x = 1 short-circuits to exactly 4 because 1^w = 1 for any w.
     The exactness matters: the growth bound on f is *tight* at n = 1.
     """
-    if not x.is_positive():
+    if not x > 0:
         raise DomainError(f"g_a(x) needs x > 0, got {format_interval(x)}")
-    xi = x.exact_int()
+    xi = exact_int(x)
     if xi is not None:
         four_pow = iv.mpf(4) ** xi
         if xi == 1:
-            return Enclosure(four_pow)
+            return four_pow
         log_x = iv.log(iv.mpf(xi))
     else:
-        v = x._iv
-        four_pow = iv.exp(v * iv.log(iv.mpf(4)))
-        log_x = iv.log(v)
+        four_pow = iv.exp(x * iv.log(iv.mpf(4)))
+        log_x = iv.log(x)
     lg_x = log_x / iv.log(iv.mpf(2))
-    exponent = alpha._iv - lg_x / 4
-    return Enclosure(four_pow * iv.exp(exponent * log_x))
+    exponent = alpha - lg_x / 4
+    return four_pow * iv.exp(exponent * log_x)
 
 
-def alpha_for_beta(beta: Fraction | int) -> Enclosure:
+def alpha_for_beta(beta: Fraction | int) -> iv.mpf:
     """The exponent lg(beta) + 1/4 - lg(pi)/2 that makes the doubling
     identity beta * S(2x)/S(x)^2 * g_a(x) = g_a(2x) hold."""
     fr = Fraction(beta)
@@ -312,34 +208,33 @@ def alpha_for_beta(beta: Fraction | int) -> Enclosure:
 
 
 @lru_cache(maxsize=64)
-def _alpha_at(beta: Fraction, bits: int) -> Enclosure:
+def _alpha_at(beta: Fraction, bits: int) -> iv.mpf:
     # Keyed by the ambient precision `bits`: every sweep point asks again for
     # the same two alphas at the same few rungs.
     ln2 = iv.log(iv.mpf(2))
-    b = iv.mpf(beta.numerator) / iv.mpf(beta.denominator)
-    lg_beta = iv.log(b) / ln2
+    lg_beta = iv.log(rational(beta)) / ln2
     lg_pi = iv.log(iv.pi) / ln2
-    return Enclosure(lg_beta + iv.mpf(1) / iv.mpf(4) - lg_pi / 2)
+    return lg_beta + rational(Fraction(1, 4)) - lg_pi / 2
 
 
-def _constant(value: Fraction) -> Enclosure:
-    """Enclosure of a rational constant at the ambient precision."""
+def _constant(value: Fraction) -> iv.mpf:
+    """Interval of a rational constant at the ambient precision."""
     return _constant_at(value, iv.prec)
 
 
 @lru_cache(maxsize=64)
-def _constant_at(value: Fraction, bits: int) -> Enclosure:
+def _constant_at(value: Fraction, bits: int) -> iv.mpf:
     # Keyed by `bits` like _alpha_at: the sweeps reuse a few constants at
     # every point and every rung.
-    return Enclosure.from_fraction(value)
+    return rational(value)
 
 
-def alpha_low() -> Enclosure:
+def alpha_low() -> iv.mpf:
     """5/4 - lg(pi)/2, the exponent in the certified lower bound on f."""
     return alpha_for_beta(2)
 
 
-def alpha_high() -> Enclosure:
+def alpha_high() -> iv.mpf:
     """lg(5) - 3/4 - lg(pi)/2, the exponent in the certified upper bound on f."""
     return alpha_for_beta(Fraction(5, 2))
 
@@ -363,7 +258,7 @@ class BoundReport:
 # A judge evaluates one sweep point at the ambient precision and returns
 # (verdict, rank, margin).  Among certified points the lowest rank is the
 # worst one, and its margin is the one the report prints.
-Judgement = tuple[str, object, Enclosure]
+Judgement = tuple[str, object, iv.mpf]
 Judge = Callable[[], Judgement]
 
 
@@ -388,7 +283,7 @@ def _sweep(
     ladder = precision_ladder(base_bits)
     status = CERTIFIED
     failures: list[str] = []
-    worst: tuple[object, str, Enclosure] | None = None
+    worst: tuple[object, str, iv.mpf] | None = None
     max_bits = ladder[0]
     for label, judge in points:
         (verdict, rank, margin), bits = _climb(judge, ladder)
@@ -412,17 +307,17 @@ def _sweep(
     )
 
 
-def _le_judge(make: Callable[[], list[tuple[Enclosure, Enclosure]]]) -> Judge:
+def _le_judge(make: Callable[[], list[tuple[iv.mpf, iv.mpf]]]) -> Judge:
     """Judge of a point where every (lhs, rhs) pair from make() must satisfy
     lhs <= rhs.  Rank and margin come from the smallest rhs - lhs."""
 
     def judge() -> Judgement:
         pairs = make()
         verdicts = [compare_le(lhs, rhs) for lhs, rhs in pairs]
-        margin = min((rhs - lhs for lhs, rhs in pairs), key=lambda m: m.lo)
+        margin = min((rhs - lhs for lhs, rhs in pairs), key=lambda m: endpoints(m)[0])
         verdict = (VIOLATED if VIOLATED in verdicts
                    else UNDECIDED if UNDECIDED in verdicts else CERTIFIED)
-        return verdict, margin.lo, margin
+        return verdict, endpoints(margin)[0], margin
 
     return judge
 
@@ -436,11 +331,11 @@ def check_stirling_sandwich(
     if max_n < 0:
         raise InvalidArgs(f"max_n must be >= 0, got {max_n}")
 
-    def pairs(n: int) -> list[tuple[Enclosure, Enclosure]]:
-        s = stirling_S(Enclosure.from_int(n))
-        fact = Enclosure.from_int(math.factorial(n))
-        lower = enc_exp(Enclosure.from_fraction(Fraction(1, 12 * n + 1))) * s
-        upper = enc_exp(Enclosure.from_fraction(Fraction(1, 12 * n))) * s
+    def pairs(n: int) -> list[tuple[iv.mpf, iv.mpf]]:
+        s = stirling_S(iv.mpf(n))
+        fact = iv.mpf(math.factorial(n))
+        lower = iv.exp(rational(Fraction(1, 12 * n + 1))) * s
+        upper = iv.exp(rational(Fraction(1, 12 * n))) * s
         return [(lower, fact), (fact, upper)]
 
     return _sweep(
@@ -460,12 +355,11 @@ def check_lemma_sa(
         if x < 1:
             raise DomainError(f"grid point {x} < 1")
 
-    def pairs(x: Fraction) -> list[tuple[Enclosure, Enclosure]]:
-        s_mid = stirling_S(Enclosure.from_fraction(x + Fraction(1, 2)))
+    def pairs(x: Fraction) -> list[tuple[iv.mpf, iv.mpf]]:
+        s_mid = stirling_S(rational(x + Fraction(1, 2)))
         mid_sq = s_mid * s_mid
-        product = stirling_S(Enclosure.from_fraction(x)) * stirling_S(
-            Enclosure.from_fraction(x + 1))
-        stretched = enc_exp(Enclosure.from_fraction(Fraction(1, 2) / x)) * mid_sq
+        product = stirling_S(rational(x)) * stirling_S(rational(x + 1))
+        stretched = iv.exp(rational(Fraction(1, 2) / x)) * mid_sq
         return [(mid_sq, product), (product, stretched)]
 
     return _sweep(
@@ -478,7 +372,7 @@ def check_lemma_sa(
 
 def check_lemma_ga(
     grid: Iterable[Fraction | int],
-    alpha: Callable[[], Enclosure],
+    alpha: Callable[[], iv.mpf],
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> BoundReport:
     """Certify e^(-1/2 sqrt x) (5/2) g_a(x+1/2) <= g_a(x) + g_a(x+1)
@@ -489,14 +383,12 @@ def check_lemma_ga(
         if not _in_ga_domain(x, alpha, base_bits):
             raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
 
-    def pairs(x: Fraction) -> list[tuple[Enclosure, Enclosure]]:
+    def pairs(x: Fraction) -> list[tuple[iv.mpf, iv.mpf]]:
         a = alpha()
-        mid = _constant(Fraction(5, 2)) * g_alpha(
-            Enclosure.from_fraction(x + Fraction(1, 2)), a)
-        total = g_alpha(Enclosure.from_fraction(x), a) + g_alpha(
-            Enclosure.from_fraction(x + 1), a)
-        wobble = _constant(Fraction(1, 2)) / enc_sqrt(Enclosure.from_fraction(x))
-        return [(enc_exp(-wobble) * mid, total), (total, enc_exp(wobble) * mid)]
+        mid = _constant(Fraction(5, 2)) * g_alpha(rational(x + Fraction(1, 2)), a)
+        total = g_alpha(rational(x), a) + g_alpha(rational(x + 1), a)
+        wobble = _constant(Fraction(1, 2)) / enc_sqrt(rational(x))
+        return [(iv.exp(-wobble) * mid, total), (total, iv.exp(wobble) * mid)]
 
     return _sweep(
         inequality="growth_template_bracket",
@@ -508,7 +400,7 @@ def check_lemma_ga(
 
 def filter_ga_domain(
     grid: Iterable[Fraction | int],
-    alpha: Callable[[], Enclosure],
+    alpha: Callable[[], iv.mpf],
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[Fraction]:
     """Grid points certifiably >= 4^alpha (the bracket's domain)."""
@@ -517,10 +409,10 @@ def filter_ga_domain(
 
 
 @lru_cache(maxsize=2 * MAX_GRID_POINTS)
-def _in_ga_domain(x: Fraction, alpha: Callable[[], Enclosure], base_bits: int) -> bool:
+def _in_ga_domain(x: Fraction, alpha: Callable[[], iv.mpf], base_bits: int) -> bool:
     # Cached: check_lemma_ga re-checks the points filter_ga_domain kept.
     judge = _le_judge(lambda: [
-        (enc_pow(Enclosure.from_int(4), alpha()), Enclosure.from_fraction(x))])
+        (enc_pow(iv.mpf(4), alpha()), rational(x))])
     (verdict, _, _), _ = _climb(judge, precision_ladder(base_bits))
     return verdict == CERTIFIED
 
@@ -532,7 +424,7 @@ def check_lemma_gaS(
 ) -> BoundReport:
     """Certify the doubling identity beta S(2x)/S(x)^2 g_a(x) = g_a(2x)
     with a = lg(beta) + 1/4 - lg(pi)/2: at every grid point the two sides'
-    enclosures must overlap while both radii sit below IDENTITY_TIGHTNESS."""
+    intervals must overlap while both radii sit below IDENTITY_TIGHTNESS."""
     xs = [Fraction(x) for x in grid]
     for x in xs:
         if x <= 0:
@@ -541,15 +433,13 @@ def check_lemma_gaS(
 
     def judge(x: Fraction) -> Judgement:
         a = alpha_for_beta(beta)
-        s_x = stirling_S(Enclosure.from_fraction(x))
-        s_2x = stirling_S(Enclosure.from_fraction(2 * x))
-        lhs = (
-            _constant(Fraction(beta))
-            * s_2x / (s_x * s_x)
-            * g_alpha(Enclosure.from_fraction(x), a)
-        )
-        rhs = g_alpha(Enclosure.from_fraction(2 * x), a)
-        radius = max(lhs.rad, rhs.rad)
+        s_x = stirling_S(rational(x))
+        s_2x = stirling_S(rational(2 * x))
+        lhs = _constant(Fraction(beta)) * s_2x / (s_x * s_x) * g_alpha(rational(x), a)
+        rhs = g_alpha(rational(2 * x), a)
+        (l_lo, l_hi), (r_lo, r_hi) = endpoints(lhs), endpoints(rhs)
+        with mp.workprec(mp.prec + 10):
+            radius = max(l_hi - l_lo, r_hi - r_lo) / 2
         verdict = (VIOLATED if not overlap(lhs, rhs)
                    else CERTIFIED if radius < tight else UNDECIDED)
         return verdict, -radius, rhs - lhs
@@ -569,9 +459,9 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
         raise InvalidArgs(f"max_n must be >= 1, got {max_n}")
     lengths.f(max_n)  # warm the exact table before timing-sensitive sweeps
 
-    def pairs(n: int) -> list[tuple[Enclosure, Enclosure]]:
-        x = Enclosure.from_int(n)
-        exact = Enclosure.from_int(lengths.f(n))
+    def pairs(n: int) -> list[tuple[iv.mpf, iv.mpf]]:
+        x = iv.mpf(n)
+        exact = iv.mpf(lengths.f(n))
         quarter = _constant(Fraction(1, 4))
         low_template = g_alpha(x, alpha_low())
         lower = _constant(Fraction(195, 1000)) * low_template
@@ -596,9 +486,9 @@ class EstimateRow:
     m: int
     n: int
     f_exact: int
-    estimate: Enclosure
-    ratio: Enclosure
-    ln_ratio: Enclosure
+    estimate: iv.mpf
+    ratio: iv.mpf
+    ln_ratio: iv.mpf
     anomalous: bool
 
 
@@ -622,14 +512,15 @@ def estimate_power_of_two(
             n = 2**m
             exact = lengths.f(n)
             estimate = (
-                Enclosure(iv.mpf(4) ** n)
-                * enc_exp(Enclosure.from_int(-1))
-                * enc_pow(enc_pi(), Fraction(1 - m, 2))
-                * enc_pow(Enclosure.from_int(2), Fraction(-(m * m - 5 * m + 6), 4))
+                iv.mpf(4) ** n
+                * iv.exp(-1)
+                * enc_pow(+iv.pi, Fraction(1 - m, 2))
+                * enc_pow(iv.mpf(2), Fraction(-(m * m - 5 * m + 6), 4))
             )
-            ratio = Enclosure.from_int(exact) / estimate
+            ratio = iv.mpf(exact) / estimate
             ln_ratio = enc_log(ratio)
-            abs_mid = abs(ln_ratio.mid)
+            lo, hi = endpoints(ln_ratio)
+            abs_mid = abs((lo + hi) / 2)
             anomalous = previous_abs is not None and abs_mid < previous_abs
             previous_abs = abs_mid
             rows.append(EstimateRow(

@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -36,8 +35,6 @@ _BUILDERS = {
     "tail": construct.build_tail_recursive,
     "flat": construct.build_flat_union,
 }
-
-_ENV_PRECISION = "PERMREX_PRECISION_BITS"
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -139,22 +136,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict | str, int]:
     return report, 0 if not choice_failures and growth.passed else 1
 
 
-def _precision_bits(args: argparse.Namespace) -> int:
-    """--precision-bits, else PERMREX_PRECISION_BITS, else the default.
-    Only the commands that take a precision read the variable."""
-    bits = args.precision_bits
-    if bits is None:
-        raw = os.environ.get(_ENV_PRECISION, str(bounds.DEFAULT_PRECISION_BITS))
-        try:
-            bits = int(raw)
-        except ValueError:
-            raise InvalidArgs(f"{_ENV_PRECISION} must be an integer, got {raw!r}") from None
-    return bounds.require_precision(bits)
-
-
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
     _require_max_n(args.max_n, bounds.MAX_SWEEP_N)
-    bits = _precision_bits(args)
+    bits = bounds.require_precision(args.precision_bits)
     grid = bounds.default_grid(*args.grid)
 
     def growth_template(alpha_name: str, alpha) -> bounds.BoundReport:
@@ -188,7 +172,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[dict | str, int]:
-    rows = bounds.estimate_power_of_two(args.max_m, base_bits=_precision_bits(args))
+    rows = bounds.estimate_power_of_two(args.max_m, base_bits=args.precision_bits)
     row_dicts = [
         {
             "m": row.m,
@@ -251,6 +235,8 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
         bounds.grid_size(start, stop, step)
     except InvalidArgs as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if start < 1:  # the grid's first point feeds check_lemma_sa, which needs x >= 1
+        raise argparse.ArgumentTypeError(f"grid point {start} < 1")
     return start, stop, step
 
 
@@ -291,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = command("bounds", _cmd_bounds, "certified interval checks for the growth bounds")
     bnd.add_argument("--max-n", type=int, default=1024)
-    bnd.add_argument("--precision-bits", type=int, default=None)
+    bnd.add_argument("--precision-bits", type=int,
+                     default=bounds.DEFAULT_PRECISION_BITS)
     bnd.add_argument(
         "--grid",
         type=_parse_grid,
@@ -303,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     est = command("estimate", _cmd_estimate,
                   "closed-form f(2^m) approximation vs exact values")
     est.add_argument("--max-m", type=int, default=8)
-    est.add_argument("--precision-bits", type=int, default=None)
+    est.add_argument("--precision-bits", type=int,
+                     default=bounds.DEFAULT_PRECISION_BITS)
     est.add_argument("--format", choices=["json", "csv"], default="json")
 
     orc = command("oracle", _cmd_oracle, "exhaustive minimal-length search at n <= 3")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from permrex import bounds, lengths
 from permrex.errors import DomainError, InvalidArgs
@@ -29,8 +29,8 @@ LN_RATIOS = {
 }
 
 
-def enclosed(x: bounds.Enclosure, reference: str, tol="1e-20") -> bool:
-    lo, hi = x.endpoints()
+def enclosed(x: iv.mpf, reference: str, tol="1e-20") -> bool:
+    lo, hi = bounds.endpoints(x)
     ref = mp.mpf(reference)
     eps = mp.mpf(tol)
     return lo - eps <= ref <= hi + eps
@@ -46,8 +46,6 @@ def test_precision_ladder():
 
 
 def test_precision_context_restores():
-    from mpmath import iv
-
     before = iv.prec
     with bounds.precision(333):
         assert iv.prec == 333
@@ -56,23 +54,21 @@ def test_precision_context_restores():
 
 def test_enclosure_basics():
     with bounds.precision(200):
-        five = bounds.Enclosure.from_int(5)
-        assert five.exact_int() == 5
-        assert five.contains(5)
-        third = bounds.Enclosure.from_fraction(Fraction(1, 3))
-        assert third.exact_int() is None
-        assert third.contains(Fraction(1, 3))
-        assert not third.contains(Fraction(1, 2))
-        lo, hi = third.endpoints()
+        five = iv.mpf(5)
+        assert bounds.exact_int(five) == 5
+        assert bounds.contains(five, 5)
+        third = bounds.rational(Fraction(1, 3))
+        assert bounds.exact_int(third) is None
+        assert bounds.contains(third, Fraction(1, 3))
+        assert not bounds.contains(third, Fraction(1, 2))
+        lo, hi = bounds.endpoints(third)
         assert lo < hi
-        assert third.rad > 0
-        assert (five + third).contains(Fraction(16, 3))
-        assert (five - third).contains(Fraction(14, 3))
-        assert (five * third).contains(Fraction(5, 3))
-        assert (five / third).contains(15)
-        assert (1 + third).contains(Fraction(4, 3))
-        assert (-third).contains(Fraction(-1, 3))
-        assert (Fraction(2, 3) * five).contains(Fraction(10, 3))
+        assert bounds.contains(five + third, Fraction(16, 3))
+        assert bounds.contains(five - third, Fraction(14, 3))
+        assert bounds.contains(five * third, Fraction(5, 3))
+        assert bounds.contains(five / third, 15)
+        assert bounds.contains(1 + third, Fraction(4, 3))
+        assert bounds.contains(-third, Fraction(-1, 3))
 
 
 def test_enclosure_of_huge_integer_is_outward():
@@ -80,17 +76,17 @@ def test_enclosure_of_huge_integer_is_outward():
         import math
 
         big = math.factorial(100)
-        enc = bounds.Enclosure.from_int(big)
-        assert enc.contains(big)
-        lo, hi = enc.endpoints()
+        enc = iv.mpf(big)
+        assert bounds.contains(enc, big)
+        lo, hi = bounds.endpoints(enc)
         assert lo < hi  # cannot be exact in 64 bits, must widen
 
 
 def test_compare_le_three_values():
     with bounds.precision(200):
-        one = bounds.Enclosure.from_int(1)
-        two = bounds.Enclosure.from_int(2)
-        third = bounds.Enclosure.from_fraction(Fraction(1, 3))
+        one = iv.mpf(1)
+        two = iv.mpf(2)
+        third = bounds.rational(Fraction(1, 3))
         assert bounds.compare_le(one, two) == bounds.CERTIFIED
         assert bounds.compare_le(two, one) == bounds.VIOLATED
         assert bounds.compare_le(one, one) == bounds.CERTIFIED  # touching
@@ -101,39 +97,35 @@ def test_compare_le_three_values():
 
 def test_transcendental_wrappers():
     with bounds.precision(200):
-        e1 = bounds.enc_exp(bounds.Enclosure.from_int(0))
-        assert e1.exact_int() == 1
-        l1 = bounds.enc_log(bounds.Enclosure.from_int(1))
-        assert l1.exact_int() == 0
-        s2 = bounds.enc_sqrt(bounds.Enclosure.from_int(2))
-        assert (s2 * s2).contains(2)
-        assert bounds.enc_pi().contains(Fraction(355, 113)) is False
+        assert bounds.exact_int(iv.exp(0)) == 1
+        assert bounds.exact_int(bounds.enc_log(iv.mpf(1))) == 0
+        s2 = bounds.enc_sqrt(iv.mpf(2))
+        assert bounds.contains(s2 * s2, 2)
+        assert bounds.contains(+iv.pi, Fraction(355, 113)) is False
         with pytest.raises(DomainError):
-            bounds.enc_log(bounds.Enclosure.from_int(0))
+            bounds.enc_log(iv.mpf(0))
         with pytest.raises(DomainError):
-            bounds.enc_sqrt(bounds.Enclosure.from_int(-1))
+            bounds.enc_sqrt(iv.mpf(-1))
 
 
 def test_enc_pow_integer_exponents_are_exact():
     with bounds.precision(200):
-        two = bounds.Enclosure.from_int(2)
-        assert bounds.enc_pow(two, 10).exact_int() == 1024
-        assert bounds.enc_pow(two, Fraction(-1, 1)).contains(Fraction(1, 2))
+        two = iv.mpf(2)
+        assert bounds.exact_int(bounds.enc_pow(two, 10)) == 1024
+        assert bounds.contains(bounds.enc_pow(two, Fraction(-1, 1)), Fraction(1, 2))
         half = bounds.enc_pow(two, Fraction(1, 2))
-        assert (half * half).contains(2)
-        one = bounds.enc_pow(bounds.Enclosure.from_int(1), Fraction(7, 3))
-        assert one.exact_int() == 1
+        assert bounds.contains(half * half, 2)
+        one = bounds.enc_pow(iv.mpf(1), Fraction(7, 3))
+        assert bounds.exact_int(one) == 1
 
 
 def test_stirling_term_reference_values():
     with bounds.precision(200):
-        assert enclosed(bounds.stirling_S(bounds.Enclosure.from_int(1)), S_1)
-        assert enclosed(bounds.stirling_S(bounds.Enclosure.from_int(10)), S_10)
-        assert enclosed(
-            bounds.stirling_S(bounds.Enclosure.from_fraction(Fraction(5, 2))),
-            S_5_HALVES)
+        assert enclosed(bounds.stirling_S(iv.mpf(1)), S_1)
+        assert enclosed(bounds.stirling_S(iv.mpf(10)), S_10)
+        assert enclosed(bounds.stirling_S(bounds.rational(Fraction(5, 2))), S_5_HALVES)
         with pytest.raises(DomainError):
-            bounds.stirling_S(bounds.Enclosure.from_int(0))
+            bounds.stirling_S(iv.mpf(0))
 
 
 def test_alpha_constants_reference_values():
@@ -148,16 +140,12 @@ def test_alpha_constants_reference_values():
 
 def test_growth_template_reference_values():
     with bounds.precision(200):
-        g1 = bounds.g_alpha(bounds.Enclosure.from_int(1), bounds.alpha_low())
-        assert g1.exact_int() == 4  # exact, the n = 1 bound is tight
-        assert enclosed(
-            bounds.g_alpha(bounds.Enclosure.from_int(2), bounds.alpha_low()),
-            G_2_ALPHA_LOW)
-        assert enclosed(
-            bounds.g_alpha(bounds.Enclosure.from_int(16), bounds.alpha_high()),
-            G_16_ALPHA_HIGH)
+        g1 = bounds.g_alpha(iv.mpf(1), bounds.alpha_low())
+        assert bounds.exact_int(g1) == 4  # exact, the n = 1 bound is tight
+        assert enclosed(bounds.g_alpha(iv.mpf(2), bounds.alpha_low()), G_2_ALPHA_LOW)
+        assert enclosed(bounds.g_alpha(iv.mpf(16), bounds.alpha_high()), G_16_ALPHA_HIGH)
         with pytest.raises(DomainError):
-            bounds.g_alpha(bounds.Enclosure.from_int(0), bounds.alpha_low())
+            bounds.g_alpha(iv.mpf(0), bounds.alpha_low())
 
 
 @settings(max_examples=50, deadline=None)
@@ -166,15 +154,15 @@ def test_enclosures_nest_as_precision_grows(n, which):
     # The same expression evaluated at higher precision must stay inside
     # the coarser enclosure (soundness of outward rounding).
     def evaluate():
-        x = bounds.Enclosure.from_int(n)
+        x = iv.mpf(n)
         if which:
             return bounds.stirling_S(x)
         return bounds.g_alpha(x, bounds.alpha_low())
 
     with bounds.precision(80):
-        coarse_lo, coarse_hi = evaluate().endpoints()
+        coarse_lo, coarse_hi = bounds.endpoints(evaluate())
     with bounds.precision(320):
-        fine_lo, fine_hi = evaluate().endpoints()
+        fine_lo, fine_hi = bounds.endpoints(evaluate())
     assert coarse_lo <= fine_lo <= fine_hi <= coarse_hi
 
 
@@ -210,7 +198,7 @@ def test_check_lemma_ga_certifies_inside_domain():
 def test_check_lemma_ga_rejects_point_below_domain():
     with pytest.raises(DomainError):
         # alpha = 1 needs x >= 4^1.
-        bounds.check_lemma_ga([Fraction(1)], lambda: bounds.Enclosure.from_int(1))
+        bounds.check_lemma_ga([Fraction(1)], lambda: iv.mpf(1))
 
 
 def test_filter_ga_domain_drops_small_points():
@@ -235,12 +223,11 @@ def test_check_lemma_gaS_detects_wrong_alpha():
     # beta = 3's grid point against beta = 2's alpha directly.
     with bounds.precision(200):
         a2 = bounds.alpha_for_beta(2)
-        x = bounds.Enclosure.from_int(4)
+        x = iv.mpf(4)
         s4 = bounds.stirling_S(x)
-        s8 = bounds.stirling_S(bounds.Enclosure.from_int(8))
-        lhs = bounds.Enclosure.from_int(3) * s8 / (s4 * s4) * bounds.g_alpha(
-            x, a2)
-        rhs = bounds.g_alpha(bounds.Enclosure.from_int(8), a2)
+        s8 = bounds.stirling_S(iv.mpf(8))
+        lhs = iv.mpf(3) * s8 / (s4 * s4) * bounds.g_alpha(x, a2)
+        rhs = bounds.g_alpha(iv.mpf(8), a2)
         assert not bounds.overlap(lhs, rhs)
 
 
@@ -262,11 +249,9 @@ def test_power_of_two_strengthening_is_powers_only():
         for n in range(3, 1025):
             if n & (n - 1) == 0:
                 continue
-            quarter_g = Fraction(1, 4) * bounds.g_alpha(
-                bounds.Enclosure.from_int(n), bounds.alpha_low())
-            if bounds.compare_le(
-                    bounds.Enclosure.from_int(lengths.f(n)),
-                    quarter_g) == bounds.VIOLATED:
+            quarter_g = bounds.rational(Fraction(1, 4)) * bounds.g_alpha(
+                iv.mpf(n), bounds.alpha_low())
+            if bounds.compare_le(iv.mpf(lengths.f(n)), quarter_g) == bounds.VIOLATED:
                 failures.append(n)
         assert failures, "expected the strengthened bound to fail somewhere"
 
@@ -276,12 +261,11 @@ def test_fn_bounds_numeric_sanity():
     with bounds.precision(200):
         n = 20
         low = Fraction(195, 1000)
-        g_low = bounds.g_alpha(bounds.Enclosure.from_int(n), bounds.alpha_low())
-        g_high = bounds.g_alpha(
-            bounds.Enclosure.from_int(n), bounds.alpha_high())
+        g_low = bounds.g_alpha(iv.mpf(n), bounds.alpha_low())
+        g_high = bounds.g_alpha(iv.mpf(n), bounds.alpha_high())
         f_n = lengths.f(n)
-        assert (bounds.Enclosure.from_fraction(low) * g_low).hi < f_n
-        assert f_n < (bounds.Enclosure.from_fraction(Fraction(1, 4)) * g_high).lo
+        assert bounds.endpoints(bounds.rational(low) * g_low)[1] < f_n
+        assert f_n < bounds.endpoints(bounds.rational(Fraction(1, 4)) * g_high)[0]
 
 
 def test_estimate_rows_match_reference():
@@ -289,7 +273,7 @@ def test_estimate_rows_match_reference():
     assert [row.m for row in rows] == list(range(1, 9))
     for row in rows:
         assert row.f_exact == lengths.f(row.n)
-        assert row.ratio.is_finite()
+        assert all(mp.isfinite(e) for e in bounds.endpoints(row.ratio))
         assert enclosed(row.ln_ratio, LN_RATIOS[row.m], tol="1e-12")
         assert not row.anomalous
     with pytest.raises(InvalidArgs):
@@ -301,17 +285,17 @@ def test_estimate_rows_match_reference():
 
 def test_sweep_reports_violated_and_undecided_points():
     def le_point(label, lhs, rhs):
-        # lhs and rhs build their enclosures at the ladder's precision.
+        # lhs and rhs build their intervals at the ladder's precision.
         return label, bounds._le_judge(lambda: [(lhs(), rhs())])
 
     def one():
-        return bounds.Enclosure.from_int(1)
+        return iv.mpf(1)
 
     def two():
-        return bounds.Enclosure.from_int(2)
+        return iv.mpf(2)
 
     def wide_one():  # encloses 1 at every precision without being a point
-        return bounds.Enclosure.from_fraction(Fraction(1, 3)) * 3
+        return bounds.rational(Fraction(1, 3)) * 3
 
     undecided = le_point("1 <= 1", wide_one, one)
     violated = le_point("2 <= 1", two, one)

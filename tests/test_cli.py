@@ -314,29 +314,6 @@ def test_bounds_bad_grid(capsys):
     assert "grid" in capsys.readouterr().err
 
 
-def test_bounds_env_precision(capsys, monkeypatch):
-    monkeypatch.setenv("PERMREX_PRECISION_BITS", "240")
-    code, out, _ = run(capsys, "bounds", "--max-n", "4", "--grid", "4:5:1")
-    assert code == 0
-    assert json.loads(out)["report"]["precision_bits"] == 240
-
-
-def test_bounds_env_precision_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("PERMREX_PRECISION_BITS", "many")
-    code, out, err = run(capsys, "bounds", "--max-n", "4", "--grid", "4:5:1")
-    assert (code, out) == (2, "")
-    assert err == "error: PERMREX_PRECISION_BITS must be an integer, got 'many'\n"
-
-
-def test_env_precision_read_only_by_precision_commands(capsys, monkeypatch):
-    monkeypatch.setenv("PERMREX_PRECISION_BITS", "many")
-    code, out, _ = run(capsys, "gen", "dnc", "--n", "3")
-    assert code == 0 and out.strip()
-    code, out, _ = run(capsys, "len", "--max-n", "3")
-    assert code == 0
-    assert json.loads(out)["report"]["f"][2]["value"] == 15
-
-
 def _exit_code_and_err(capsys, argv):
     try:
         code = cli.run(argv)
@@ -353,6 +330,8 @@ def _exit_code_and_err(capsys, argv):
     (["table", "--max-n", "1750"], "digits"),
     (["lemmas", "--max-n", str(lengths.MAX_LEMMA_N + 1)], "at most"),
     (["bounds", "--max-n", str(bounds.MAX_SWEEP_N + 1)], "at most"),
+    (["bounds", "--grid", "0:2:1"], "grid"),
+    (["bounds", "--grid", "1/2:2:1"], "grid"),
 ])
 def test_out_of_range_inputs_refused_up_front(capsys, monkeypatch, argv, word):
     def forbidden(*args, **kwargs):
@@ -451,6 +430,64 @@ def test_estimate_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [int(r["n"]) for r in rows] == [2, 4, 8]
     assert rows[2]["f"] == "6720"
+
+
+# Every byte of `estimate --format csv`, at the default precision and at
+# --precision-bits 16; the f column is pinned by the length tests.
+GOLDEN_ESTIMATE_200 = (
+    "m,n,f,estimate,ratio,ln_ratio,anomalous\n"
+    f'1,2,{lengths.f(2)},"[4.16208076018, 4.16208076018]",'
+    '"[0.96105775704, 0.96105775704]","[-0.0397207708399, -0.0397207708399]",False\n'
+    f'2,4,{lengths.f(4)},"[53.1337596698, 53.1337596698]",'
+    '"[0.903380455256, 0.903380455256]","[-0.101611490647, -0.101611490647]",False\n'
+    f'3,8,{lengths.f(8)},"[7674.24351756, 7674.24351756]",'
+    '"[0.875656341192, 0.875656341192]","[-0.132781569593, -0.132781569593]",False\n'
+    f'4,16,{lengths.f(16)},"[200643720.593, 200643720.593]",'
+    '"[0.862089276896, 0.862089276896]","[-0.148396444197, -0.148396444197]",False\n'
+    f'5,32,{lengths.f(32)},"[2.43097505093e+17, 2.43097505093e+17]",'
+    '"[0.85538153132, 0.85538153132]","[-0.156207674117, -0.156207674117]",False\n'
+    f'6,64,{lengths.f(64)},"[8.94499895896e+35, 8.94499895896e+35]",'
+    '"[0.852046850157, 0.852046850157]","[-0.160113765218, -0.160113765218]",False\n'
+    f'7,128,{lengths.f(128)},"[4.29323648724e+73, 4.29323648724e+73]",'
+    '"[0.85038433714, 0.85038433714]","[-0.162066870351, -0.162066870351]",False\n'
+    f'8,256,{lengths.f(256)},"[4.95808281066e+149, 4.95808281066e+149]",'
+    '"[0.849554291158, 0.849554291158]","[-0.163043430367, -0.163043430367]",False\n'
+)
+GOLDEN_ESTIMATE_16 = (
+    "m,n,f,estimate,ratio,ln_ratio,anomalous\n"
+    f'1,2,{lengths.f(2)},"[4.16186523438, 4.16223144531]",'
+    '"[0.961013793945, 0.961120605469]","[-0.0397672653198, -0.0396547317505]",False\n'
+    f'2,4,{lengths.f(4)},"[53.1318359375, 53.13671875]",'
+    '"[0.9033203125, 0.903427124023]","[-0.101678848267, -0.101558685303]",False\n'
+    f'3,8,{lengths.f(8)},"[7674.0, 7674.625]",'
+    '"[0.875610351563, 0.875686645508]","[-0.132835388184, -0.132743835449]",False\n'
+    f'4,16,{lengths.f(16)},"[200622080.0, 200671232.0]",'
+    '"[0.861953735352, 0.862197875977]","[-0.148555755615, -0.14826965332]",False\n'
+    f'5,32,{lengths.f(32)},"[2.43071234576e+17, 2.43119613087e+17]",'
+    '"[0.855285644531, 0.855499267578]","[-0.156322479248, -0.156066894531]",False\n'
+    f'6,64,{lengths.f(64)},"[8.94433981111e+35, 8.94636805207e+35]",'
+    '"[0.851898193359, 0.852142333984]","[-0.160289764404, -0.159999847412]",False\n'
+    f'7,128,{lengths.f(128)},"[4.29297249953e+73, 4.29357640234e+73]",'
+    '"[0.850296020508, 0.850448608398]","[-0.162174224854, -0.161991119385]",False\n'
+    f'8,256,{lengths.f(256)},"[4.95646260831e+149, 4.95995896668e+149]",'
+    '"[0.849212646484, 0.849853515625]","[-0.16344833374, -0.162689208984]",False\n'
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("extra, golden", [
+    ((), GOLDEN_ESTIMATE_200),
+    (("--precision-bits", "16"), GOLDEN_ESTIMATE_16),
+])
+def test_estimate_golden_reports(capsys, extra, golden, fmt):
+    code, out, _ = run(capsys, "estimate", "--format", fmt, *extra)
+    assert code == 0
+    if fmt == "csv":
+        assert out == golden
+    else:
+        rows = json.loads(out)["report"]["rows"]
+        assert [{k: str(v) for k, v in r.items()} for r in rows] == list(
+            csv.DictReader(io.StringIO(golden)))
 
 
 def test_oracle_full(capsys):
