@@ -2,9 +2,10 @@
 
 The package builds provably short regexes whose language is exactly
 the n! permutations of {1..n}, tabulates the exact length recurrences
-they satisfy, verifies the constructions by automaton simulation,
-certifies asymptotic growth bounds with interval arithmetic, and
-cross-checks optimality against an exhaustive search at tiny n.
+they satisfy, verifies the constructions by the split proof first and
+by an exhaustive walk of a position automaton otherwise, certifies
+asymptotic growth bounds with interval arithmetic, and cross-checks
+optimality against an exhaustive search at tiny n.
 """
 
 from .construct import (

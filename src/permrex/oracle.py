@@ -1,25 +1,25 @@
 """Brute-force minimal alphabetic lengths over tiny alphabets.
 
-This module does not trust the builders.  It enumerates every language
-expressible over the distinct-symbol word universe for n <= 3 with
-union and concatenation only, and computes each one's minimal
-alphabetic length by a least-fixpoint search.  Confirming that the
-permutation language's minimal cost equals f(n) is the package's
-independent optimality check at desk scale.
+This module does not trust the builders.  It takes every language over
+the distinct-symbol word universe for n <= 3 and computes the minimal
+alphabetic length of a union/concatenation expression denoting it.
+Confirming that the permutation language's minimal cost equals f(n) is
+the package's independent optimality check at desk scale.
 
-Search strategy: languages are bitmasks over the indexed universe.
-Costs are settled in increasing order t = 1, 2, 3, ...: a language
-costs t when some union A | B = C or admissible concatenation A . B = C
-splits it into parts already settled at costs summing to t.  Because
-both operands of a split always cost at least 1, their costs are
-strictly below t, so one ascending pass is the least fixpoint.  Union
-candidates at each level are found with subset-lattice zeta/Moebius
-transforms (numpy) instead of looping over all mask pairs; the result
-is identical to relaxation sweeps but runs in well under a second.
-Concatenation is only admissible when the two sides' symbol supports
-are disjoint (otherwise some concatenated word repeats a symbol and
-leaves the universe), which makes the admissible pairs enumerable
-directly.
+Search strategy: languages are bitmasks over the indexed universe.  An
+expression is a union of terms, each a symbol or a concatenation, so its
+language is a union of *atoms*: a one-symbol word (cost 1) or an
+admissible concatenation A . B (cost cost(A) + cost(B), the cheapest of
+its splits).  Concatenation is only admissible when the two sides'
+symbol supports are disjoint (otherwise some concatenated word repeats
+a symbol and leaves the universe), which makes the admissible pairs
+enumerable directly.  Atoms may overlap, so cost(C) is the cheapest
+atom cover of C: the minimum, over the atoms a within C that hold C's
+lowest word, of cost(a) + cost(R), where R is C minus a plus any proper
+subset of a.  Every mask read there is below C: R is a proper subset of
+C, and the words of A and B are all shorter than the longest word of
+A . B, which the (length, lex) order puts after them.  So one ascending
+pass over the masks settles every cost.
 
 Star and the empty word are deliberately absent from the operator set:
 adding them can only pad a finite distinct-symbol language's
@@ -29,20 +29,18 @@ field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import lengths
 from .errors import CapExceeded, InvalidArgs
 
 ORACLE_CAP = 3
 STAR_FREE_SEMANTICS = "union+concat only (star-free, epsilon-free)"
-
-_INF = np.int64(1) << np.int64(40)
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,11 @@ class WordUniverse:
     words: tuple[tuple[int, ...], ...]
 
     def word_index(self, word: tuple[int, ...]) -> int:
-        return self.words.index(word)
+        try:
+            return self.words.index(word)
+        except ValueError:
+            raise InvalidArgs(
+                f"word {word} is not a distinct-symbol word over 1..{self.n}") from None
 
     @property
     def permutation_indices(self) -> tuple[int, ...]:
@@ -76,23 +78,6 @@ def build_universe(n: int) -> WordUniverse:
     return WordUniverse(n=n, words=words)
 
 
-def _zeta(values: np.ndarray, width: int) -> np.ndarray:
-    # Subset-sum transform: out[S] = sum of values[T] over T subset of S.
-    out = values.copy()
-    for i in range(width):
-        shaped = out.reshape(-1, 2, 1 << i)
-        shaped[:, 1, :] += shaped[:, 0, :]
-    return out
-
-
-def _moebius(values: np.ndarray, width: int) -> np.ndarray:
-    out = values.copy()
-    for i in range(width):
-        shaped = out.reshape(-1, 2, 1 << i)
-        shaped[:, 1, :] -= shaped[:, 0, :]
-    return out
-
-
 def _support_mask(word: tuple[int, ...]) -> int:
     mask = 0
     for s in word:
@@ -100,7 +85,11 @@ def _support_mask(word: tuple[int, ...]) -> int:
     return mask
 
 
-def _concat_splits(u: WordUniverse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mask(indices) -> int:
+    return sum(1 << i for i in set(indices))
+
+
+def _concat_splits(u: WordUniverse) -> list[tuple[int, int, int]]:
     """All admissible (A, B, A.B) mask triples.
 
     Admissible means the symbol supports of A and B are disjoint, which is
@@ -109,39 +98,31 @@ def _concat_splits(u: WordUniverse) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     disjoint support sets; sides range over all nonempty word subsets there.
     """
     index_of = {w: i for i, w in enumerate(u.words)}
-    by_support: dict[int, list[int]] = {}
-    full = (1 << u.n) - 1
-    for sup in range(1, full + 1):
-        by_support[sup] = [
-            i for i, w in enumerate(u.words) if _support_mask(w) & ~sup == 0
+    languages_over: dict[int, list[list[int]]] = {}
+    for sup in range(1, (1 << u.n) - 1):  # each side leaves a symbol to the other
+        over = [i for i, w in enumerate(u.words) if _support_mask(w) & ~sup == 0]
+        languages_over[sup] = [
+            [i for j, i in enumerate(over) if bits >> j & 1]
+            for bits in range(1, 1 << len(over))
         ]
-    a_masks: list[int] = []
-    b_masks: list[int] = []
-    c_masks: list[int] = []
-    for sup_a in range(1, full + 1):
-        for sup_b in range(1, full + 1):
-            if sup_a & sup_b:
-                continue
-            words_a = by_support[sup_a]
-            words_b = by_support[sup_b]
-            for bits_a in range(1, 1 << len(words_a)):
-                chosen_a = [words_a[i] for i in range(len(words_a)) if bits_a >> i & 1]
-                mask_a = sum(1 << i for i in chosen_a)
-                for bits_b in range(1, 1 << len(words_b)):
-                    chosen_b = [words_b[i] for i in range(len(words_b)) if bits_b >> i & 1]
-                    mask_b = sum(1 << i for i in chosen_b)
-                    mask_c = 0
-                    for ia in chosen_a:
-                        for ib in chosen_b:
-                            mask_c |= 1 << index_of[u.words[ia] + u.words[ib]]
-                    a_masks.append(mask_a)
-                    b_masks.append(mask_b)
-                    c_masks.append(mask_c)
-    return (
-        np.asarray(a_masks, dtype=np.int64),
-        np.asarray(b_masks, dtype=np.int64),
-        np.asarray(c_masks, dtype=np.int64),
-    )
+    triples = []
+    for sup_a, sup_b in itertools.product(languages_over, repeat=2):
+        if sup_a & sup_b:
+            continue
+        for side_a in languages_over[sup_a]:
+            for side_b in languages_over[sup_b]:
+                product = (index_of[u.words[i] + u.words[j]] for i in side_a for j in side_b)
+                triples.append((_mask(side_a), _mask(side_b), _mask(product)))
+    return triples
+
+
+def _proper_submasks(mask: int) -> list[int]:
+    subs = [0]
+    while mask:
+        bit = mask & -mask
+        subs += [s | bit for s in subs]
+        mask ^= bit
+    return subs[:-1]
 
 
 @dataclass(frozen=True)
@@ -149,142 +130,75 @@ class CostTable:
     """Minimal alphabetic length of every expressible nonempty language."""
 
     universe: WordUniverse
-    costs: np.ndarray  # int64 per mask; index 0 (empty language) stays infinite
+    costs: list[int]  # per language mask; index 0, the empty language, is 0
 
     def cost(self, mask: int) -> int:
-        if not 0 < mask < 1 << len(self.universe.words):
+        if not 0 < mask < len(self.costs):
             raise InvalidArgs(f"language mask out of range: {mask}")
-        value = int(self.costs[mask])
-        if value >= int(_INF):
-            raise InvalidArgs(f"language mask {mask} is not expressible")
-        return value
+        return self.costs[mask]
 
     def cost_of_words(self, words) -> int:
-        mask = 0
-        for w in words:
-            mask |= 1 << self.universe.word_index(tuple(w))
-        return self.cost(mask)
+        return self.cost(_mask(self.universe.word_index(tuple(w)) for w in words))
 
 
 def minimal_cost_table(u: WordUniverse) -> CostTable:
-    """Least fixpoint of the union/concatenation cost relaxation."""
-    width = len(u.words)
-    size = 1 << width
-    costs = np.full(size, _INF, dtype=np.int64)
-    for i, w in enumerate(u.words):
-        if len(w) == 1:
-            costs[1 << i] = 1
-    split_a, split_b, split_c = _concat_splits(u)
-    split_sums = None
-    zeta_by_cost: dict[int, np.ndarray] = {
-        1: _zeta((costs == 1).astype(np.int64), width)
-    }
-    settled = int((costs < _INF).sum())
-    target = size - 1
-    max_cost = sum(len(w) for w in u.words)  # union of all singletons
-    t = 2
-    while settled < target:
-        assert t <= max_cost, "some language failed to settle within the cost bound"
-        pair_counts = None
-        for low in range(1, t // 2 + 1):
-            high = t - low
-            z_low = zeta_by_cost.get(low)
-            z_high = zeta_by_cost.get(high)
-            if z_low is None or z_high is None:
-                continue
-            product = z_low * z_high
-            pair_counts = product if pair_counts is None else pair_counts + product
-        if pair_counts is not None:
-            counts = _moebius(pair_counts, width)
-            costs[(counts > 0) & (costs == _INF)] = t
-        if len(split_a):
-            split_sums = costs[split_a] + costs[split_b]
-            reachable = split_c[split_sums == t]
-            if len(reachable):
-                current = costs[reachable]
-                costs[reachable] = np.minimum(current, np.int64(t))
-        fresh = costs == t
-        new_count = int(fresh.sum())
-        if new_count:
-            zeta_by_cost[t] = _zeta(fresh.astype(np.int64), width)
-            settled += new_count
-        t += 1
+    """Cheapest atom cover of every language, in one ascending pass."""
+    splits: dict[int, list[tuple[int, int]]] = {}
+    for a, b, c in _concat_splits(u):
+        splits.setdefault(c, []).append((a, b))
+    symbols = [1 << i for i, w in enumerate(u.words) if len(w) == 1]
+    atoms_by_low: dict[int, list[tuple[int, list[int]]]] = {}
+    for atom in symbols + sorted(splits):
+        atoms_by_low.setdefault(atom & -atom, []).append((atom, _proper_submasks(atom)))
+    weight = dict.fromkeys(symbols, 1)
+    costs = [0] * (1 << len(u.words))
+    for c in range(1, len(costs)):
+        if c in splits:
+            weight[c] = min(costs[a] + costs[b] for a, b in splits[c])
+        costs[c] = min(
+            weight[atom] + costs[(c ^ atom) | sub]
+            for atom, subs in atoms_by_low[c & -c] if atom & c == atom
+            for sub in subs
+        )
     return CostTable(universe=u, costs=costs)
 
 
 def is_fixpoint(table: CostTable) -> bool:
-    """One more full relaxation sweep must not lower any cost."""
-    u = table.universe
-    width = len(u.words)
+    """No concatenation, and no union of a language with an atom, undercuts a cost.
+
+    Adding one atom at a time, the union check bounds cost(X | Y) by
+    cost(X) plus the cost of any atom cover of Y.
+    """
     costs = table.costs
-    split_a, split_b, split_c = _concat_splits(u)
-    if len(split_a):
-        improved = costs[split_a] + costs[split_b] < costs[split_c]
-        if bool(improved.any()):
-            return False
-    # Union side: the cheapest one-step union cost for every mask, exactly.
-    finite_costs = sorted({int(c) for c in np.unique(costs) if c < int(_INF)})
-    zetas = {
-        c: _zeta((costs == c).astype(np.int64), width) for c in finite_costs
-    }
-    best_union = np.full(1 << width, _INF, dtype=np.int64)
-    sums = sorted({a + b for a in finite_costs for b in finite_costs})
-    for total in sums:
-        pair_counts = None
-        for low in finite_costs:
-            high = total - low
-            if high < low:
-                break
-            if high not in zetas:
-                continue
-            product = zetas[low] * zetas[high]
-            pair_counts = product if pair_counts is None else pair_counts + product
-        if pair_counts is None:
-            continue
-        counts = _moebius(pair_counts, width)
-        newly = (counts > 0) & (best_union == _INF)
-        best_union[newly] = total
-    return not bool((best_union < costs).any())
+    triples = _concat_splits(table.universe)
+    if any(costs[a] + costs[b] < costs[c] for a, b, c in triples):
+        return False
+    atoms = {c for _, _, c in triples}
+    atoms.update(1 << i for i, w in enumerate(table.universe.words) if len(w) == 1)
+    return all(costs[x | atom] <= costs[x] + costs[atom]
+               for atom in atoms for x in range(len(costs)))
 
 
-_table_cache: dict[int, CostTable] = {}
-
-
+@functools.cache
 def _table_for(n: int) -> CostTable:
-    table = _table_cache.get(n)
-    if table is None:
-        table = minimal_cost_table(build_universe(n))
-        _table_cache[n] = table
-    return table
+    return minimal_cost_table(build_universe(n))
 
 
 def ell(n: int, k: int) -> int:
     """Minimum cost over languages of at least k full permutations of {1..n}."""
     table = _table_for(n)
-    u = table.universe
-    perm_indices = u.permutation_indices
+    perm_indices = table.universe.permutation_indices
     total = len(perm_indices)
     if not 1 <= k <= total:
         raise InvalidArgs(f"k must be in [1, {total}], got {k}")
-    best = None
-    for bits in range(1, 1 << total):
-        if bits.bit_count() < k:
-            continue
-        mask = 0
-        for i in range(total):
-            if bits >> i & 1:
-                mask |= 1 << perm_indices[i]
-        cost = int(table.costs[mask])
-        if best is None or cost < best:
-            best = cost
-    assert best is not None and best < int(_INF)
-    return best
+    # The permutations are the last n! words, so their masks are shifted bits.
+    return min(table.costs[bits << perm_indices[0]]
+               for bits in range(1, 1 << total) if bits.bit_count() >= k)
 
 
 def languages_by_cost(n: int) -> list[tuple[int, int]]:
     """(cost, number of nonempty languages whose minimal cost it is), by cost."""
-    costs, counts = np.unique(_table_for(n).costs[1:], return_counts=True)
-    return list(zip(costs.tolist(), counts.tolist()))
+    return sorted(Counter(_table_for(n).costs[1:]).items())
 
 
 @dataclass(frozen=True)

@@ -375,20 +375,22 @@ def test_benchmark_trace_hooks_resolve():
     # perfbench/layers.py wraps these names through sys.modules right after
     # `import permrex.cli`; a rename or a lazy import would break its traced
     # run.  A fresh interpreter, because this one has imported every module.
+    # The probe also reports whether the CLI pulled numpy in, which no
+    # module of the package uses.
     probe = (
         "import json, sys\n"
         "import layers\n"
         "import permrex.cli\n"
         "missing = [f'{m}.{a}' for m, a, _ in layers.WRAPPED\n"
         "           if not callable(getattr(sys.modules.get('permrex.' + m), a, None))]\n"
-        "print(json.dumps([missing, sorted(permrex.cli._BUILDERS)]))\n"
+        "print(json.dumps([missing, sorted(permrex.cli._BUILDERS), 'numpy' in sys.modules]))\n"
     )
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], ["dnc", "flat", "tail"]]
+    assert json.loads(done.stdout) == [[], ["dnc", "flat", "tail"], False]
 
 
 @pytest.mark.parametrize("content, n, message", [

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,15 @@ from permrex.errors import CapExceeded, InvalidArgs
 # union/concat expression covering at least k permutations of {1..n}).
 ELL_N3 = {1: 3, 2: 5, 3: 8, 4: 10, 5: 13, 6: 15}
 ELL_N2 = {1: 2, 2: 4}
+
+# sha256 of bytes(costs[1:]): every minimal cost of the n = 1, 2, 3 tables,
+# as an independent search (per-cost levels of unions found by subset-sum
+# transforms) computed them.
+COST_TABLE_SHA256 = {
+    1: "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    2: "2c3827d60bff34f60dbe2994afaf2264571b332568d472b7d1f709007ca17974",
+    3: "84a1b9c4e157cafe137c199a942368cf8b66bd64ab50f686de0be65cf61ee6ac",
+}
 
 
 def test_universe_order_and_contents():
@@ -31,6 +42,23 @@ def test_universe_caps():
         oracle.build_universe(0)
     with pytest.raises(CapExceeded):
         oracle.build_universe(4)
+
+
+@pytest.mark.parametrize("word", [(1, 1), (4,)])
+def test_word_outside_universe_is_refused(word):
+    table = oracle.minimal_cost_table(oracle.build_universe(3))
+    message = re.escape(f"word {word} is not a distinct-symbol word over 1..3")
+    with pytest.raises(InvalidArgs, match=message):
+        table.universe.word_index(word)
+    with pytest.raises(InvalidArgs, match=message):
+        table.cost_of_words([word])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_cost_matches_frozen_table(n):
+    table = oracle.minimal_cost_table(oracle.build_universe(n))
+    assert len(table.costs) == 1 << len(table.universe.words)
+    assert hashlib.sha256(bytes(table.costs[1:])).hexdigest() == COST_TABLE_SHA256[n]
 
 
 def test_singleton_costs_equal_word_lengths():
