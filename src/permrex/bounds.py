@@ -1,9 +1,10 @@
 """Certified real-number checks for the growth of f(n).
 
-Every real value is an mpmath interval (`iv.mpf`): a closed interval
-guaranteed to contain the exact real, on which every operation rounds
-outward.  Rationals enter through `rational`, integers as `iv.mpf(n)`,
-and an interval input x = [a, b] as `iv.mpf([a, b])`.  mpmath's
+Every real value is an mpmath interval (`mpmath.iv.mpf`): a closed
+interval guaranteed to contain the exact real, on which every operation
+rounds outward.  Rationals enter through `rational`, integers as
+`mpmath.iv.mpf(n)`, and an interval input x = [a, b] as
+`mpmath.iv.mpf([a, b])`.  mpmath's
 comparisons on intervals are three-valued (True, False, or None when
 the intervals overlap), so a check can come back certified, violated,
 or undecided, and undecided answers are retried up the precision ladder
@@ -35,22 +36,45 @@ The checks certify, against exact integer f(n):
 The n = 1 upper bound holds with exact equality, so g_alpha keeps
 integer inputs on an exact path (4^k is one mantissa bit; 1^w is [1,1])
 and comparisons accept touching intervals for <=.
+
+mpmath is reached through one module object, `mpmath`, which
+`importlib.util.LazyLoader` imports in full at its first attribute
+access.  Importing this module, and with it the CLI, therefore loads no
+mpmath; the first interval operation does.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-import mpmath
-from mpmath import iv, mp
-
 from . import lengths
 from .errors import DomainError, InvalidArgs
+
+
+def _load_on_first_use(name: str):
+    """The module `name`, imported in full at its first attribute access
+    (or the module itself, if something imported it already)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+mpmath = _load_on_first_use("mpmath")
+
 
 DEFAULT_PRECISION_BITS = 200
 MAX_PRECISION_BITS = 2000
@@ -81,61 +105,61 @@ def precision_ladder(base_bits: int = DEFAULT_PRECISION_BITS) -> list[int]:
 
 @contextmanager
 def precision(bits: int) -> Iterator[None]:
-    """Set iv.prec for the block and restore it on exit."""
-    saved = iv.prec
-    iv.prec = bits
+    """Set mpmath.iv.prec for the block and restore it on exit."""
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = bits
     try:
         yield
     finally:
-        iv.prec = saved
+        mpmath.iv.prec = saved
 
 
-def rational(q: Fraction) -> iv.mpf:
+def rational(q: Fraction) -> mpmath.iv.mpf:
     """The interval of the rational q at the ambient precision."""
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)
 
 
-def endpoints(x: iv.mpf) -> tuple[mpmath.mpf, mpmath.mpf]:
+def endpoints(x: mpmath.iv.mpf) -> tuple[mpmath.mpf, mpmath.mpf]:
     """Both endpoints as exact mpf values (no rounding on extraction)."""
     lo, hi = x._mpi_
-    return mp.make_mpf(lo), mp.make_mpf(hi)
+    return mpmath.mp.make_mpf(lo), mpmath.mp.make_mpf(hi)
 
 
-def exact_int(x: iv.mpf) -> int | None:
+def exact_int(x: mpmath.iv.mpf) -> int | None:
     """The integer the interval x pins down exactly, if any."""
     lo, hi = endpoints(x)
-    if lo != hi or not mp.isint(lo):
+    if lo != hi or not mpmath.mp.isint(lo):
         return None
     return int(lo)
 
 
-def contains(x: iv.mpf, q: Fraction | int) -> bool:
+def contains(x: mpmath.iv.mpf, q: Fraction | int) -> bool:
     """Whether x holds the rational q; exact, as both endpoints are dyadic."""
     lo, hi = endpoints(x)
-    if not (mp.isfinite(lo) and mp.isfinite(hi)):
+    if not (mpmath.mp.isfinite(lo) and mpmath.mp.isfinite(hi)):
         return False
     lo, hi = (Fraction(*map(int, mpmath.libmp.to_rational(e._mpf_))) for e in (lo, hi))
     return lo <= q <= hi
 
 
-def format_interval(x: iv.mpf, digits: int = 12) -> str:
+def format_interval(x: mpmath.iv.mpf, digits: int = 12) -> str:
     lo, hi = endpoints(x)
     return f"[{mpmath.nstr(lo, digits)}, {mpmath.nstr(hi, digits)}]"
 
 
-def enc_log(x: iv.mpf) -> iv.mpf:
+def enc_log(x: mpmath.iv.mpf) -> mpmath.iv.mpf:
     if not x > 0:
         raise DomainError(f"log needs a certainly-positive argument, got {format_interval(x)}")
-    return iv.log(x)
+    return mpmath.iv.log(x)
 
 
-def enc_sqrt(x: iv.mpf) -> iv.mpf:
+def enc_sqrt(x: mpmath.iv.mpf) -> mpmath.iv.mpf:
     if not x >= 0:
         raise DomainError(f"sqrt needs a nonnegative argument, got {format_interval(x)}")
-    return iv.sqrt(x)
+    return mpmath.iv.sqrt(x)
 
 
-def enc_pow(base: iv.mpf, exponent: iv.mpf | Fraction | int) -> iv.mpf:
+def enc_pow(base: mpmath.iv.mpf, exponent: mpmath.iv.mpf | Fraction | int) -> mpmath.iv.mpf:
     """base ** exponent via exp(exponent * log base); exact for integer
     exponents and for base exactly 1."""
     if isinstance(exponent, int) or (
@@ -145,11 +169,11 @@ def enc_pow(base: iv.mpf, exponent: iv.mpf | Fraction | int) -> iv.mpf:
     if isinstance(exponent, Fraction):
         exponent = rational(exponent)
     if exact_int(base) == 1:
-        return iv.mpf(1)
-    return iv.exp(exponent * enc_log(base))
+        return mpmath.iv.mpf(1)
+    return mpmath.iv.exp(exponent * enc_log(base))
 
 
-def compare_le(lhs: iv.mpf, rhs: iv.mpf) -> str:
+def compare_le(lhs: mpmath.iv.mpf, rhs: mpmath.iv.mpf) -> str:
     """Three-valued certified comparison of the exact values inside."""
     if (lhs <= rhs) is True:
         return CERTIFIED
@@ -159,23 +183,23 @@ def compare_le(lhs: iv.mpf, rhs: iv.mpf) -> str:
     return UNDECIDED
 
 
-def overlap(lhs: iv.mpf, rhs: iv.mpf) -> bool:
+def overlap(lhs: mpmath.iv.mpf, rhs: mpmath.iv.mpf) -> bool:
     """True when the two intervals intersect (consistent with equality)."""
     return not (lhs < rhs) and not (rhs < lhs)
 
 
 # -- the Stirling term and the growth template ------------------------------
 
-def stirling_S(x: iv.mpf) -> iv.mpf:
+def stirling_S(x: mpmath.iv.mpf) -> mpmath.iv.mpf:
     """Interval of S(x) = sqrt(2 pi x) * (x/e)^x for certainly-positive x."""
     if not x > 0:
         raise DomainError(f"S(x) needs x > 0, got {format_interval(x)}")
-    root = iv.sqrt(2 * iv.pi * x)
-    power = iv.exp(x * (iv.log(x) - 1))  # (x/e)^x
+    root = mpmath.iv.sqrt(2 * mpmath.iv.pi * x)
+    power = mpmath.iv.exp(x * (mpmath.iv.log(x) - 1))  # (x/e)^x
     return root * power
 
 
-def g_alpha(x: iv.mpf, alpha: iv.mpf) -> iv.mpf:
+def g_alpha(x: mpmath.iv.mpf, alpha: mpmath.iv.mpf) -> mpmath.iv.mpf:
     """Interval of the growth template g_a(x) = 4^x * x^(a - lg(x)/4).
 
     Integer x stays exact where possible: 4^k is a single mantissa bit,
@@ -186,55 +210,55 @@ def g_alpha(x: iv.mpf, alpha: iv.mpf) -> iv.mpf:
         raise DomainError(f"g_a(x) needs x > 0, got {format_interval(x)}")
     xi = exact_int(x)
     if xi is not None:
-        four_pow = iv.mpf(4) ** xi
+        four_pow = mpmath.iv.mpf(4) ** xi
         if xi == 1:
             return four_pow
-        log_x = iv.log(iv.mpf(xi))
+        log_x = mpmath.iv.log(mpmath.iv.mpf(xi))
     else:
-        four_pow = iv.exp(x * iv.log(iv.mpf(4)))
-        log_x = iv.log(x)
-    lg_x = log_x / iv.log(iv.mpf(2))
+        four_pow = mpmath.iv.exp(x * mpmath.iv.log(mpmath.iv.mpf(4)))
+        log_x = mpmath.iv.log(x)
+    lg_x = log_x / mpmath.iv.log(mpmath.iv.mpf(2))
     exponent = alpha - lg_x / 4
-    return four_pow * iv.exp(exponent * log_x)
+    return four_pow * mpmath.iv.exp(exponent * log_x)
 
 
-def alpha_for_beta(beta: Fraction | int) -> iv.mpf:
+def alpha_for_beta(beta: Fraction | int) -> mpmath.iv.mpf:
     """The exponent lg(beta) + 1/4 - lg(pi)/2 that makes the doubling
     identity beta * S(2x)/S(x)^2 * g_a(x) = g_a(2x) hold."""
     fr = Fraction(beta)
     if fr <= 0:
         raise InvalidArgs(f"beta must be positive, got {beta}")
-    return _alpha_at(fr, iv.prec)
+    return _alpha_at(fr, mpmath.iv.prec)
 
 
 @lru_cache(maxsize=64)
-def _alpha_at(beta: Fraction, bits: int) -> iv.mpf:
+def _alpha_at(beta: Fraction, bits: int) -> mpmath.iv.mpf:
     # Keyed by the ambient precision `bits`: every sweep point asks again for
     # the same two alphas at the same few rungs.
-    ln2 = iv.log(iv.mpf(2))
-    lg_beta = iv.log(rational(beta)) / ln2
-    lg_pi = iv.log(iv.pi) / ln2
+    ln2 = mpmath.iv.log(mpmath.iv.mpf(2))
+    lg_beta = mpmath.iv.log(rational(beta)) / ln2
+    lg_pi = mpmath.iv.log(mpmath.iv.pi) / ln2
     return lg_beta + rational(Fraction(1, 4)) - lg_pi / 2
 
 
-def _constant(value: Fraction) -> iv.mpf:
+def _constant(value: Fraction) -> mpmath.iv.mpf:
     """Interval of a rational constant at the ambient precision."""
-    return _constant_at(value, iv.prec)
+    return _constant_at(value, mpmath.iv.prec)
 
 
 @lru_cache(maxsize=64)
-def _constant_at(value: Fraction, bits: int) -> iv.mpf:
+def _constant_at(value: Fraction, bits: int) -> mpmath.iv.mpf:
     # Keyed by `bits` like _alpha_at: the sweeps reuse a few constants at
     # every point and every rung.
     return rational(value)
 
 
-def alpha_low() -> iv.mpf:
+def alpha_low() -> mpmath.iv.mpf:
     """5/4 - lg(pi)/2, the exponent in the certified lower bound on f."""
     return alpha_for_beta(2)
 
 
-def alpha_high() -> iv.mpf:
+def alpha_high() -> mpmath.iv.mpf:
     """lg(5) - 3/4 - lg(pi)/2, the exponent in the certified upper bound on f."""
     return alpha_for_beta(Fraction(5, 2))
 
@@ -258,7 +282,7 @@ class BoundReport:
 # A judge evaluates one sweep point at the ambient precision and returns
 # (verdict, rank, margin).  Among certified points the lowest rank is the
 # worst one, and its margin is the one the report prints.
-Judgement = tuple[str, object, iv.mpf]
+Judgement = tuple[str, object, "mpmath.iv.mpf"]
 Judge = Callable[[], Judgement]
 
 
@@ -283,7 +307,7 @@ def _sweep(
     ladder = precision_ladder(base_bits)
     status = CERTIFIED
     failures: list[str] = []
-    worst: tuple[object, str, iv.mpf] | None = None
+    worst: tuple[object, str, mpmath.iv.mpf] | None = None
     max_bits = ladder[0]
     for label, judge in points:
         (verdict, rank, margin), bits = _climb(judge, ladder)
@@ -307,7 +331,7 @@ def _sweep(
     )
 
 
-def _le_judge(make: Callable[[], list[tuple[iv.mpf, iv.mpf]]]) -> Judge:
+def _le_judge(make: Callable[[], list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]]) -> Judge:
     """Judge of a point where every (lhs, rhs) pair from make() must satisfy
     lhs <= rhs.  Rank and margin come from the smallest rhs - lhs."""
 
@@ -331,11 +355,11 @@ def check_stirling_sandwich(
     if max_n < 0:
         raise InvalidArgs(f"max_n must be >= 0, got {max_n}")
 
-    def pairs(n: int) -> list[tuple[iv.mpf, iv.mpf]]:
-        s = stirling_S(iv.mpf(n))
-        fact = iv.mpf(math.factorial(n))
-        lower = iv.exp(rational(Fraction(1, 12 * n + 1))) * s
-        upper = iv.exp(rational(Fraction(1, 12 * n))) * s
+    def pairs(n: int) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
+        s = stirling_S(mpmath.iv.mpf(n))
+        fact = mpmath.iv.mpf(math.factorial(n))
+        lower = mpmath.iv.exp(rational(Fraction(1, 12 * n + 1))) * s
+        upper = mpmath.iv.exp(rational(Fraction(1, 12 * n))) * s
         return [(lower, fact), (fact, upper)]
 
     return _sweep(
@@ -355,11 +379,11 @@ def check_lemma_sa(
         if x < 1:
             raise DomainError(f"grid point {x} < 1")
 
-    def pairs(x: Fraction) -> list[tuple[iv.mpf, iv.mpf]]:
+    def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
         s_mid = stirling_S(rational(x + Fraction(1, 2)))
         mid_sq = s_mid * s_mid
         product = stirling_S(rational(x)) * stirling_S(rational(x + 1))
-        stretched = iv.exp(rational(Fraction(1, 2) / x)) * mid_sq
+        stretched = mpmath.iv.exp(rational(Fraction(1, 2) / x)) * mid_sq
         return [(mid_sq, product), (product, stretched)]
 
     return _sweep(
@@ -372,7 +396,7 @@ def check_lemma_sa(
 
 def check_lemma_ga(
     grid: Iterable[Fraction | int],
-    alpha: Callable[[], iv.mpf],
+    alpha: Callable[[], mpmath.iv.mpf],
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> BoundReport:
     """Certify e^(-1/2 sqrt x) (5/2) g_a(x+1/2) <= g_a(x) + g_a(x+1)
@@ -383,12 +407,12 @@ def check_lemma_ga(
         if not _in_ga_domain(x, alpha, base_bits):
             raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
 
-    def pairs(x: Fraction) -> list[tuple[iv.mpf, iv.mpf]]:
+    def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
         a = alpha()
         mid = _constant(Fraction(5, 2)) * g_alpha(rational(x + Fraction(1, 2)), a)
         total = g_alpha(rational(x), a) + g_alpha(rational(x + 1), a)
         wobble = _constant(Fraction(1, 2)) / enc_sqrt(rational(x))
-        return [(iv.exp(-wobble) * mid, total), (total, iv.exp(wobble) * mid)]
+        return [(mpmath.iv.exp(-wobble) * mid, total), (total, mpmath.iv.exp(wobble) * mid)]
 
     return _sweep(
         inequality="growth_template_bracket",
@@ -400,7 +424,7 @@ def check_lemma_ga(
 
 def filter_ga_domain(
     grid: Iterable[Fraction | int],
-    alpha: Callable[[], iv.mpf],
+    alpha: Callable[[], mpmath.iv.mpf],
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[Fraction]:
     """Grid points certifiably >= 4^alpha (the bracket's domain)."""
@@ -409,10 +433,10 @@ def filter_ga_domain(
 
 
 @lru_cache(maxsize=2 * MAX_GRID_POINTS)
-def _in_ga_domain(x: Fraction, alpha: Callable[[], iv.mpf], base_bits: int) -> bool:
+def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf], base_bits: int) -> bool:
     # Cached: check_lemma_ga re-checks the points filter_ga_domain kept.
     judge = _le_judge(lambda: [
-        (enc_pow(iv.mpf(4), alpha()), rational(x))])
+        (enc_pow(mpmath.iv.mpf(4), alpha()), rational(x))])
     (verdict, _, _), _ = _climb(judge, precision_ladder(base_bits))
     return verdict == CERTIFIED
 
@@ -429,7 +453,8 @@ def check_lemma_gaS(
     for x in xs:
         if x <= 0:
             raise DomainError(f"grid point {x} <= 0")
-    tight = mp.mpf(IDENTITY_TIGHTNESS.numerator) / mp.mpf(IDENTITY_TIGHTNESS.denominator)
+    tight = (mpmath.mp.mpf(IDENTITY_TIGHTNESS.numerator)
+             / mpmath.mp.mpf(IDENTITY_TIGHTNESS.denominator))
 
     def judge(x: Fraction) -> Judgement:
         a = alpha_for_beta(beta)
@@ -438,7 +463,7 @@ def check_lemma_gaS(
         lhs = _constant(Fraction(beta)) * s_2x / (s_x * s_x) * g_alpha(rational(x), a)
         rhs = g_alpha(rational(2 * x), a)
         (l_lo, l_hi), (r_lo, r_hi) = endpoints(lhs), endpoints(rhs)
-        with mp.workprec(mp.prec + 10):
+        with mpmath.mp.workprec(mpmath.mp.prec + 10):
             radius = max(l_hi - l_lo, r_hi - r_lo) / 2
         verdict = (VIOLATED if not overlap(lhs, rhs)
                    else CERTIFIED if radius < tight else UNDECIDED)
@@ -459,9 +484,9 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
         raise InvalidArgs(f"max_n must be >= 1, got {max_n}")
     lengths.f(max_n)  # warm the exact table before timing-sensitive sweeps
 
-    def pairs(n: int) -> list[tuple[iv.mpf, iv.mpf]]:
-        x = iv.mpf(n)
-        exact = iv.mpf(lengths.f(n))
+    def pairs(n: int) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
+        x = mpmath.iv.mpf(n)
+        exact = mpmath.iv.mpf(lengths.f(n))
         quarter = _constant(Fraction(1, 4))
         low_template = g_alpha(x, alpha_low())
         lower = _constant(Fraction(195, 1000)) * low_template
@@ -486,9 +511,9 @@ class EstimateRow:
     m: int
     n: int
     f_exact: int
-    estimate: iv.mpf
-    ratio: iv.mpf
-    ln_ratio: iv.mpf
+    estimate: mpmath.iv.mpf
+    ratio: mpmath.iv.mpf
+    ln_ratio: mpmath.iv.mpf
     anomalous: bool
 
 
@@ -512,12 +537,12 @@ def estimate_power_of_two(
             n = 2**m
             exact = lengths.f(n)
             estimate = (
-                iv.mpf(4) ** n
-                * iv.exp(-1)
-                * enc_pow(+iv.pi, Fraction(1 - m, 2))
-                * enc_pow(iv.mpf(2), Fraction(-(m * m - 5 * m + 6), 4))
+                mpmath.iv.mpf(4) ** n
+                * mpmath.iv.exp(-1)
+                * enc_pow(+mpmath.iv.pi, Fraction(1 - m, 2))
+                * enc_pow(mpmath.iv.mpf(2), Fraction(-(m * m - 5 * m + 6), 4))
             )
-            ratio = iv.mpf(exact) / estimate
+            ratio = mpmath.iv.mpf(exact) / estimate
             ln_ratio = enc_log(ratio)
             lo, hi = endpoints(ln_ratio)
             abs_mid = abs((lo + hi) / 2)

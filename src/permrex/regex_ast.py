@@ -23,6 +23,14 @@ over 8 symbols is a 40319-deep chain), so nothing here recurses:
 `postorder` visits the distinct nodes with an explicit stack, `fold`
 computes bottom-up values on top of it, and rendering and parsing keep
 their own stacks.
+
+Parsing costs what the distinct groups cost, not what the text costs.
+With n fixed, the text of a parenthesized group always parses to the
+same node, so `parse` keeps a per-call memo of the groups it has closed,
+keyed by their first 48 characters.  A '(' that starts the text of one of
+them takes its node and resumes tokenizing after it.  The builders'
+output repeats each subset's group many times: the spaced `dnc` n=12
+text is 4.5 MB, yet its DAG has 39 193 distinct nodes.
 """
 
 from __future__ import annotations
@@ -287,6 +295,17 @@ _TOKEN_SINGLE_DIGIT = re.compile(r"([0-9])|[^ \t\r\n]")
 _TOKEN_MULTI_DIGIT = re.compile(r"([0-9]+)|[^ \t\r\n]")
 
 
+# The parser's memo of closed groups: a group is keyed by this many
+# characters from its '('; a key holds at most _GROUP_BUCKET groups; and the
+# group texts held total at most _GROUP_ROOM times the parsed text.  The two
+# caps keep a lookup to a few comparisons and the memo's memory linear in
+# the text, however deep or repetitive the nesting.  Builder output holds
+# at most 1.8 times its text.
+_GROUP_KEY = 48
+_GROUP_BUCKET = 16
+_GROUP_ROOM = 4
+
+
 def _fold_concat(terms: list[Regex]) -> Regex:
     out = terms[0]
     for term in terms[1:]:
@@ -309,62 +328,90 @@ def parse(text: str, n: int) -> Regex:
     expressions in that left-leaning normal form, builder output
     included.  Parenthesis nesting is handled with an explicit stack;
     input depth is unbounded.
+
+    A group is reused (see the module docstring) only once it has parsed
+    cleanly, so every error comes from the token loop, with the message
+    and offset it has without the reuse.
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
-    tokens = (_TOKEN_MULTI_DIGIT if n >= 10 else _TOKEN_SINGLE_DIGIT).finditer(text)
+    pattern = _TOKEN_MULTI_DIGIT if n >= 10 else _TOKEN_SINGLE_DIGIT
     width = len(str(n))
-    # One frame per open parenthesis: (completed alternatives, current concat run).
-    frames: list[tuple[list[Regex], list[Regex]]] = [([], [])]
-    for match in tokens:
-        offset = match.start()
-        alts, terms = frames[-1]
-        digits = match.group(1)
-        if digits is not None:
-            # An id with more significant digits than n is out of range; it is
-            # refused before int(), which Python limits to 4300 digits.
-            if len(digits) > width:
-                digits = digits.lstrip("0") or "0"
+    # One frame per open parenthesis: (completed alternatives, current concat
+    # run, offset of the '(').
+    frames: list[tuple[list[Regex], list[Regex], int]] = [([], [], 0)]
+    # Closed groups by the first _GROUP_KEY characters from their '(':
+    # (group text, node) for each, stored when it first closes.
+    groups: dict[str, list[tuple[str, Regex]]] = {}
+    # Characters of group text the memo may still hold.
+    room = _GROUP_ROOM * len(text)
+    # Where tokenizing resumes after a reused group; None once the text
+    # is consumed.
+    resume: int | None = 0
+    while resume is not None:
+        start, resume = resume, None
+        for match in pattern.finditer(text, start):
+            offset = match.start()
+            alts, terms, _ = frames[-1]
+            digits = match.group(1)
+            if digits is not None:
+                # An id with more significant digits than n is out of range; it
+                # is refused before int(), which Python limits to 4300 digits.
                 if len(digits) > width:
-                    shown = digits if len(digits) <= 20 else (
-                        f"{digits[:20]}... ({len(digits)} digits)")
+                    digits = digits.lstrip("0") or "0"
+                    if len(digits) > width:
+                        shown = digits if len(digits) <= 20 else (
+                            f"{digits[:20]}... ({len(digits)} digits)")
+                        raise SymbolOutOfRange(
+                            f"symbol {shown} outside [1, {n}] at offset {offset}")
+                value = int(digits)
+                if not 1 <= value <= n:
                     raise SymbolOutOfRange(
-                        f"symbol {shown} outside [1, {n}] at offset {offset}")
-            value = int(digits)
-            if not 1 <= value <= n:
-                raise SymbolOutOfRange(
-                    f"symbol {value} outside [1, {n}] at offset {offset}")
-            terms.append(Sym(value))
-            continue
-        token = match.group()
-        if token == "e":
-            terms.append(Epsilon())
-        elif token == "&":
-            terms.append(EmptySet())
-        elif token == "*":
-            if not terms:
-                raise RegexSyntaxError("star needs an expression to repeat", offset)
-            terms[-1] = Star(terms[-1])
-        elif token == "+":
-            if not terms:
-                raise RegexSyntaxError("empty union alternative", offset)
-            alts.append(_fold_concat(terms))
-            terms.clear()
-        elif token == "(":
-            frames.append(([], []))
-        elif token == ")":
-            if len(frames) == 1:
-                raise RegexSyntaxError("unbalanced ')'", offset)
-            if not terms:
-                raise RegexSyntaxError("empty group or union alternative", offset)
-            alts.append(_fold_concat(terms))
-            frames.pop()
-            frames[-1][1].append(_fold_union(alts))
-        else:
-            raise RegexSyntaxError(f"unexpected character {token!r}", offset)
+                        f"symbol {value} outside [1, {n}] at offset {offset}")
+                terms.append(Sym(value))
+                continue
+            token = match.group()
+            if token == "e":
+                terms.append(Epsilon())
+            elif token == "&":
+                terms.append(EmptySet())
+            elif token == "*":
+                if not terms:
+                    raise RegexSyntaxError("star needs an expression to repeat", offset)
+                terms[-1] = Star(terms[-1])
+            elif token == "+":
+                if not terms:
+                    raise RegexSyntaxError("empty union alternative", offset)
+                alts.append(_fold_concat(terms))
+                terms.clear()
+            elif token == "(":
+                for group, node in groups.get(text[offset:offset + _GROUP_KEY], ()):
+                    if text.startswith(group, offset):
+                        terms.append(node)
+                        resume = offset + len(group)
+                        break
+                if resume is not None:
+                    break
+                frames.append(([], [], offset))
+            elif token == ")":
+                if len(frames) == 1:
+                    raise RegexSyntaxError("unbalanced ')'", offset)
+                if not terms:
+                    raise RegexSyntaxError("empty group or union alternative", offset)
+                alts.append(_fold_concat(terms))
+                node = _fold_union(alts)
+                opened = frames.pop()[2]
+                bucket = groups.setdefault(text[opened:opened + _GROUP_KEY], [])
+                size = offset + 1 - opened
+                if size <= room and len(bucket) < _GROUP_BUCKET:
+                    room -= size
+                    bucket.append((text[opened:offset + 1], node))
+                frames[-1][1].append(node)
+            else:
+                raise RegexSyntaxError(f"unexpected character {token!r}", offset)
     if len(frames) > 1:
         raise RegexSyntaxError("unclosed '('", len(text))
-    alts, terms = frames[0]
+    alts, terms, _ = frames[0]
     if not terms:
         raise RegexSyntaxError(
             "empty union alternative" if alts else "empty expression", len(text))

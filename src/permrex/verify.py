@@ -314,10 +314,11 @@ def _covers(family: Split) -> bool:
     return True
 
 
-def _split_certifies(expr: Regex, n: int) -> bool:
-    """Whether the split structure of `expr` proves L(expr) = P_n."""
+def _split_positions(expr: Regex, n: int) -> int | None:
+    """The alphabetic length of `expr` if its split structure proves
+    L(expr) = P_n, else None.  One fold yields both."""
     if n > MAX_SPLIT_N:
-        return False
+        return None
     permutations_of: dict[Regex, int] = {}
 
     def perm_support(node: Regex, split: Split | None) -> int:
@@ -354,9 +355,18 @@ def _split_certifies(expr: Regex, n: int) -> bool:
             return left[0], left, right
         return None
 
+    def describe_and_count(
+        node: Regex, *kids: tuple[Split | None, int]
+    ) -> tuple[Split | None, int]:
+        if not kids:
+            return describe(node), int(type(node) is Sym)
+        splits, counts = zip(*kids)
+        return describe(node, *splits), sum(counts)
+
     full = ((1 << n) - 1) << 1
-    root = fold(expr, describe)
-    return root is not None and root[0] == full and perm_support(expr, root) == full
+    root, positions = fold(expr, describe_and_count)
+    proved = root is not None and root[0] == full and perm_support(expr, root) == full
+    return positions if proved else None
 
 
 @dataclass(frozen=True)
@@ -400,11 +410,12 @@ def language_equals_permutations(
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
-    if _split_certifies(expr, n):
+    positions = _split_positions(expr, n)
+    if positions is not None:
         factorial = math.factorial(n)
         return Certificate(
             n=n,
-            positions=alphabetic_length(expr),
+            positions=positions,
             words_tested=n**n,
             accepted=factorial,
             expected_accepted=factorial,

@@ -376,21 +376,30 @@ def test_benchmark_trace_hooks_resolve():
     # `import permrex.cli`; a rename or a lazy import would break its traced
     # run.  A fresh interpreter, because this one has imported every module.
     # The probe also reports whether the CLI pulled numpy in, which no
-    # module of the package uses.
+    # module of the package uses, and whether it loaded mpmath, which `bounds`
+    # loads at its first interval operation.  `mpmath` itself is in
+    # sys.modules as a module not yet loaded, so the probe asks for a
+    # submodule that loading it imports.  An interval is then built and
+    # printed in the same process.
     probe = (
         "import json, sys\n"
+        "from fractions import Fraction\n"
         "import layers\n"
         "import permrex.cli\n"
         "missing = [f'{m}.{a}' for m, a, _ in layers.WRAPPED\n"
         "           if not callable(getattr(sys.modules.get('permrex.' + m), a, None))]\n"
-        "print(json.dumps([missing, sorted(permrex.cli._BUILDERS), 'numpy' in sys.modules]))\n"
+        "loaded = ['numpy' in sys.modules, 'mpmath.libmp' in sys.modules]\n"
+        "bounds = permrex.cli.bounds\n"
+        "third = bounds.format_interval(bounds.rational(Fraction(1, 3)))\n"
+        "print(json.dumps([missing, sorted(permrex.cli._BUILDERS), loaded, third]))\n"
     )
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], ["dnc", "flat", "tail"], False]
+    assert json.loads(done.stdout) == [
+        [], ["dnc", "flat", "tail"], [False, False], "[0.333333333333, 0.333333333333]"]
 
 
 @pytest.mark.parametrize("content, n, message", [

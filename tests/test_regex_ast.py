@@ -1,4 +1,5 @@
 import copy
+import functools
 import pickle
 
 import pytest
@@ -214,3 +215,95 @@ def test_render_is_stable_under_reparse(expr):
 def test_spaced_round_trip_preserves_length(expr):
     again = ra.parse(ra.render(expr, "spaced"), 12)
     assert ra.alphabetic_length(again) == ra.alphabetic_length(expr)
+
+
+# A group of 65 characters at n = 12, longer than the 48 the parser's group
+# memo keys on.  Every text below repeats it, so the second copy is looked
+# up in the memo; the expected errors are those of the memo-less parser.
+GROUP = "( 1 2 3 4 5 6 7 8 9 10 11 12 1 2 3 4 5 6 7 8 9 10 11 12 + 12 11 )"
+
+
+def test_parse_reuses_a_repeated_group_as_one_node():
+    node = ra.parse(GROUP, 12)
+    assert ra.parse(f"{GROUP} {GROUP}", 12) is ra.Concat(node, node)
+    assert ra.parse(f"{GROUP} + {GROUP}", 12) is ra.Union(node, node)
+    assert ra.parse(f"( {GROUP} ) {GROUP}", 12) is ra.Concat(node, node)
+    assert ra.parse(f"{GROUP} {GROUP} *", 12) is ra.Concat(node, ra.Star(node))
+    assert ra.parse(f"{GROUP}* {GROUP}**", 12) is ra.Concat(
+        ra.Star(node), ra.Star(ra.Star(node)))
+
+
+def test_parse_of_a_second_copy_that_diverges_after_the_memo_key():
+    node = ra.parse(GROUP, 12)
+    longer = GROUP[:-1] + "+ 1 )"       # equal up to the first copy's ')'
+    shorter = GROUP.replace(" 11 )", " )")
+    for other in (longer, shorter):
+        assert len(GROUP) > 48 and other[:48] == GROUP[:48]
+        assert ra.parse(f"{GROUP} {other}", 12) is ra.Concat(node, ra.parse(other, 12))
+
+
+@pytest.mark.parametrize("text, exc, message, offset", [
+    (f"{GROUP} {GROUP[:-1]}", RegexSyntaxError, "unclosed '('", 130),
+    (f"{GROUP} {GROUP} )", RegexSyntaxError, "unbalanced ')'", 132),
+    (f"{GROUP} {GROUP} ?", RegexSyntaxError, "unexpected character '?'", 132),
+    (f"{GROUP} {GROUP[:-1]}? )", RegexSyntaxError, "unexpected character '?'", 130),
+    (f"{GROUP} {GROUP.replace('+', '+ +', 1)}", RegexSyntaxError,
+     "empty union alternative", 124),
+    (f"{GROUP} {GROUP.replace('3 4', '3 14', 1)}", SymbolOutOfRange,
+     "symbol 14 outside [1, 12] at offset 74", None),
+    (f"{GROUP} {GROUP[:-2]}13 )", SymbolOutOfRange,
+     "symbol 1113 outside [1, 12] at offset 127", None),
+], ids=["unclosed", "unbalanced", "after-copy", "inside-copy", "empty-alternative",
+        "symbol-before-key-end", "symbol-after-key-end"])
+def test_parse_errors_in_a_second_copy_are_those_of_the_plain_parser(
+        text, exc, message, offset):
+    with pytest.raises(exc) as info:
+        ra.parse(text, 12)
+    if offset is None:
+        assert str(info.value) == message
+    else:
+        assert str(info.value) == f"{message} (at offset {offset})"
+        assert info.value.offset == offset
+
+
+def test_parse_gives_one_node_for_whitespace_variants_of_a_group():
+    expr = ra.parse("(1 2) ( 1  2 ) (\t1\n2\r\n)", 2)
+    pair = ra.Concat(sym(1), sym(2))
+    assert expr is ra.Concat(ra.Concat(pair, pair), pair)
+    spread = GROUP.replace(" ", "  ")
+    assert ra.parse(f"{GROUP} {spread} {GROUP}", 12) is ra.parse(f"{GROUP} {GROUP} {GROUP}", 12)
+
+
+def test_parse_memo_keeps_multi_digit_ids_apart():
+    # At n >= 10 a digit run is one id, so "1 11", "11 1" and "1 1 1" differ.
+    texts = ["( 1 11 )", "( 11 1 )", "( 1 1 1 )", "( 1 11 )", "( 111 )"]
+    with pytest.raises(SymbolOutOfRange, match="symbol 111 outside .* at offset 39"):
+        ra.parse(" ".join(texts), 12)
+    expected = [ra.parse(t, 12) for t in texts[:4]]
+    assert ra.parse(" ".join(texts[:4]), 12) is functools.reduce(ra.Concat, expected)
+    wide = " ".join(f"( {i} {i + 10} )" for i in range(1, 91))
+    assert ra.parse(f"{wide} + {wide}", 100) is ra.Union(ra.parse(wide, 100), ra.parse(wide, 100))
+
+
+def test_parse_memo_stays_exact_past_its_caps():
+    # Twenty groups that share their first 48 characters, each twice: more
+    # than one memo key holds.
+    groups = [f"( {'1 ' * 30}{i} )" for i in range(1, 21)]
+    expr = ra.parse(" + ".join(g for g in groups for _ in "ab"), 20)
+    assert expr is functools.reduce(ra.Union, [ra.parse(g, 20) for g in groups for _ in "ab"])
+    # Nests twice, whose copies differ only at the core.  Below depth 48
+    # every group of the first shares one key; every group of the second
+    # has a key of its own, and their texts outgrow the memo's room.
+    depth = 20_000
+    nests = ["(" * depth + core + ")" * depth for core in "12"]
+    assert ra.parse("".join(nests), 2) is ra.Concat(sym(1), sym(2))
+    depth = 2_000
+    nests = ["".join(f"( {i} " for i in range(1, depth + 1)) + core + " )" * depth
+             for core in ("1", "2")]
+    expected = []
+    for core in (1, 2):
+        node = sym(core)
+        for i in range(depth, 0, -1):
+            node = ra.Concat(sym(i), node)
+        expected.append(node)
+    assert ra.parse(" ".join(nests), depth) is ra.Concat(*expected)

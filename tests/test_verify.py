@@ -179,7 +179,7 @@ def test_dropped_or_duplicated_terms_of_dnc_six():
     terms = union_terms(expr)
     for i in range(len(terms)):
         dropped = functools.reduce(regex_ast.Union, terms[:i] + terms[i + 1:])
-        assert not verify._split_certifies(dropped, 6)
+        assert verify._split_positions(dropped, 6) is None
         cert = verify.language_equals_permutations(dropped, 6)
         assert not cert.passed and cert.method == "exhaustive"
     doubled = functools.reduce(regex_ast.Union, terms + terms[:1])
@@ -188,12 +188,12 @@ def test_dropped_or_duplicated_terms_of_dnc_six():
 
 def test_structure_refuses_foreign_and_differing_supports():
     # Symbol 3 makes the support {1, 2, 3}, not {1, 2}.
-    assert not verify._split_certifies(regex_ast.parse("12+21+3", 3), 2)
-    assert not verify._split_certifies(regex_ast.parse("12+21", 2), 3)
-    assert not verify._split_certifies(regex_ast.parse("12+21+13", 3), 3)
+    assert verify._split_positions(regex_ast.parse("12+21+3", 3), 2) is None
+    assert verify._split_positions(regex_ast.parse("12+21", 2), 3) is None
+    assert verify._split_positions(regex_ast.parse("12+21+13", 3), 3) is None
     huge = regex_ast.Sym(10**12)  # no 2^(10^12)-bit mask is built for it
     expr = regex_ast.Union(regex_ast.parse("12", 2), regex_ast.Concat(regex_ast.Sym(2), huge))
-    assert not verify._split_certifies(expr, 2)
+    assert verify._split_positions(expr, 2) is None
     assert not verify._covers((0b110, (0b110, 0b10), (0b110, 0b10)))
     assert verify._covers((0b110, (0b110, 0b10), (0b110, 0b100)))
 
@@ -243,16 +243,20 @@ def mutated_builder_output(draw):
 @given(mutated_builder_output())
 def test_structural_pass_implies_walk_pass_on_mutants(case):
     expr, n = case
-    if verify._split_certifies(expr, n):
-        assert verify._exhaustive_certificate(expr, n, cap=n).passed
+    positions = verify._split_positions(expr, n)
+    if positions is not None:
+        cert = verify._exhaustive_certificate(expr, n, cap=n)
+        assert cert.passed and cert.positions == positions
 
 
 @settings(max_examples=300, deadline=None)
 @given(any_regexes(n=3))
 def test_structural_pass_implies_walk_pass_on_random_expressions(expr):
     for n in (1, 2, 3):
-        if verify._split_certifies(expr, n):
-            assert verify._exhaustive_certificate(expr, n, cap=n).passed
+        positions = verify._split_positions(expr, n)
+        if positions is not None:
+            cert = verify._exhaustive_certificate(expr, n, cap=n)
+            assert cert.passed and cert.positions == positions
 
 
 def test_foreign_symbol_on_a_dead_path_is_not_flagged():
