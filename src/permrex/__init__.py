@@ -53,7 +53,6 @@ from .regex_ast import (
 from .verify import (
     Certificate,
     PositionNfa,
-    accepts,
     glushkov,
     language_equals_permutations,
     naive_matches,
@@ -100,7 +99,6 @@ __all__ = [
     "render_to",
     "Certificate",
     "PositionNfa",
-    "accepts",
     "glushkov",
     "language_equals_permutations",
     "naive_matches",

@@ -142,7 +142,8 @@ def contains(x: mpmath.iv.mpf, q: Fraction | int) -> bool:
     return lo <= q <= hi
 
 
-def format_interval(x: mpmath.iv.mpf, digits: int = 12) -> str:
+def format_interval(x: mpmath.iv.mpf) -> str:
+    digits = 12  # significant digits per endpoint
     lo, hi = endpoints(x)
     return f"[{mpmath.nstr(lo, digits)}, {mpmath.nstr(hi, digits)}]"
 

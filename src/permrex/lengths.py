@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .errors import InvalidArgs
 
@@ -25,25 +26,17 @@ DEFAULT_LEMMA_CAP = 512
 # `lemmas` grows about as n^3.7: 94 s at n = 2048, hours at 8192.
 MAX_LEMMA_N = 2048
 
-_f_cache: dict[int, int] = {1: 1}
 
-
+@cache
 def f(n: int) -> int:
     """Alphabetic length of the divide-and-conquer expression over n symbols."""
     if n < 1:
         raise InvalidArgs(f"f is defined for n >= 1, got {n}")
-    cached = _f_cache.get(n)
-    if cached is not None:
-        return cached
-    return _f_compute(n)
-
-
-def _f_compute(n: int) -> int:
+    if n == 1:
+        return 1
     # Recursion halves n, so the stack depth is log2(n).
     half = n // 2
-    value = math.comb(n, half) * (f(half) + f(n - half))
-    _f_cache[n] = value
-    return value
+    return math.comb(n, half) * (f(half) + f(n - half))
 
 
 def f_table(max_n: int) -> list[int]:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterator, Literal, TypeVar
 
 from .errors import CompactOverflow, InvalidArgs, RegexSyntaxError, SymbolOutOfRange
@@ -306,20 +307,6 @@ _GROUP_BUCKET = 16
 _GROUP_ROOM = 4
 
 
-def _fold_concat(terms: list[Regex]) -> Regex:
-    out = terms[0]
-    for term in terms[1:]:
-        out = Concat(out, term)
-    return out
-
-
-def _fold_union(alts: list[Regex]) -> Regex:
-    out = alts[0]
-    for alt in alts[1:]:
-        out = Union(out, alt)
-    return out
-
-
 def parse(text: str, n: int) -> Regex:
     """Parse compact or spaced text into an expression over the alphabet {1..n}.
 
@@ -382,7 +369,7 @@ def parse(text: str, n: int) -> Regex:
             elif token == "+":
                 if not terms:
                     raise RegexSyntaxError("empty union alternative", offset)
-                alts.append(_fold_concat(terms))
+                alts.append(reduce(Concat, terms))
                 terms.clear()
             elif token == "(":
                 for group, node in groups.get(text[offset:offset + _GROUP_KEY], ()):
@@ -398,8 +385,8 @@ def parse(text: str, n: int) -> Regex:
                     raise RegexSyntaxError("unbalanced ')'", offset)
                 if not terms:
                     raise RegexSyntaxError("empty group or union alternative", offset)
-                alts.append(_fold_concat(terms))
-                node = _fold_union(alts)
+                alts.append(reduce(Concat, terms))
+                node = reduce(Union, alts)
                 opened = frames.pop()[2]
                 bucket = groups.setdefault(text[opened:opened + _GROUP_KEY], [])
                 size = offset + 1 - opened
@@ -415,5 +402,5 @@ def parse(text: str, n: int) -> Regex:
     if not terms:
         raise RegexSyntaxError(
             "empty union alternative" if alts else "empty expression", len(text))
-    alts.append(_fold_concat(terms))
-    return _fold_union(alts)
+    alts.append(reduce(Concat, terms))
+    return reduce(Union, alts)

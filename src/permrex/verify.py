@@ -15,12 +15,13 @@ and tests a family only where a concatenation consumes it, or at the
 root.  Anything else (stars, epsilon, the empty set, overlapping or
 differing supports) is unknown and sends the expression to the walk.
 
-The walk runs the position automaton, which keeps one NFA state per Sym
-leaf, so its state count doubles as a structural cross-check of
-alphabetic length.  State sets are Python ints used as bitmasks;
-stepping a set is an or-loop over its set bits, which keeps the hot path
-in C.  It combines three facts into an unconditional certificate for
-star-free inputs:
+The same fold counts the Sym leaves, proof or not, and that count is the
+position count the walk refuses on (MAX_POSITIONS) before it builds its
+automaton.  The position automaton keeps one NFA state per Sym leaf, so
+its state count is an independent cross-check of the fold's count.  State
+sets are Python ints used as bitmasks; stepping a set is an or-loop over
+its set bits, which keeps the hot path in C.  The walk combines three
+facts into an unconditional certificate for star-free inputs:
 
   1. every word of length n over the alphabet is classified by running
      the automaton down the prefix tree (dead prefixes are pruned, with
@@ -39,14 +40,11 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import CapExceeded, InvalidArgs, SizeCap
-from .regex_ast import (
-    Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, alphabetic_length, fold, postorder)
+from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold, postorder
 
 DEFAULT_VERIFY_CAP = 7
 # The follow table is dense, about positions^2 / 8 bytes: 2 GB at this cap.
 MAX_POSITIONS = 1 << 17
-
-Word = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -62,12 +60,6 @@ class PositionNfa:
     @property
     def n_positions(self) -> int:
         return len(self.symbols)
-
-    def symbol_masks(self) -> dict[int, int]:
-        masks: dict[int, int] = {}
-        for p, s in enumerate(self.symbols):
-            masks[s] = masks.get(s, 0) | (1 << p)
-        return masks
 
 
 def glushkov(expr: Regex) -> PositionNfa:
@@ -132,30 +124,6 @@ def glushkov(expr: Regex) -> PositionNfa:
             ))
     nullable, first, last = values.pop()
     return PositionNfa(tuple(symbols), first, last, tuple(follow), nullable)
-
-
-def _step(nfa: PositionNfa, active: int) -> int:
-    out = 0
-    mask = active
-    follow = nfa.follow
-    while mask:
-        low = mask & -mask
-        out |= follow[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def accepts(nfa: PositionNfa, word: Sequence[int]) -> bool:
-    """Bit-parallel simulation of the position automaton on one word."""
-    if not word:
-        return nfa.accepts_epsilon
-    masks = nfa.symbol_masks()
-    active = nfa.first & masks.get(word[0], 0)
-    for c in word[1:]:
-        if not active:
-            return False
-        active = _step(nfa, active) & masks.get(c, 0)
-    return bool(active & nfa.last)
 
 
 def naive_matches(expr: Regex, word: Sequence[int]) -> bool:
@@ -314,11 +282,11 @@ def _covers(family: Split) -> bool:
     return True
 
 
-def _split_positions(expr: Regex, n: int) -> int | None:
-    """The alphabetic length of `expr` if its split structure proves
-    L(expr) = P_n, else None.  One fold yields both."""
-    if n > MAX_SPLIT_N:
-        return None
+def _split_proof(expr: Regex, n: int) -> tuple[bool, int]:
+    """Whether the split structure of `expr` proves L(expr) = P_n, and the
+    alphabetic length of `expr` in either case.  One fold yields both;
+    above MAX_SPLIT_N no Sym starts a descriptor, so the fold only counts."""
+    alphabet = n if n <= MAX_SPLIT_N else 0
     permutations_of: dict[Regex, int] = {}
 
     def perm_support(node: Regex, split: Split | None) -> int:
@@ -338,7 +306,7 @@ def _split_positions(expr: Regex, n: int) -> int | None:
         kind = type(node)
         if kind is Sym:
             # A symbol outside 1..n can never be part of a proof of P_n.
-            bit = 1 << node.sym if 1 <= node.sym <= n else 0
+            bit = 1 << node.sym if 1 <= node.sym <= alphabet else 0
             return (bit, bit) if bit else None
         if kind is Concat:
             first = perm_support(node.left, kids[0])
@@ -363,10 +331,10 @@ def _split_positions(expr: Regex, n: int) -> int | None:
         splits, counts = zip(*kids)
         return describe(node, *splits), sum(counts)
 
-    full = ((1 << n) - 1) << 1
     root, positions = fold(expr, describe_and_count)
+    full = ((1 << alphabet) - 1) << 1
     proved = root is not None and root[0] == full and perm_support(expr, root) == full
-    return positions if proved else None
+    return proved, positions
 
 
 @dataclass(frozen=True)
@@ -410,8 +378,8 @@ def language_equals_permutations(
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
-    positions = _split_positions(expr, n)
-    if positions is not None:
+    proved, positions = _split_proof(expr, n)
+    if proved:
         factorial = math.factorial(n)
         return Certificate(
             n=n,
@@ -428,22 +396,28 @@ def language_equals_permutations(
             violations=(),
             method="structural",
         )
-    return _exhaustive_certificate(expr, n, cap)
+    return _exhaustive_certificate(expr, n, cap, positions)
 
 
-def _exhaustive_certificate(expr: Regex, n: int, cap: int) -> Certificate:
-    """The walk over all n^n length-n words, under `cap` and MAX_POSITIONS."""
+def _exhaustive_certificate(expr: Regex, n: int, cap: int, positions: int) -> Certificate:
+    """The walk over all n^n length-n words, under `cap` and MAX_POSITIONS.
+    `positions` is the alphabetic length of `expr`, as the split fold
+    counted it."""
     if n > cap:
         raise CapExceeded(
             f"exhaustive verification capped at n = {cap} ({n}^{n} words is too many)")
-    positions = alphabetic_length(expr)
     if positions > MAX_POSITIONS:
         raise SizeCap(positions, MAX_POSITIONS, what="automaton positions")
 
     nfa = glushkov(expr)
     ulen = uniform_length(expr)
     star_free = not contains_star(expr)
-    masks = nfa.symbol_masks()
+    follow, last = nfa.follow, nfa.last
+    # masks[c]: the positions that read c; no other symbol is stepped on.
+    masks = [0] * (n + 1)
+    for p, s in enumerate(nfa.symbols):
+        if 1 <= s <= n:
+            masks[s] |= 1 << p
     factorial = math.factorial(n)
     full_used = (1 << n) - 1
     violations: list[str] = []
@@ -468,7 +442,7 @@ def _exhaustive_certificate(expr: Regex, n: int, cap: int) -> Certificate:
     def walk(depth: int, active: int, used: int) -> None:
         nonlocal accepted, perms_accepted, short_accepted
         if depth == n:
-            if active & nfa.last:
+            if active & last:
                 accepted += 1
                 if used == full_used:
                     perms_accepted += 1
@@ -477,14 +451,19 @@ def _exhaustive_certificate(expr: Regex, n: int, cap: int) -> Certificate:
             elif used == full_used:
                 note("rejected permutation " + "".join(map(str, prefix)))
             return
-        if depth > 0 and active & nfa.last:
+        if depth > 0 and active & last:
             short_accepted += 1
             note(f"accepted length-{depth} word " + "".join(map(str, prefix)))
-        step = nfa.first if depth == 0 else _step(nfa, active)
+        # Step the active set; the root's is empty and steps to `first`.
+        step = nfa.first if depth == 0 else 0
+        while active:
+            low = active & -active
+            step |= follow[low.bit_length() - 1]
+            active ^= low
         distinct_so_far = used.bit_count() == depth
         for c in range(1, n + 1):
             bit = 1 << (c - 1)
-            nxt = step & masks.get(c, 0)
+            nxt = step & masks[c]
             if not nxt:
                 # Dead subtree: nothing below is accepted.  That is only fine
                 # if nothing below needed accepting.

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import permrex
 from permrex import bounds, cli, construct, lengths, regex_ast
 
 from conftest import union_terms
@@ -400,6 +401,19 @@ def test_benchmark_trace_hooks_resolve():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [
         [], ["dnc", "flat", "tail"], [False, False], "[0.333333333333, 0.333333333333]"]
+
+
+def test_readme_library_example_runs():
+    # The README's `## Library` block, run as written, so a doc example that
+    # uses a removed or renamed name fails here.
+    text = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n+```python\n(.*?)^```$", text, re.M | re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_package_exports_resolve():
+    assert [name for name in permrex.__all__ if not hasattr(permrex, name)] == []
 
 
 @pytest.mark.parametrize("content, n, message", [

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import hypothesis.strategies as st
 import pytest
@@ -35,24 +36,49 @@ def test_glushkov_counts_shared_subtrees_per_occurrence():
     assert verify.glushkov(expr).n_positions == 4
 
 
+def walk(expr, n):
+    """The production walk at cap n, with the fold's position count."""
+    return verify._exhaustive_certificate(expr, n, n, verify._split_proof(expr, n)[1])
+
+
+def brute_force_counts(expr, n):
+    """Brute-force `naive_matches` counts over every word of length <= n on
+    1..n: accepted length-n words, accepted permutations, accepted words of
+    length 1..n-1, and whether the empty word is accepted."""
+    matched = {
+        word
+        for length in range(0, n + 1)
+        for word in itertools.product(range(1, n + 1), repeat=length)
+        if verify.naive_matches(expr, word)
+    }
+    permutations = set(itertools.permutations(range(1, n + 1)))
+    return (
+        sum(len(word) == n for word in matched),
+        len(matched & permutations),
+        sum(0 < len(word) < n for word in matched),
+        () in matched,
+    )
+
+
+def walk_counts(cert):
+    return (cert.accepted, cert.permutations_accepted, cert.short_words_accepted,
+            cert.accepts_empty_word)
+
+
 def test_glushkov_simple_acceptance():
     expr = regex_ast.parse("1(2+3)*", 3)
-    nfa = verify.glushkov(expr)
-    assert verify.accepts(nfa, (1,))
-    assert verify.accepts(nfa, (1, 2, 3, 2))
-    assert not verify.accepts(nfa, (2,))
-    assert not verify.accepts(nfa, ())
-    assert not nfa.accepts_epsilon
+    assert not verify.glushkov(expr).accepts_epsilon
+    # 1xy for x, y in {2, 3}; 123 and 132; 1, 12 and 13.
+    assert walk_counts(walk(expr, 3)) == (4, 2, 3, False)
 
 
 def test_glushkov_epsilon_handling():
-    nfa = verify.glushkov(regex_ast.parse("e+1", 1))
-    assert nfa.accepts_epsilon
-    assert verify.accepts(nfa, ())
-    assert verify.accepts(nfa, (1,))
-    empty = verify.glushkov(regex_ast.EmptySet())
-    assert not empty.accepts_epsilon
-    assert not verify.accepts(empty, ())
+    expr = regex_ast.parse("e+1", 1)
+    assert verify.glushkov(expr).accepts_epsilon
+    assert walk_counts(walk(expr, 1)) == (1, 1, 0, True)
+    empty = regex_ast.EmptySet()
+    assert not verify.glushkov(empty).accepts_epsilon
+    assert walk_counts(walk(empty, 1)) == (0, 0, 0, False)
 
 
 def test_uniform_length_lattice():
@@ -147,11 +173,8 @@ def test_naive_matcher_ground_truth():
 @settings(max_examples=200, deadline=None)
 @given(any_regexes(n=3))
 def test_nfa_agrees_with_naive_matcher(expr):
-    nfa = verify.glushkov(expr)
-    for length in range(0, 4):
-        for word in itertools.product((1, 2, 3), repeat=length):
-            assert verify.accepts(nfa, word) == verify.naive_matches(
-                expr, word), (word,)
+    for n in (1, 2, 3):
+        assert walk_counts(walk(expr, n)) == brute_force_counts(expr, n), n
 
 
 @pytest.mark.parametrize("name", ["dnc", "tail", "flat"])
@@ -169,7 +192,7 @@ def test_structural_certificate_matches_the_walk(name):
     for n in range(1, 7):
         expr = build(name, n)
         structural = verify.language_equals_permutations(expr, n)
-        walked = verify._exhaustive_certificate(expr, n, cap=n)
+        walked = walk(expr, n)
         assert structural.method == "structural"
         assert dataclasses.replace(walked, method="structural") == structural
 
@@ -179,7 +202,7 @@ def test_dropped_or_duplicated_terms_of_dnc_six():
     terms = union_terms(expr)
     for i in range(len(terms)):
         dropped = functools.reduce(regex_ast.Union, terms[:i] + terms[i + 1:])
-        assert verify._split_positions(dropped, 6) is None
+        assert not verify._split_proof(dropped, 6)[0]
         cert = verify.language_equals_permutations(dropped, 6)
         assert not cert.passed and cert.method == "exhaustive"
     doubled = functools.reduce(regex_ast.Union, terms + terms[:1])
@@ -188,14 +211,17 @@ def test_dropped_or_duplicated_terms_of_dnc_six():
 
 def test_structure_refuses_foreign_and_differing_supports():
     # Symbol 3 makes the support {1, 2, 3}, not {1, 2}.
-    assert verify._split_positions(regex_ast.parse("12+21+3", 3), 2) is None
-    assert verify._split_positions(regex_ast.parse("12+21", 2), 3) is None
-    assert verify._split_positions(regex_ast.parse("12+21+13", 3), 3) is None
+    assert not verify._split_proof(regex_ast.parse("12+21+3", 3), 2)[0]
+    assert not verify._split_proof(regex_ast.parse("12+21", 2), 3)[0]
+    assert not verify._split_proof(regex_ast.parse("12+21+13", 3), 3)[0]
     huge = regex_ast.Sym(10**12)  # no 2^(10^12)-bit mask is built for it
     expr = regex_ast.Union(regex_ast.parse("12", 2), regex_ast.Concat(regex_ast.Sym(2), huge))
-    assert verify._split_positions(expr, 2) is None
+    assert verify._split_proof(expr, 2) == (False, 4)
     assert not verify._covers((0b110, (0b110, 0b10), (0b110, 0b10)))
     assert verify._covers((0b110, (0b110, 0b10), (0b110, 0b100)))
+
+
+MUTATION_KINDS = ["drop", "dup", "swap", "relabel", "star"]
 
 
 def substitute(expr, target, replacement):
@@ -209,43 +235,51 @@ def substitute(expr, target, replacement):
 
 
 @st.composite
-def mutated_builder_output(draw):
-    """Builder output with one node changed: a union chain loses, repeats or
-    swaps a term, or a symbol is relabelled or starred."""
+def mutated_builder_output(draw, max_n=6, kinds=MUTATION_KINDS):
+    """Builder output with one change: a union chain, shared wherever it
+    occurs, loses, repeats or swaps a term; or one symbol occurrence, at the
+    end of a drawn path from the root, is relabelled or starred."""
     name = draw(st.sampled_from(["dnc", "tail", "flat"]))
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_n))
     expr = build(name, n)
-    nodes = list(regex_ast.postorder(expr))
-    kind = draw(st.sampled_from(["drop", "dup", "swap", "relabel", "star"]))
+    kind = draw(st.sampled_from(kinds))
     if kind in ("relabel", "star"):
-        target = draw(st.sampled_from([x for x in nodes if type(x) is regex_ast.Sym]))
+        # Only the path is rebuilt: replacing the Sym node itself would
+        # change every occurrence of its symbol in the shared DAG.
+        path = []
+        leaf = expr
+        while type(leaf) is not regex_ast.Sym:
+            left = draw(st.booleans())
+            path.append((leaf, left))
+            leaf = leaf.left if left else leaf.right
         if kind == "star":
-            replacement = regex_ast.Star(target)
+            node = regex_ast.Star(leaf)
         else:
-            other = draw(st.integers(1, n).filter(lambda s: s != target.sym))
-            replacement = regex_ast.Sym(other)
+            node = regex_ast.Sym(draw(st.integers(1, n).filter(lambda s: s != leaf.sym)))
+        for parent, left in reversed(path):
+            node = type(parent)(node, parent.right) if left else type(parent)(parent.left, node)
+        return node, n, kind
+    nodes = list(regex_ast.postorder(expr))
+    target = draw(st.sampled_from([x for x in nodes if type(x) is regex_ast.Union]))
+    terms = union_terms(target)
+    i = draw(st.integers(0, len(terms) - 1))
+    j = draw(st.integers(0, len(terms) - 1))
+    if kind == "drop":
+        del terms[i]
+    elif kind == "dup":
+        terms.insert(j, terms[i])
     else:
-        target = draw(st.sampled_from([x for x in nodes if type(x) is regex_ast.Union]))
-        terms = union_terms(target)
-        i = draw(st.integers(0, len(terms) - 1))
-        j = draw(st.integers(0, len(terms) - 1))
-        if kind == "drop":
-            del terms[i]
-        elif kind == "dup":
-            terms.insert(j, terms[i])
-        else:
-            terms[i], terms[j] = terms[j], terms[i]
-        replacement = functools.reduce(regex_ast.Union, terms)
-    return substitute(expr, target, replacement), n
+        terms[i], terms[j] = terms[j], terms[i]
+    return substitute(expr, target, functools.reduce(regex_ast.Union, terms)), n, kind
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_builder_output())
 def test_structural_pass_implies_walk_pass_on_mutants(case):
-    expr, n = case
-    positions = verify._split_positions(expr, n)
-    if positions is not None:
-        cert = verify._exhaustive_certificate(expr, n, cap=n)
+    expr, n, _ = case
+    proved, positions = verify._split_proof(expr, n)
+    if proved:
+        cert = walk(expr, n)
         assert cert.passed and cert.positions == positions
 
 
@@ -253,10 +287,24 @@ def test_structural_pass_implies_walk_pass_on_mutants(case):
 @given(any_regexes(n=3))
 def test_structural_pass_implies_walk_pass_on_random_expressions(expr):
     for n in (1, 2, 3):
-        positions = verify._split_positions(expr, n)
-        if positions is not None:
-            cert = verify._exhaustive_certificate(expr, n, cap=n)
+        proved, positions = verify._split_proof(expr, n)
+        if proved:
+            cert = walk(expr, n)
             assert cert.passed and cert.positions == positions
+
+
+@pytest.mark.parametrize("kind", MUTATION_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_walk_counts_match_brute_force_on_mutants(kind, data):
+    expr, n, _ = data.draw(mutated_builder_output(max_n=4, kinds=[kind]))
+    cert = walk(expr, n)
+    counts = brute_force_counts(expr, n)
+    assert walk_counts(cert) == counts
+    # Builder terms are all live, so a starred symbol also admits a shorter
+    # word: the walk passes exactly when the words up to length n are P_n.
+    factorial = math.factorial(n)
+    assert cert.passed == (counts == (factorial, factorial, 0, False))
 
 
 def test_foreign_symbol_on_a_dead_path_is_not_flagged():
