@@ -11,14 +11,18 @@ or undecided, and undecided answers are retried up the precision ladder
 (default 200 bits, doubling to a 2000-bit ceiling) rather than glossed
 over.
 
-Every check runs through one ladder and one sweep: `_sweep` feeds each
-(label, judge) point to `_climb`, which re-runs the judge one rung higher
-until it decides, and the report keeps the worst certified point.  There
-are two judges.  `_le_judge` certifies lhs <= rhs pairs, and serves the
-factorial sandwich, the bracket lemmas, the growth bound and the domain
-filter of the growth-template bracket.  The doubling identity has its own
-judge: the two sides must overlap, or it is violated, and both radii must
-drop below IDENTITY_TIGHTNESS, or it is undecided.
+Every sweep runs through one ladder: `_sweep` feeds each (label, judge)
+point to `_climb`, which re-runs the judge one rung higher until it
+decides, and the report keeps the worst certified point.  One judge,
+`_le_judge`, certifies lhs <= rhs pairs; it serves the factorial
+sandwich, the bracket lemmas, the growth bound and the domain filter of
+the growth-template bracket.
+
+The doubling identity is not sampled but proved: `permrex.doubling`
+builds its log gap as a formal polynomial, which cancels to exactly zero
+and so holds for every x > 0.  A gap that does not cancel goes up the
+ladder one coefficient at a time, and is violated or undecided, never
+certified.
 
 The checks certify, against exact integer f(n):
 
@@ -28,7 +32,7 @@ The checks certify, against exact integer f(n):
   * bracketing of g_a(x) + g_a(x+1) by (5/2) g_a(x+1/2), where
     g_a(x) = 4^x x^(a - lg(x)/4) is the growth template;
   * the doubling identity  b S(2x)/S(x)^2 g_a(x) = g_a(2x)  for
-    a = lg(b) + 1/4 - lg(pi)/2;
+    a = lg(b) + 1/4 - lg(pi)/2, at every x > 0;
   * the two-sided growth bound 0.195 g_al(n) <= f(n) <= (1/4) g_ah(n)
     with al = 5/4 - lg(pi)/2 and ah = lg(5) - 3/4 - lg(pi)/2, plus the
     sharper f(n) <= (1/4) g_al(n) at powers of two.
@@ -52,10 +56,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import lengths
 from .errors import DomainError, InvalidArgs
+
+if TYPE_CHECKING:
+    from .doubling import Formal
 
 
 def _load_on_first_use(name: str):
@@ -80,7 +87,6 @@ DEFAULT_PRECISION_BITS = 200
 MAX_PRECISION_BITS = 2000
 MAX_GRID_POINTS = 10_000
 MAX_SWEEP_N = 16_384  # the two n-sweeps take about 100 s there
-IDENTITY_TIGHTNESS = Fraction(1, 10**30)  # radius both sides of the identity must reach
 
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
@@ -133,15 +139,6 @@ def exact_int(x: mpmath.iv.mpf) -> int | None:
     return int(lo)
 
 
-def contains(x: mpmath.iv.mpf, q: Fraction | int) -> bool:
-    """Whether x holds the rational q; exact, as both endpoints are dyadic."""
-    lo, hi = endpoints(x)
-    if not (mpmath.mp.isfinite(lo) and mpmath.mp.isfinite(hi)):
-        return False
-    lo, hi = (Fraction(*map(int, mpmath.libmp.to_rational(e._mpf_))) for e in (lo, hi))
-    return lo <= q <= hi
-
-
 def format_interval(x: mpmath.iv.mpf) -> str:
     digits = 12  # significant digits per endpoint
     lo, hi = endpoints(x)
@@ -182,11 +179,6 @@ def compare_le(lhs: mpmath.iv.mpf, rhs: mpmath.iv.mpf) -> str:
     if rhs < lhs:
         return VIOLATED
     return UNDECIDED
-
-
-def overlap(lhs: mpmath.iv.mpf, rhs: mpmath.iv.mpf) -> bool:
-    """True when the two intervals intersect (consistent with equality)."""
-    return not (lhs < rhs) and not (rhs < lhs)
 
 
 # -- the Stirling term and the growth template ------------------------------
@@ -443,37 +435,36 @@ def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf], base_bits: in
 
 
 def check_lemma_gaS(
-    grid: Iterable[Fraction | int],
-    beta: Fraction | int,
-    base_bits: int = DEFAULT_PRECISION_BITS,
+    beta: Fraction | int, base_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundReport:
-    """Certify the doubling identity beta S(2x)/S(x)^2 g_a(x) = g_a(2x)
-    with a = lg(beta) + 1/4 - lg(pi)/2: at every grid point the two sides'
-    intervals must overlap while both radii sit below IDENTITY_TIGHTNESS."""
-    xs = [Fraction(x) for x in grid]
-    for x in xs:
-        if x <= 0:
-            raise DomainError(f"grid point {x} <= 0")
-    tight = (mpmath.mp.mpf(IDENTITY_TIGHTNESS.numerator)
-             / mpmath.mp.mpf(IDENTITY_TIGHTNESS.denominator))
+    """Prove the doubling identity beta S(2x)/S(x)^2 g_a(x) = g_a(2x) with
+    a = lg(beta) + 1/4 - lg(pi)/2 for every x > 0, by exact cancellation of
+    its formal log gap (see `permrex.doubling`)."""
+    from . import doubling  # loaded on first use; most commands never need it
 
-    def judge(x: Fraction) -> Judgement:
-        a = alpha_for_beta(beta)
-        s_x = stirling_S(rational(x))
-        s_2x = stirling_S(rational(2 * x))
-        lhs = _constant(Fraction(beta)) * s_2x / (s_x * s_x) * g_alpha(rational(x), a)
-        rhs = g_alpha(rational(2 * x), a)
-        (l_lo, l_hi), (r_lo, r_hi) = endpoints(lhs), endpoints(rhs)
-        with mpmath.mp.workprec(mpmath.mp.prec + 10):
-            radius = max(l_hi - l_lo, r_hi - r_lo) / 2
-        verdict = (VIOLATED if not overlap(lhs, rhs)
-                   else CERTIFIED if radius < tight else UNDECIDED)
-        return verdict, -radius, rhs - lhs
+    return _identity_report(
+        f"doubling_identity_beta_{beta}", doubling.gap(beta, beta), base_bits)
+
+
+def _identity_report(inequality: str, gap: Formal, base_bits: int) -> BoundReport:
+    """Certified for x > 0 when the formal log gap is zero.  Otherwise each
+    coefficient of an (x, ln x) monomial climbs the ladder: violated once it
+    certifiably excludes 0, undecided while it does not."""
+    require_precision(base_bits)
+    if not gap:
+        return BoundReport(inequality=inequality, domain="x > 0", status=CERTIFIED,
+                           points_checked=0, worst_margin="0", worst_point="symbolic",
+                           max_precision_bits=0)
+
+    def judge(coefficient: Formal) -> Judgement:
+        value = coefficient.evaluate()
+        return (UNDECIDED if 0 in value else VIOLATED), 0, value
 
     return _sweep(
-        inequality=f"doubling_identity_beta_{beta}",
-        domain=_grid_domain(xs),
-        points=[(f"x={x}", partial(judge, x)) for x in xs],
+        inequality=inequality,
+        domain="x > 0",
+        points=[(f"coefficient of {name}", partial(judge, c))
+                for name, c in gap.coefficients_in_x()],
         base_bits=base_bits,
     )
 

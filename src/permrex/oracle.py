@@ -163,22 +163,6 @@ def minimal_cost_table(u: WordUniverse) -> CostTable:
     return CostTable(universe=u, costs=costs)
 
 
-def is_fixpoint(table: CostTable) -> bool:
-    """No concatenation, and no union of a language with an atom, undercuts a cost.
-
-    Adding one atom at a time, the union check bounds cost(X | Y) by
-    cost(X) plus the cost of any atom cover of Y.
-    """
-    costs = table.costs
-    triples = _concat_splits(table.universe)
-    if any(costs[a] + costs[b] < costs[c] for a, b, c in triples):
-        return False
-    atoms = {c for _, _, c in triples}
-    atoms.update(1 << i for i, w in enumerate(table.universe.words) if len(w) == 1)
-    return all(costs[x | atom] <= costs[x] + costs[atom]
-               for atom in atoms for x in range(len(costs)))
-
-
 @functools.cache
 def _table_for(n: int) -> CostTable:
     return minimal_cost_table(build_universe(n))

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath import iv, mp
 
-from permrex import bounds, lengths
+from permrex import bounds, doubling, lengths
 from permrex.errors import DomainError, InvalidArgs
 
 # Reference values computed once with plain high-precision floating point
@@ -36,6 +41,20 @@ def enclosed(x: iv.mpf, reference: str, tol="1e-20") -> bool:
     return lo - eps <= ref <= hi + eps
 
 
+def contains(x: iv.mpf, q: Fraction | int) -> bool:
+    """Whether x holds the rational q; exact, as both endpoints are dyadic."""
+    lo, hi = bounds.endpoints(x)
+    if not (mp.isfinite(lo) and mp.isfinite(hi)):
+        return False
+    lo, hi = (Fraction(*map(int, mpmath.libmp.to_rational(e._mpf_))) for e in (lo, hi))
+    return lo <= q <= hi
+
+
+def overlap(lhs: iv.mpf, rhs: iv.mpf) -> bool:
+    """True when the two intervals intersect (consistent with equality)."""
+    return not (lhs < rhs) and not (rhs < lhs)
+
+
 def test_precision_ladder():
     assert bounds.precision_ladder(200) == [200, 400, 800, 1600, 2000]
     assert bounds.precision_ladder(2000) == [2000]
@@ -56,19 +75,19 @@ def test_enclosure_basics():
     with bounds.precision(200):
         five = iv.mpf(5)
         assert bounds.exact_int(five) == 5
-        assert bounds.contains(five, 5)
+        assert contains(five, 5)
         third = bounds.rational(Fraction(1, 3))
         assert bounds.exact_int(third) is None
-        assert bounds.contains(third, Fraction(1, 3))
-        assert not bounds.contains(third, Fraction(1, 2))
+        assert contains(third, Fraction(1, 3))
+        assert not contains(third, Fraction(1, 2))
         lo, hi = bounds.endpoints(third)
         assert lo < hi
-        assert bounds.contains(five + third, Fraction(16, 3))
-        assert bounds.contains(five - third, Fraction(14, 3))
-        assert bounds.contains(five * third, Fraction(5, 3))
-        assert bounds.contains(five / third, 15)
-        assert bounds.contains(1 + third, Fraction(4, 3))
-        assert bounds.contains(-third, Fraction(-1, 3))
+        assert contains(five + third, Fraction(16, 3))
+        assert contains(five - third, Fraction(14, 3))
+        assert contains(five * third, Fraction(5, 3))
+        assert contains(five / third, 15)
+        assert contains(1 + third, Fraction(4, 3))
+        assert contains(-third, Fraction(-1, 3))
 
 
 def test_enclosure_of_huge_integer_is_outward():
@@ -77,7 +96,7 @@ def test_enclosure_of_huge_integer_is_outward():
 
         big = math.factorial(100)
         enc = iv.mpf(big)
-        assert bounds.contains(enc, big)
+        assert contains(enc, big)
         lo, hi = bounds.endpoints(enc)
         assert lo < hi  # cannot be exact in 64 bits, must widen
 
@@ -100,8 +119,8 @@ def test_transcendental_wrappers():
         assert bounds.exact_int(iv.exp(0)) == 1
         assert bounds.exact_int(bounds.enc_log(iv.mpf(1))) == 0
         s2 = bounds.enc_sqrt(iv.mpf(2))
-        assert bounds.contains(s2 * s2, 2)
-        assert bounds.contains(+iv.pi, Fraction(355, 113)) is False
+        assert contains(s2 * s2, 2)
+        assert contains(+iv.pi, Fraction(355, 113)) is False
         with pytest.raises(DomainError):
             bounds.enc_log(iv.mpf(0))
         with pytest.raises(DomainError):
@@ -112,9 +131,9 @@ def test_enc_pow_integer_exponents_are_exact():
     with bounds.precision(200):
         two = iv.mpf(2)
         assert bounds.exact_int(bounds.enc_pow(two, 10)) == 1024
-        assert bounds.contains(bounds.enc_pow(two, Fraction(-1, 1)), Fraction(1, 2))
+        assert contains(bounds.enc_pow(two, Fraction(-1, 1)), Fraction(1, 2))
         half = bounds.enc_pow(two, Fraction(1, 2))
-        assert bounds.contains(half * half, 2)
+        assert contains(half * half, 2)
         one = bounds.enc_pow(iv.mpf(1), Fraction(7, 3))
         assert bounds.exact_int(one) == 1
 
@@ -209,26 +228,119 @@ def test_filter_ga_domain_drops_small_points():
 
 
 def test_check_lemma_gaS_certifies_tightly():
-    grid = bounds.default_grid(Fraction(1), Fraction(30), Fraction(1, 2))
+    # Exactly: the log gap cancels, so the identity holds for every x > 0.
     for beta in (Fraction(2), Fraction(5, 2)):
-        report = bounds.check_lemma_gaS(grid, beta)
-        assert report.status == bounds.CERTIFIED, report.failures[:3]
+        for bits in (16, 200):
+            report = bounds.check_lemma_gaS(beta, base_bits=bits)
+            assert report == bounds.BoundReport(
+                inequality=f"doubling_identity_beta_{beta}", domain="x > 0",
+                status=bounds.CERTIFIED, points_checked=0, worst_margin="0",
+                worst_point="symbolic", max_precision_bits=0)
+    for beta in (12, Fraction(7, 9), 4, 1):
+        assert not doubling.gap(beta, beta)
+    for bad in (0, Fraction(-1, 2)):
+        with pytest.raises(InvalidArgs):
+            bounds.check_lemma_gaS(bad)
+    with pytest.raises(InvalidArgs):
+        bounds.check_lemma_gaS(2, base_bits=8)
 
 
 def test_check_lemma_gaS_detects_wrong_alpha():
-    # With a mismatched beta the two sides differ; overlap must fail.
-    report = bounds.check_lemma_gaS([Fraction(4)], Fraction(3))
-    assert report.status == bounds.CERTIFIED
-    # Sanity: the identity really is beta-specific; perturb by reusing
-    # beta = 3's grid point against beta = 2's alpha directly.
-    with bounds.precision(200):
-        a2 = bounds.alpha_for_beta(2)
-        x = iv.mpf(4)
-        s4 = bounds.stirling_S(x)
-        s8 = bounds.stirling_S(iv.mpf(8))
-        lhs = iv.mpf(3) * s8 / (s4 * s4) * bounds.g_alpha(x, a2)
-        rhs = bounds.g_alpha(iv.mpf(8), a2)
-        assert not bounds.overlap(lhs, rhs)
+    # Mismatched (beta, alpha) pairs leave ln(beta) - ln(2) on the constant
+    # monomial, which the interval check certifies to be nonzero.
+    for beta, alpha_beta in ((Fraction(3), Fraction(2)), (Fraction(5, 2), Fraction(2))):
+        gap = doubling.gap(beta, alpha_beta)
+        assert gap == doubling.ln(beta) - doubling.ln(2)
+        report = bounds._identity_report("mismatched", gap, bounds.DEFAULT_PRECISION_BITS)
+        assert report.status == bounds.VIOLATED
+        assert report.failures == ("coefficient of 1: violated",)
+        assert report.domain == "x > 0"
+    assert not doubling.gap(4, 4)
+    assert bounds.check_lemma_gaS(4).status == bounds.CERTIFIED
+
+
+def test_identity_report_names_every_nonzero_monomial():
+    x, ln_x = doubling.Formal.atom("x"), doubling.Formal.atom("ln x")
+    # ln 4 - 2 ln 2 is zero, but as free atoms it does not cancel, and no
+    # precision separates it from 0.
+    separable = (doubling.ln(3) - doubling.ln(2)) * x * ln_x
+    inseparable = (doubling.ln(4) - 2 * doubling.ln(2)) * ln_x * ln_x
+    report = bounds._identity_report("demo", separable + inseparable, base_bits=200)
+    assert report.status == bounds.VIOLATED
+    assert report.failures == ("coefficient of (ln x)^2: undecided",
+                               "coefficient of x ln x: violated")
+    assert report.max_precision_bits == bounds.MAX_PRECISION_BITS
+    report = bounds._identity_report("demo", inseparable, base_bits=200)
+    assert report.status == bounds.UNDECIDED
+
+
+def test_doubling_module_loads_on_first_proof():
+    # Commands that never prove the identity do not load its module.  A
+    # fresh interpreter, because this one has imported it already.
+    probe = ("import sys, permrex.cli\n"
+             "before = 'permrex.doubling' in sys.modules\n"
+             "permrex.cli.bounds.check_lemma_gaS(2)\n"
+             "print(before, 'permrex.doubling' in sys.modules)\n")
+    src = Path(bounds.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def at(x: Fraction):
+    """Atom values at the point x, for evaluating a formal polynomial there."""
+
+    def value(atom: str) -> iv.mpf:
+        if atom == "x":
+            return bounds.rational(x)
+        if atom == "ln x":
+            return iv.log(bounds.rational(x))
+        return doubling.atom_value(atom)
+
+    return value
+
+
+def test_formal_model_matches_the_interval_functions():
+    # A typo in the formal ln S or ln g_a would move it off the function it
+    # claims to mirror; tight enclosures of the same real must intersect.
+    x_atom, ln_x = doubling.Formal.atom("x"), doubling.Formal.atom("ln x")
+    with bounds.precision(800):
+        for x in (Fraction(1, 3), Fraction(297, 4)):
+            value = at(x)
+            ln_s = doubling.ln_S(x_atom, ln_x).evaluate(value)
+            assert overlap(ln_s, iv.log(bounds.stirling_S(bounds.rational(x))))
+            for beta in (Fraction(2), Fraction(5, 2)):
+                a = doubling.alpha(beta)
+                assert overlap(a.evaluate(value), bounds.alpha_for_beta(beta))
+                ln_g = doubling.ln_g(x_atom, ln_x, a).evaluate(value)
+                g = bounds.g_alpha(bounds.rational(x), bounds.alpha_for_beta(beta))
+                assert overlap(ln_g, iv.log(g))
+                wrong = doubling.ln_g(x_atom, ln_x, a + Fraction(1, 10**20))
+                assert not overlap(wrong.evaluate(value), iv.log(g))
+
+
+def relative_radius(v: iv.mpf):
+    lo, hi = bounds.endpoints(v)
+    return (hi - lo) / abs(lo + hi)
+
+
+def test_doubling_identity_samples_agree_off_the_grid():
+    # The pointwise evaluation the proof replaced, kept as a sampler: at
+    # 800 bits both sides intersect, each with relative radius below 1e-30,
+    # including points off the default quarter-step grid on [1, 100].
+    with bounds.precision(800):
+        for beta in (Fraction(2), Fraction(5, 2)):
+            a = bounds.alpha_for_beta(beta)
+            for x in (Fraction(1, 3), Fraction(2), Fraction(24), Fraction(297, 4),
+                      Fraction(10**4)):
+                s_x = bounds.stirling_S(bounds.rational(x))
+                s_2x = bounds.stirling_S(bounds.rational(2 * x))
+                lhs = bounds.rational(beta) * s_2x / (s_x * s_x) * bounds.g_alpha(
+                    bounds.rational(x), a)
+                rhs = bounds.g_alpha(bounds.rational(2 * x), a)
+                assert overlap(lhs, rhs), (beta, x)
+                assert max(relative_radius(lhs), relative_radius(rhs)) < mp.mpf(10)**-30
 
 
 def test_check_fn_bounds_certifies_with_tight_power_of_two():
