@@ -57,7 +57,6 @@ from .verify import (
     language_equals_permutations,
     naive_matches,
     uniform_length,
-    word_symbols,
 )
 
 __version__ = "0.1.0"
@@ -103,6 +102,5 @@ __all__ = [
     "language_equals_permutations",
     "naive_matches",
     "uniform_length",
-    "word_symbols",
     "__version__",
 ]

@@ -56,9 +56,18 @@ def _build(args: argparse.Namespace) -> regex_ast.Regex:
 
 def _require_printable(max_n: int, largest) -> None:
     """Refuse, before any table is built, a `max_n` whose largest printed
-    value `largest(max_n)` has more decimal digits than Python converts."""
+    value `largest(max_n)` has more decimal digits than Python converts.
+
+    `largest` grows with n, so it is probed at n = 1, 2, 4, ... and never
+    evaluated past twice the first n it cannot print."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
-    if limit and max_n >= 1 and largest(max_n) >= 10**limit:
+    if not limit or max_n < 1:
+        return
+    bound = 10**limit
+    n = 1
+    while n < max_n and largest(n) < bound:
+        n = min(2 * n, max_n)
+    if largest(n) >= bound:
         raise InvalidArgs(
             f"--max-n {max_n} would print integers of more than {limit} digits, "
             "Python's limit for int-to-text conversion (sys.set_int_max_str_digits)"
@@ -131,7 +140,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict | str, int]:
             if growth.min_ratio is None
             else _fraction_str(growth.min_ratio),
             "min_ratio_at": growth.min_ratio_at,
-            "violations": growth.violations,
+            "violations": [
+                {"n": n, "ratio": _fraction_str(ratio)} for n, ratio in growth.violations
+            ],
         },
     }
     return report, 0 if not choice_failures and growth.passed else 1

@@ -14,8 +14,11 @@ differs only in the size of the first part (1, or half of S).
 Every builder refuses with SizeCap before it builds anything larger than
 MAX_SYMBOLS symbol occurrences, so a typo in n cannot allocate gigabytes:
 the split builders predict their length, and FLAT_CAP bounds the flat
-one.  Subset enumeration is colexicographic; that fixed order is what
-makes rendered output byte-stable.
+one.  Lengths grow with n, so past the first n over the cap a split
+builder refuses on n alone, without computing a length of millions of
+digits, and `first_n` materializes no alphabet of more than MAX_SYMBOLS
+symbols.  Subset enumeration is colexicographic; that fixed order is
+what makes rendered output byte-stable.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ class AlphabetSet:
         """The standard alphabet {1, ..., n}."""
         if n < 1:
             raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
+        # Each symbol occurs in any expression for P_n, so none larger is built.
+        if n > MAX_SYMBOLS:
+            raise SizeCap(n, MAX_SYMBOLS, what="alphabet symbols")
         return cls(tuple(range(1, n + 1)))
 
     @property
@@ -64,13 +70,20 @@ MAX_SYMBOLS = 10**7
 FLAT_CAP = 8
 
 
-def _build_split(s: AlphabetSet, predicted: int, first_size: Callable[[int], int]) -> Regex:
+def _build_split(
+    s: AlphabetSet, length: Callable[[int], int], first_size: Callable[[int], int]
+) -> Regex:
     """Union, over every first part A of s with |A| = first_size(|s|) in colex
     order, of (permutations of A)(permutations of s minus A), recursively.
 
     Sub-expressions for repeated subsets are built once and shared, so the
-    result is a DAG whose tree expansion has alphabetic length `predicted`.
+    result is a DAG whose tree expansion has alphabetic length `length(|s|)`.
     """
+    # `length` grows with n: once some m < |s| is over the cap, so is |s|.
+    stop = next(m for m in itertools.count(1) if m == s.n or length(m) > MAX_SYMBOLS)
+    if stop < s.n:
+        raise SizeCap(s.n, stop - 1, what="alphabet symbols")
+    predicted = length(s.n)
     if predicted > MAX_SYMBOLS:
         raise SizeCap(predicted, MAX_SYMBOLS)
 
@@ -96,13 +109,13 @@ def build_divide_and_conquer(s: AlphabetSet) -> Regex:
     Union terms follow the colex order of the chosen halves; the tree
     expansion has alphabetic length exactly f(|s|).
     """
-    return _build_split(s, lengths.f(s.n), lambda size: size // 2)
+    return _build_split(s, lengths.f, lambda size: size // 2)
 
 
 def build_tail_recursive(s: AlphabetSet) -> Regex:
     """Sum over the first symbol i of i followed by permutations of the rest:
     the split whose first part has one symbol.  Length t(|s|)."""
-    return _build_split(s, lengths.t(s.n), lambda size: 1)
+    return _build_split(s, lengths.t, lambda size: 1)
 
 
 def build_flat_union(s: AlphabetSet) -> Regex:

@@ -67,9 +67,13 @@ def build_universe(n: int) -> WordUniverse:
     if n < 1:
         raise InvalidArgs(f"universe needs n >= 1, got {n}")
     if n > ORACLE_CAP:
+        # The universe grows with n; past the first n over the cap it is
+        # bounded by that n's, not counted.
+        shown = ORACLE_CAP + 1
+        count = sum(math.perm(shown, m) for m in range(1, shown + 1))
         raise CapExceeded(
-            f"oracle capped at n = {ORACLE_CAP}: n = {n} would need 2^"
-            f"{sum(math.perm(n, m) for m in range(1, n + 1))} language masks")
+            f"oracle capped at n = {ORACLE_CAP}: n = {n} would need "
+            f"{'more than ' if n > shown else ''}2^{count} language masks")
     words = tuple(
         perm
         for length in range(1, n + 1)
@@ -200,7 +204,8 @@ class MainOptReport:
 
 def check_main_opt(n: int) -> MainOptReport:
     """Verify ell(n,k)/k >= ell(n,n!)/n! = f(n)/n! for every 1 <= k <= n!."""
-    factorial = math.factorial(n)
+    # n! read off the table, which refuses an n past the cap first.
+    factorial = len(_table_for(n).universe.permutation_indices)
     full_cost = ell(n, factorial)
     matches_f = full_cost == lengths.f(n)
     base_ratio = Fraction(full_cost, factorial)

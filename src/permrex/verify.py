@@ -17,11 +17,17 @@ differing supports) is unknown and sends the expression to the walk.
 
 The same fold counts the Sym leaves, proof or not, and that count is the
 position count the walk refuses on (MAX_POSITIONS) before it builds its
-automaton.  The position automaton keeps one NFA state per Sym leaf, so
-its state count is an independent cross-check of the fold's count.  State
-sets are Python ints used as bitmasks; stepping a set is an or-loop over
-its set bits, which keeps the hot path in C.  The walk combines three
-facts into an unconditional certificate for star-free inputs:
+automaton.  At nodes without a descriptor it also records what the
+length-n walk cannot see: whether a star occurs, and which symbols
+outside 1..n some word of the language reads.  A node with a descriptor
+needs neither, since it denotes a nonempty, star-free set of
+permutations over 1..n.
+
+The position automaton keeps one NFA state per Sym leaf, so its state
+count is an independent cross-check of the fold's count.  State sets are
+Python ints used as bitmasks; stepping a set is an or-loop over its set
+bits, which keeps the hot path in C.  The walk combines three facts into
+an unconditional certificate for star-free inputs:
 
   1. every word of length n over the alphabet is classified by running
      the automaton down the prefix tree (dead prefixes are pruned, with
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import CapExceeded, InvalidArgs, SizeCap
-from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold, postorder
+from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold
 
 DEFAULT_VERIFY_CAP = 7
 # The follow table is dense, about positions^2 / 8 bytes: 2 GB at this cap.
@@ -204,41 +210,6 @@ def uniform_length(expr: Regex) -> int | None:
     return out if isinstance(out, int) else None
 
 
-def contains_star(expr: Regex) -> bool:
-    return any(type(node) is Star for node in postorder(expr))
-
-
-def _word_symbols(node: Regex, *kids: object) -> object:
-    kind = type(node)
-    if kind is Sym:
-        return frozenset((node.sym,))
-    if kind is Epsilon:
-        return frozenset()
-    if kind is EmptySet:
-        return _EMPTY
-    if kind is Star:
-        return frozenset() if kids[0] is _EMPTY else kids[0]
-    left, right = kids
-    if kind is Concat and (left is _EMPTY or right is _EMPTY):
-        return _EMPTY
-    if left is _EMPTY:
-        return right
-    if right is _EMPTY or right <= left:
-        return left
-    return left | right
-
-
-def word_symbols(expr: Regex) -> frozenset[int] | None:
-    """The symbols that some word of L(expr) reads; None when L is empty.
-
-    A position of the Glushkov automaton lies on an accepted word exactly
-    when its symbol occurrence does, so these are the symbols of its live
-    positions.
-    """
-    out = fold(expr, _word_symbols)
-    return None if out is _EMPTY else out
-
-
 # The split proof is tried up to this n; the cover search is over 2^n
 # subsets.  A split expression for n = 16 would need far more than the
 # builders' 10^7 symbols.
@@ -282,10 +253,16 @@ def _covers(family: Split) -> bool:
     return True
 
 
-def _split_proof(expr: Regex, n: int) -> tuple[bool, int]:
-    """Whether the split structure of `expr` proves L(expr) = P_n, and the
-    alphabetic length of `expr` in either case.  One fold yields both;
-    above MAX_SPLIT_N no Sym starts a descriptor, so the fold only counts."""
+# The facts of a node with a descriptor: no star, no foreign symbol.
+_PERMUTATIONS = (False, frozenset())
+
+
+def _split_proof(expr: Regex, n: int) -> tuple[bool, int, bool, frozenset[int] | None]:
+    """Whether the split structure of `expr` proves L(expr) = P_n; the
+    alphabetic length of `expr`; whether it is star-free; and the symbols
+    outside 1..n that some word of L(expr) reads, None when L(expr) is
+    empty.  One fold yields all four; above MAX_SPLIT_N no Sym starts a
+    descriptor, so the fold only counts and reads."""
     alphabet = n if n <= MAX_SPLIT_N else 0
     permutations_of: dict[Regex, int] = {}
 
@@ -323,18 +300,34 @@ def _split_proof(expr: Regex, n: int) -> tuple[bool, int]:
             return left[0], left, right
         return None
 
-    def describe_and_count(
-        node: Regex, *kids: tuple[Split | None, int]
-    ) -> tuple[Split | None, int]:
-        if not kids:
-            return describe(node), int(type(node) is Sym)
-        splits, counts = zip(*kids)
-        return describe(node, *splits), sum(counts)
+    def read(node: Regex, *kids: tuple) -> tuple[bool, frozenset[int] | None]:
+        """Whether a star occurs in a node without a descriptor, and its
+        live symbols outside 1..n (None: L(node) is empty)."""
+        kind = type(node)
+        if kind is Sym:
+            return False, frozenset() if 1 <= node.sym <= n else frozenset((node.sym,))
+        if kind is Epsilon:
+            return False, frozenset()
+        if kind is EmptySet:
+            return False, None
+        stars, lives = zip(*kids)
+        if kind is Star:
+            return True, lives[0] or frozenset()
+        present = [live for live in lives if live is not None]
+        if not present or (kind is Concat and len(present) < 2):
+            return True in stars, None
+        return True in stars, frozenset().union(*present)
 
-    root, positions = fold(expr, describe_and_count)
+    def describe_count_read(node: Regex, *kids: tuple) -> tuple:
+        splits, counts, facts = zip(*kids) if kids else ((), (type(node) is Sym,), ())
+        split = describe(node, *splits)
+        return split, sum(counts), read(node, *facts) if split is None else _PERMUTATIONS
+
+    root, positions, facts = fold(expr, describe_count_read)
     full = ((1 << alphabet) - 1) << 1
     proved = root is not None and root[0] == full and perm_support(expr, root) == full
-    return proved, positions
+    star, foreign = facts
+    return proved, positions, not star, foreign
 
 
 @dataclass(frozen=True)
@@ -378,7 +371,7 @@ def language_equals_permutations(
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
-    proved, positions = _split_proof(expr, n)
+    proved, positions, star_free, foreign = _split_proof(expr, n)
     if proved:
         factorial = math.factorial(n)
         return Certificate(
@@ -396,13 +389,16 @@ def language_equals_permutations(
             violations=(),
             method="structural",
         )
-    return _exhaustive_certificate(expr, n, cap, positions)
+    return _exhaustive_certificate(expr, n, cap, positions, star_free, foreign)
 
 
-def _exhaustive_certificate(expr: Regex, n: int, cap: int, positions: int) -> Certificate:
+def _exhaustive_certificate(
+    expr: Regex, n: int, cap: int, positions: int, star_free: bool,
+    foreign: frozenset[int] | None,
+) -> Certificate:
     """The walk over all n^n length-n words, under `cap` and MAX_POSITIONS.
-    `positions` is the alphabetic length of `expr`, as the split fold
-    counted it."""
+    `positions`, `star_free` and the live `foreign` symbols are what the
+    split fold read of `expr`."""
     if n > cap:
         raise CapExceeded(
             f"exhaustive verification capped at n = {cap} ({n}^{n} words is too many)")
@@ -411,7 +407,6 @@ def _exhaustive_certificate(expr: Regex, n: int, cap: int, positions: int) -> Ce
 
     nfa = glushkov(expr)
     ulen = uniform_length(expr)
-    star_free = not contains_star(expr)
     follow, last = nfa.follow, nfa.last
     # masks[c]: the positions that read c; no other symbol is stepped on.
     masks = [0] * (n + 1)
@@ -426,9 +421,8 @@ def _exhaustive_certificate(expr: Regex, n: int, cap: int, positions: int) -> Ce
         if len(violations) < _MAX_WITNESSES:
             violations.append(message)
 
-    for s in sorted(word_symbols(expr) or ()):
-        if not 1 <= s <= n:
-            note(f"a reachable, accepting path reads symbol {s} outside 1..{n}")
+    for s in sorted(foreign or ()):
+        note(f"a reachable, accepting path reads symbol {s} outside 1..{n}")
     if nfa.accepts_epsilon:
         note("accepts the empty word")
     if ulen != n:

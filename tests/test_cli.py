@@ -9,12 +9,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import permrex
-from permrex import bounds, cli, construct, lengths, regex_ast
+from permrex import bounds, cli, construct, lengths, oracle, regex_ast
 
 from conftest import union_terms
 
@@ -226,6 +227,18 @@ def test_lemmas(capsys):
     assert report["triple_growth"]["passed"] is True
 
 
+def test_lemmas_reports_a_failing_triple_growth_sweep(capsys, monkeypatch):
+    failing = lengths.TripleGrowthReport(
+        max_n=4, passed=False, min_ratio=Fraction(5, 2), min_ratio_at=2,
+        violations=((2, Fraction(5, 2)), (3, Fraction(11, 4))))
+    monkeypatch.setattr(lengths, "check_triple_growth", lambda max_n: failing)
+    code, out, _ = run(capsys, "lemmas", "--max-n", "4")
+    assert code == 1
+    growth = json.loads(out)["report"]["triple_growth"]
+    assert growth["min_ratio"] == "5/2"
+    assert growth["violations"] == [{"n": 2, "ratio": "5/2"}, {"n": 3, "ratio": "11/4"}]
+
+
 def test_bounds_small(capsys):
     code, out, _ = run(
         capsys, "bounds", "--max-n", "16", "--grid", "2:8:0.5")
@@ -331,10 +344,36 @@ def _exit_code_and_err(capsys, argv):
     (["bounds", "--max-n", str(bounds.MAX_SWEEP_N + 1)], "at most"),
     (["bounds", "--grid", "0:2:1"], "grid"),
     (["bounds", "--grid", "1/2:2:1"], "grid"),
+    (["len", "--max-n", "1000000"], "digits"),
+    (["len", "--max-n", "10000000"], "digits"),
+    (["table", "--max-n", "1000000"], "digits"),
+    (["oracle", "--n", "2000"], "capped"),
+    (["oracle", "--n", "20000"], "capped"),
+    (["gen", "dnc", "--n", "1000000"], "alphabet symbols"),
+    (["gen", "tail", "--n", "200000"], "alphabet symbols"),
+    (["verify", "--builder", "tail", "--n", "200000"], "alphabet symbols"),
+    (["gen", "flat", "--n", "100000000"], f"exceeds cap {construct.MAX_SYMBOLS}"),
 ])
 def test_out_of_range_inputs_refused_up_front(capsys, monkeypatch, argv, word):
     def forbidden(*args, **kwargs):
         raise AssertionError("refusal came after work started")
+
+    # The oracle counts nothing past the first n over its cap, and the digit
+    # probes stop below twice 7161, the first n whose f(n) has more than the
+    # default 4300 digits.
+    huge = oracle.ORACLE_CAP + 2 if argv[0] == "oracle" else 20_000
+
+    def below_huge(function):
+        def guarded(n, *args):
+            if n >= huge:
+                raise AssertionError(f"refusal evaluated {function.__name__}({n})")
+            return function(n, *args)
+        return guarded
+
+    # No length, factorial, binomial or permutation count at a huge argument.
+    for module, name in [(lengths, "f"), (lengths, "t"), (lengths, "flat_length"),
+                         (math, "factorial"), (math, "comb"), (math, "perm")]:
+        monkeypatch.setattr(module, name, below_huge(getattr(module, name)))
 
     # Building the grid, evaluating any point, tabulating f and the n-sweeps
     # go through these.
@@ -537,6 +576,7 @@ def test_oracle_cap(capsys):
     code, _, err = run(capsys, "oracle", "--n", "4")
     assert code == 2
     assert "capped" in err
+    assert "n = 4 would need 2^64 language masks" in err
 
 
 def test_usage_error_exit_code():

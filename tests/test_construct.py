@@ -146,3 +146,27 @@ def test_size_caps_refuse_before_building():
     with pytest.raises(SizeCap) as info:
         construct.build_flat_union(first_n(construct.FLAT_CAP + 1))
     assert info.value.cap == construct.FLAT_CAP
+
+
+def test_huge_alphabets_refused_on_their_size(monkeypatch):
+    # Lengths grow with n, so past the first n over the cap none is computed,
+    # and no alphabet larger than the symbol cap is materialized.
+    def small_only(length):
+        def guarded(n):
+            assert n <= 14, f"length computed at n = {n}"
+            return length(n)
+        return guarded
+
+    monkeypatch.setattr(lengths, "f", small_only(lengths.f))
+    monkeypatch.setattr(lengths, "t", small_only(lengths.t))
+    for build, n, fits in [(construct.build_divide_and_conquer, 15, 13),
+                           (construct.build_divide_and_conquer, 10**6, 13),
+                           (construct.build_tail_recursive, 12, 10),
+                           (construct.build_tail_recursive, 2 * 10**5, 10)]:
+        with pytest.raises(SizeCap) as info:
+            build(first_n(n))
+        assert (info.value.predicted, info.value.cap) == (n, fits)
+        assert str(info.value) == f"refusing to build: {n} alphabet symbols exceeds cap {fits}"
+    with pytest.raises(SizeCap) as info:
+        first_n(10**8)
+    assert (info.value.predicted, info.value.cap) == (10**8, construct.MAX_SYMBOLS)

@@ -1,7 +1,10 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -37,8 +40,8 @@ def test_glushkov_counts_shared_subtrees_per_occurrence():
 
 
 def walk(expr, n):
-    """The production walk at cap n, with the fold's position count."""
-    return verify._exhaustive_certificate(expr, n, n, verify._split_proof(expr, n)[1])
+    """The production walk at cap n, with what the split fold read."""
+    return verify._exhaustive_certificate(expr, n, n, *verify._split_proof(expr, n)[1:])
 
 
 def brute_force_counts(expr, n):
@@ -216,7 +219,7 @@ def test_structure_refuses_foreign_and_differing_supports():
     assert not verify._split_proof(regex_ast.parse("12+21+13", 3), 3)[0]
     huge = regex_ast.Sym(10**12)  # no 2^(10^12)-bit mask is built for it
     expr = regex_ast.Union(regex_ast.parse("12", 2), regex_ast.Concat(regex_ast.Sym(2), huge))
-    assert verify._split_proof(expr, 2) == (False, 4)
+    assert verify._split_proof(expr, 2) == (False, 4, True, {10**12})
     assert not verify._covers((0b110, (0b110, 0b10), (0b110, 0b10)))
     assert verify._covers((0b110, (0b110, 0b10), (0b110, 0b100)))
 
@@ -234,50 +237,59 @@ def substitute(expr, target, replacement):
     return regex_ast.fold(expr, rebuild)
 
 
-@st.composite
-def mutated_builder_output(draw, max_n=6, kinds=MUTATION_KINDS):
-    """Builder output with one change: a union chain, shared wherever it
-    occurs, loses, repeats or swaps a term; or one symbol occurrence, at the
-    end of a drawn path from the root, is relabelled or starred."""
-    name = draw(st.sampled_from(["dnc", "tail", "flat"]))
-    n = draw(st.integers(2, max_n))
-    expr = build(name, n)
-    kind = draw(st.sampled_from(kinds))
+def mutate(expr, n, kind, pick):
+    """`expr` with one change: a union chain, shared wherever it occurs,
+    loses, repeats or swaps a term; or one symbol occurrence, at the end of
+    a picked path from the root, is relabelled or starred.  `pick(options)`
+    chooses one element of a nonempty sequence."""
     if kind in ("relabel", "star"):
         # Only the path is rebuilt: replacing the Sym node itself would
         # change every occurrence of its symbol in the shared DAG.
         path = []
         leaf = expr
         while type(leaf) is not regex_ast.Sym:
-            left = draw(st.booleans())
+            left = pick((True, False))
             path.append((leaf, left))
             leaf = leaf.left if left else leaf.right
         if kind == "star":
             node = regex_ast.Star(leaf)
         else:
-            node = regex_ast.Sym(draw(st.integers(1, n).filter(lambda s: s != leaf.sym)))
+            node = regex_ast.Sym(pick([s for s in range(1, n + 1) if s != leaf.sym]))
         for parent, left in reversed(path):
             node = type(parent)(node, parent.right) if left else type(parent)(parent.left, node)
-        return node, n, kind
+        return node
     nodes = list(regex_ast.postorder(expr))
-    target = draw(st.sampled_from([x for x in nodes if type(x) is regex_ast.Union]))
+    target = pick([x for x in nodes if type(x) is regex_ast.Union])
     terms = union_terms(target)
-    i = draw(st.integers(0, len(terms) - 1))
-    j = draw(st.integers(0, len(terms) - 1))
+    i = pick(range(len(terms)))
+    j = pick(range(len(terms)))
     if kind == "drop":
         del terms[i]
     elif kind == "dup":
         terms.insert(j, terms[i])
     else:
         terms[i], terms[j] = terms[j], terms[i]
-    return substitute(expr, target, functools.reduce(regex_ast.Union, terms)), n, kind
+    return substitute(expr, target, functools.reduce(regex_ast.Union, terms))
+
+
+@st.composite
+def mutated_builder_output(draw, max_n=6, kinds=MUTATION_KINDS):
+    """Builder output with one `mutate` change, every choice drawn."""
+    name = draw(st.sampled_from(["dnc", "tail", "flat"]))
+    n = draw(st.integers(2, max_n))
+    kind = draw(st.sampled_from(kinds))
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    return mutate(build(name, n), n, kind, pick), n, kind
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_builder_output())
 def test_structural_pass_implies_walk_pass_on_mutants(case):
     expr, n, _ = case
-    proved, positions = verify._split_proof(expr, n)
+    proved, positions = verify._split_proof(expr, n)[:2]
     if proved:
         cert = walk(expr, n)
         assert cert.passed and cert.positions == positions
@@ -287,7 +299,7 @@ def test_structural_pass_implies_walk_pass_on_mutants(case):
 @given(any_regexes(n=3))
 def test_structural_pass_implies_walk_pass_on_random_expressions(expr):
     for n in (1, 2, 3):
-        proved, positions = verify._split_proof(expr, n)
+        proved, positions = verify._split_proof(expr, n)[:2]
         if proved:
             cert = walk(expr, n)
             assert cert.passed and cert.positions == positions
@@ -312,7 +324,13 @@ def test_foreign_symbol_on_a_dead_path_is_not_flagged():
     cert = verify.language_equals_permutations(expr, 2)
     assert cert.method == "exhaustive"
     assert cert.passed and not cert.violations
-    assert verify.word_symbols(expr) == {1, 2}
+    assert live_symbols(expr, 2) == set()
+    assert live_symbols(expr, 0) == {1, 2}
+
+
+def live_symbols(expr, n):
+    """The split fold's live symbols outside 1..n: all of them at n = 0."""
+    return verify._split_proof(expr, n)[3]
 
 
 def _longest_word(node, *kids):
@@ -330,9 +348,9 @@ def _longest_word(node, *kids):
     return max((k for k in kids if k is not None), default=None)
 
 
-@settings(max_examples=200, deadline=None)
-@given(any_regexes(n=3, with_star=False))
-def test_word_symbols_agree_with_brute_force(expr):
+def brute_force_symbols(expr):
+    """Whether some word of length <= 4 over 1..3 matches, and the symbols
+    of the matching words."""
     seen = set()
     nonempty = False
     for length in range(0, 5):
@@ -340,9 +358,154 @@ def test_word_symbols_agree_with_brute_force(expr):
             if verify.naive_matches(expr, word):
                 nonempty = True
                 seen.update(word)
-    symbols = verify.word_symbols(expr)
+    return nonempty, seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_regexes(n=3, with_star=False))
+def test_split_fold_live_symbols_agree_with_brute_force(expr):
+    nonempty, seen = brute_force_symbols(expr)
     longest = regex_ast.fold(expr, _longest_word)
-    if longest is None or longest <= 4:
-        assert symbols == (seen if nonempty else None)
-    else:
-        assert symbols is not None and seen <= symbols
+    for n in (0, 1, 2):
+        symbols = live_symbols(expr, n)
+        foreign = {s for s in seen if s > n}
+        if longest is None or longest <= 4:
+            assert symbols == (foreign if nonempty else None)
+        else:
+            assert symbols is not None and foreign <= symbols
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_regexes(n=3))
+def test_split_fold_reads_stars_and_bounds_live_symbols(expr):
+    # With stars the words up to length 4 only bound the live symbols below.
+    nonempty, seen = brute_force_symbols(expr)
+    starred = any(type(node) is regex_ast.Star for node in regex_ast.postorder(expr))
+    for n in (0, 1, 2):
+        _, _, star_free, symbols = verify._split_proof(expr, n)
+        assert star_free is not starred
+        assert (symbols is not None) >= nonempty
+        if nonempty:
+            assert {s for s in seen if s > n} <= symbols
+
+
+def test_exhaustive_certificate_reads_the_dag_twice(monkeypatch):
+    # The split fold and uniform_length; a structural proof is the fold alone.
+    walks = []
+    postorder = regex_ast.postorder
+
+    def counted(expr):
+        walks.append(expr)
+        return postorder(expr)
+
+    for module in (regex_ast, verify):
+        monkeypatch.setattr(module, "postorder", counted, raising=False)
+    for expr, n, method, count in [
+        (build("flat", 4), 4, "exhaustive", 2),
+        (regex_ast.parse("12+21+3&", 3), 2, "exhaustive", 2),
+        (build("dnc", 6), 6, "structural", 1),
+    ]:
+        walks.clear()
+        assert verify.language_equals_permutations(expr, n).method == method
+        assert len(walks) == count, method
+
+
+def golden_case(case):
+    """The (expression, n) a golden-certificate case id names: a builder at
+    n, a seeded `mutate` of a seeded builder at n, or an odd input."""
+    odd = {
+        "empty-set": (regex_ast.EmptySet(), 2),
+        "epsilon": (regex_ast.Epsilon(), 2),
+        "star-of-empty-set": (regex_ast.Star(regex_ast.EmptySet()), 2),
+        "epsilon-in-union": (regex_ast.parse("e+12+21", 2), 2),
+        "foreign-live": (regex_ast.parse("12+21+3", 3), 2),
+        "foreign-dead": (regex_ast.parse("12+21+3&", 3), 2),
+        "short-word": (regex_ast.parse("1+12", 2), 2),
+        "starred-permutations": (regex_ast.parse("(12+21)*", 2), 2),
+    }
+    if case in odd:
+        return odd[case]
+    kind, n, *seed = case.split("-")
+    n = int(n)
+    if not seed:
+        return build(kind, n), n
+    pick = random.Random(case).choice
+    return mutate(build(pick(["dnc", "tail", "flat"]), n), n, kind, pick), n
+
+
+# sha256 of each certificate's JSON, as `certificate_digest` writes it.
+GOLDEN_DIGESTS = {
+    "dnc-1": "e1aaf009a988c8addd0285e0dd06c99e60ce37ce568a662bd6c0234e0333cf9f",
+    "dnc-2": "3dfbc1821c95fe7123c190705a7d7a818eefb42da179b13e65b82f3c84a59b67",
+    "dnc-3": "92fb0356fa62051ecd6a9716b866b780c5157e534632b32e93ff6b150f28e229",
+    "dnc-4": "1b68960f37e4301ef78334f10648957c957605ab49ec1783b97d2e32daff4c08",
+    "dnc-5": "bc24122b01b27262b18e695cb3984da5b8aaecc59028efbeafeb86d0677f0d00",
+    "dnc-6": "b00b6cba079a03f512265e491636eb45ea93f461f616ba457535ad47dd41d7a3",
+    "dnc-7": "3984b7233676ad236f60d57df5e16a101d4bd961ef63f153609cbdce2077fada",
+    "drop-4-1": "859e8115c5290da4fc7e0c6a74d30e3607adc58196ebe1d1ebed344b2257b2b4",
+    "drop-4-2": "ed5c29db18169f2eff028d0be3d421ac97bc66b1c0a38a145692b79ec785637e",
+    "drop-5-1": "65b3dba4dcd28b0844f64a8fcb55ff566444dc2f3c5fb4b7379776d1d85178da",
+    "drop-5-2": "484e6df24c5da77fddaad863af016bd6bfe7cc50b9b21ea753316ab7177197f5",
+    "drop-6-1": "103dd028efa14bc77dd96d74caa26954b3ee925d47dcad2c11798ea2c13c6aa7",
+    "drop-6-2": "6b322fbb8387b46f3801ad5602047c00a707c7c8f5f70d799e3bdd11b1caa0aa",
+    "dup-4-1": "e1430be86f13a7fc3895d4314945715c2d3c8b0683158a5af2181a5854ca585e",
+    "dup-4-2": "a77cea7bf5f066286e377a3e14d222892c7130d6eea713ddaaa63a2138901d5f",
+    "dup-5-1": "e6b1d758d8699b6c9f6b42d92decaa7ea375e5255b2892cce2d20a8d943e294c",
+    "dup-5-2": "4b9bb66204da40505fd505b27fe12ae8bea786c6c67c166f436e3c8dd848758f",
+    "dup-6-1": "3d54b37a47d96ec60643825b822399cacb60c7fe26462cf99224b28d0913a4af",
+    "dup-6-2": "f06bdd0818fe14a860058745da216665931f1fca6b8e58ce1118fa5997883a3e",
+    "empty-set": "c0d7b2589e1dbf96e6524066fe63e0b956b806f6cf3bee0c739d525e1fb8c913",
+    "epsilon": "2bbaedac85c367cf07ca530a3c1c0fa5d29a81e925b0b1d52891cb2941f818ef",
+    "epsilon-in-union": "56450d6457cfb0a5d0d8ddc62e016549a39060202e5ae1244831039a56a818df",
+    "flat-1": "e1aaf009a988c8addd0285e0dd06c99e60ce37ce568a662bd6c0234e0333cf9f",
+    "flat-2": "3dfbc1821c95fe7123c190705a7d7a818eefb42da179b13e65b82f3c84a59b67",
+    "flat-3": "c46957fb205193398dd6e73f89be2629425cd999b48dee4f6d047ea1e202c742",
+    "flat-4": "1763127c9ca2e6742abfb301492896069d9c86c0a691659bb846152f6133646f",
+    "flat-5": "10e7ac5df71a2b5a52dcef161f0671d43af7a2fa83e0bcf7e811490547696eb6",
+    "flat-6": "e727a79eb64ab2628e35df2f8ce00da91530ff45af32061d2a484008181a9611",
+    "flat-7": "96e2b0f64dd26b527e7f534b404f7216e80016d99d337311b806b1bca85dc9e3",
+    "foreign-dead": "b1a5565686ddd5cb0677c124d6a2f2ad8862296600cffc5fbefa6148c1d8cc9c",
+    "foreign-live": "0bb53fd6530d3b53a3889167c6203fce3cf80c39f97832a1e2484b47068d6bfd",
+    "relabel-4-1": "239de871176cb97a56d72c471631d10eeaeebdc6dc4291b90189bd3ca7f7327f",
+    "relabel-4-2": "63fbad93b59cc269f82684822b8d4075d192690b2b8987d94f19ccbef3cd6577",
+    "relabel-5-1": "3e393af1117868584d535d1bc401aea50960e3521de0a900369843808d33917c",
+    "relabel-5-2": "741f61b9a5ea31d21e2b31e92df1e443dcdf52760149f5126eb449dc1bd5a047",
+    "relabel-6-1": "e87c37791e643b43c26ecb25ad96be6b23fba613f207c6609c49f9c662538f6a",
+    "relabel-6-2": "2397cdafa5f550d75e0db21c13b466588e260d820ea5aaba091a8abf6072b145",
+    "short-word": "e0333f8e1daf5337518ee69290bd8bf17b09cfe4cb5157c6721d3f35ab8d79a4",
+    "star-4-1": "3bd4f167d306395324bb66640ba5d4a6ecf43684eb4366b797ce0896ce04b699",
+    "star-4-2": "fc5652bbe1b287aa256e576f8ecc3c523216359ef39ae71ee584e21b013b5aee",
+    "star-5-1": "7516827cc7bf0ef084bc0278330431d35dedf93e386d52226f1a74d99c04b282",
+    "star-5-2": "6d52d99c96db03d30381492266ca64c1658f95b2e49eaafe70ba2b95bd8ac328",
+    "star-6-1": "7cb47d201a35c8817b48b15a7848a16677cdc335b9dfa832a5f0a867e26e4c22",
+    "star-6-2": "14ed524e272057042489fe35920961cf27975f1ba9ee71dcb796721f4d951ab9",
+    "star-of-empty-set": "0fc25dbbad2e0d24261caf8d737f113b8c6895a2342abe6aed03bf82f1fae2ca",
+    "starred-permutations": "d0f9fba3fe2594716739e91679dc19dd5f8ce69f74aa759d3b8119f25d5a8821",
+    "swap-4-1": "33a925cf660883e471a5e5f3986828cd246e146014d15da7ce271d7dc87138af",
+    "swap-4-2": "1763127c9ca2e6742abfb301492896069d9c86c0a691659bb846152f6133646f",
+    "swap-5-1": "bc24122b01b27262b18e695cb3984da5b8aaecc59028efbeafeb86d0677f0d00",
+    "swap-5-2": "e0e0545d2ffe61e28b826262112a704f84029729524806d804851786fec4dc0e",
+    "swap-6-1": "50a03f0faaac80b31cb0320dfe0eafa45235a538f73929ce261cef9d84e14d19",
+    "swap-6-2": "b00b6cba079a03f512265e491636eb45ea93f461f616ba457535ad47dd41d7a3",
+    "tail-1": "e1aaf009a988c8addd0285e0dd06c99e60ce37ce568a662bd6c0234e0333cf9f",
+    "tail-2": "3dfbc1821c95fe7123c190705a7d7a818eefb42da179b13e65b82f3c84a59b67",
+    "tail-3": "92fb0356fa62051ecd6a9716b866b780c5157e534632b32e93ff6b150f28e229",
+    "tail-4": "33a925cf660883e471a5e5f3986828cd246e146014d15da7ce271d7dc87138af",
+    "tail-5": "e0e0545d2ffe61e28b826262112a704f84029729524806d804851786fec4dc0e",
+    "tail-6": "50a03f0faaac80b31cb0320dfe0eafa45235a538f73929ce261cef9d84e14d19",
+    "tail-7": "af88148c4c912c51e8aaedf4ecf9ba4e5ba7c9732de49038c556643a66b0077d",
+}
+
+
+def certificate_digest(cert):
+    text = json.dumps(dataclasses.asdict(cert), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_certificates_match_golden_digests(case):
+    # Pins every field, witness text and order included, of builder output
+    # and of wrong or odd inputs, whichever path certifies them.
+    expr, n = golden_case(case)
+    cert = verify.language_equals_permutations(expr, n)
+    assert certificate_digest(cert) == GOLDEN_DIGESTS[case]
