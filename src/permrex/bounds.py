@@ -18,6 +18,17 @@ decides, and the report keeps the worst certified point.  One judge,
 sandwich, the bracket lemmas, the growth bound and the domain filter of
 the growth-template bracket.
 
+The bracket lemmas evaluate S or g_a at x, x + 1/2 and x + 1, which on a
+half- or quarter-step grid are also later points' arguments.  Each
+bracket sweep, which has one alpha, memoizes its function on (x,
+precision) for as long as the sweep runs (`_per_rung`), so every
+argument is evaluated once per rung and the memo is freed with the
+sweep.  4^alpha, which the domain filter compares every point against,
+is computed once per alpha and rung.  A
+memoized interval is the one a fresh evaluation at that precision gives,
+so no verdict, margin or worst point moves.  The growth-bound sweep reads
+exact f(n) from `lengths.f_table`.
+
 The doubling identity is not sampled but proved: `permrex.doubling`
 builds its log gap as a formal polynomial, which cancels to exactly zero
 and so holds for every x > 0.  A gap that does not cancel goes up the
@@ -324,6 +335,22 @@ def _sweep(
     )
 
 
+def _per_rung(
+    value: Callable[[Fraction], mpmath.iv.mpf]
+) -> Callable[[Fraction], mpmath.iv.mpf]:
+    """value(x), memoized on (x, ambient precision) for as long as the sweep
+    that made it keeps it; grid neighbours share arguments."""
+    memo: dict[tuple[Fraction, int], mpmath.iv.mpf] = {}
+
+    def at(x: Fraction) -> mpmath.iv.mpf:
+        key = (x, mpmath.iv.prec)
+        if key not in memo:
+            memo[key] = value(x)
+        return memo[key]
+
+    return at
+
+
 def _le_judge(make: Callable[[], list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]]) -> Judge:
     """Judge of a point where every (lhs, rhs) pair from make() must satisfy
     lhs <= rhs.  Rank and margin come from the smallest rhs - lhs."""
@@ -372,10 +399,12 @@ def check_lemma_sa(
         if x < 1:
             raise DomainError(f"grid point {x} < 1")
 
+    S = _per_rung(lambda x: stirling_S(rational(x)))
+
     def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
-        s_mid = stirling_S(rational(x + Fraction(1, 2)))
+        s_mid = S(x + Fraction(1, 2))
         mid_sq = s_mid * s_mid
-        product = stirling_S(rational(x)) * stirling_S(rational(x + 1))
+        product = S(x) * S(x + 1)
         stretched = mpmath.iv.exp(rational(Fraction(1, 2) / x)) * mid_sq
         return [(mid_sq, product), (product, stretched)]
 
@@ -400,10 +429,11 @@ def check_lemma_ga(
         if not _in_ga_domain(x, alpha, base_bits):
             raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
 
+    g = _per_rung(lambda x: g_alpha(rational(x), alpha()))
+
     def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
-        a = alpha()
-        mid = _constant(Fraction(5, 2)) * g_alpha(rational(x + Fraction(1, 2)), a)
-        total = g_alpha(rational(x), a) + g_alpha(rational(x + 1), a)
+        mid = _constant(Fraction(5, 2)) * g(x + Fraction(1, 2))
+        total = g(x) + g(x + 1)
         wobble = _constant(Fraction(1, 2)) / enc_sqrt(rational(x))
         return [(mpmath.iv.exp(-wobble) * mid, total), (total, mpmath.iv.exp(wobble) * mid)]
 
@@ -428,10 +458,15 @@ def filter_ga_domain(
 @lru_cache(maxsize=2 * MAX_GRID_POINTS)
 def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf], base_bits: int) -> bool:
     # Cached: check_lemma_ga re-checks the points filter_ga_domain kept.
-    judge = _le_judge(lambda: [
-        (enc_pow(mpmath.iv.mpf(4), alpha()), rational(x))])
+    judge = _le_judge(lambda: [(_four_pow(alpha, mpmath.iv.prec), rational(x))])
     (verdict, _, _), _ = _climb(judge, precision_ladder(base_bits))
     return verdict == CERTIFIED
+
+
+@lru_cache(maxsize=64)
+def _four_pow(alpha: Callable[[], mpmath.iv.mpf], bits: int) -> mpmath.iv.mpf:
+    # 4^alpha at the ambient precision `bits`; it does not depend on x.
+    return enc_pow(mpmath.iv.mpf(4), alpha())
 
 
 def check_lemma_gaS(
@@ -474,11 +509,11 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
     plus f(n) <= (1/4) g_al(n) whenever n is a power of two."""
     if max_n < 1:
         raise InvalidArgs(f"max_n must be >= 1, got {max_n}")
-    lengths.f(max_n)  # warm the exact table before timing-sensitive sweeps
+    table = lengths.f_table(max_n)
 
     def pairs(n: int) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
         x = mpmath.iv.mpf(n)
-        exact = mpmath.iv.mpf(lengths.f(n))
+        exact = mpmath.iv.mpf(table[n - 1])
         quarter = _constant(Fraction(1, 4))
         low_template = g_alpha(x, alpha_low())
         lower = _constant(Fraction(195, 1000)) * low_template

@@ -1,3 +1,4 @@
+import collections
 import csv
 import functools
 import importlib.util
@@ -270,6 +271,71 @@ def test_bounds_builds_domains_and_constants_once(capsys):
     # Four distinct constants (1/4, 195/1000, 5/2, 1/2), one per rung used.
     constants = bounds._constant_at.cache_info()
     assert constants.misses <= 4 * len(bounds.precision_ladder())
+
+
+@pytest.mark.parametrize("bits", [200, 16])
+def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch, bits):
+    # Tag each call of S or g_a with the bracket sweep it serves, and each
+    # grid point with the highest rung its climb reached.
+    sweep = [None]
+    calls = collections.Counter()  # (sweep, argument endpoints, bits) -> calls
+    reached = collections.defaultdict(dict)  # sweep -> {x: highest rung}
+
+    def tagged(name, fn):
+        def run_sweep(grid, *args, **kwargs):
+            tag = name if not args else f"{name}[{args[0].__name__}]"
+            sweep[0] = tag
+            try:
+                return fn(grid, *args, **kwargs)
+            finally:
+                sweep[0] = None
+        return run_sweep
+
+    def counted(fn):
+        def evaluate(x, *args):
+            if sweep[0] is not None:
+                calls[sweep[0], bounds.endpoints(x), bounds.mpmath.iv.prec] += 1
+            return fn(x, *args)
+        return evaluate
+
+    def le_judge(make):
+        judge = real_le_judge(make)
+        if sweep[0] is not None:
+            point_of[judge] = make.args[0]  # make is partial(pairs, x)
+        return judge
+
+    def climb(judge, ladder):
+        judgement, used = real_climb(judge, ladder)
+        if judge in point_of:
+            reached[sweep[0]][point_of[judge]] = used
+        return judgement, used
+
+    point_of = {}
+    real_le_judge, real_climb = bounds._le_judge, bounds._climb
+    monkeypatch.setattr(bounds, "_le_judge", le_judge)
+    monkeypatch.setattr(bounds, "_climb", climb)
+    monkeypatch.setattr(bounds, "stirling_S", counted(bounds.stirling_S))
+    monkeypatch.setattr(bounds, "g_alpha", counted(bounds.g_alpha))
+    monkeypatch.setattr(bounds, "check_lemma_sa", tagged("sa", bounds.check_lemma_sa))
+    monkeypatch.setattr(bounds, "check_lemma_ga", tagged("ga", bounds.check_lemma_ga))
+    code, _, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:0.25",
+                     "--precision-bits", str(bits))
+    assert code == 0
+    assert set(reached) == {"sa", "ga[alpha_low]", "ga[alpha_high]"}
+    ladder = bounds.precision_ladder(bits)
+    expected = collections.Counter()
+    for tag, points in reached.items():
+        for rung in ladder:
+            with bounds.precision(rung):
+                expected.update({
+                    (tag, bounds.endpoints(bounds.rational(y)), rung)
+                    for x, used in points.items() if used >= rung
+                    for y in (x, x + Fraction(1, 2), x + 1)})
+    assert calls == expected
+    # 113 grid points share 117 arguments; at 16 bits some points climb.
+    assert len(reached["sa"]) == 113
+    assert sum(1 for tag, _, rung in calls if tag == "sa" and rung == bits) == 117
+    assert (max(reached["sa"].values()) > bits) == (bits == 16)
 
 
 # Every field but `seconds` of each `bounds --max-n 16 --grid 2:30:4` report:

@@ -21,8 +21,10 @@ def test_f_first_ten():
 
 
 def test_f_table_matches_pointwise():
-    table = lengths.f_table(30)
-    assert [lengths.f(n) for n in range(1, 31)] == table
+    # f_table carries C(n, floor(n/2)) bottom-up and f recurses top-down;
+    # 600 values cover both parities of the carried binomial many times.
+    table = lengths.f_table(600)
+    assert [lengths.f(n) for n in range(1, 601)] == table
 
 
 def test_f_rejects_nonpositive():
@@ -95,6 +97,48 @@ def test_check_opt_choice_passes_small_range():
         report = lengths.check_opt_choice(n)
         assert report.passed, report.violations
         assert set(report.equality_ks) == {n // 2, (n + 1) // 2}
+
+
+def reference_opt_choice(n):
+    """check_opt_choice's report, built from split_delta one k at a time."""
+    best = {n // 2, (n + 1) // 2}
+    violations, equality = [], []
+    for k in range(1, n):
+        delta = lengths.split_delta(n, k)
+        if delta < 0:
+            violations.append(lengths.SplitViolation(n, k, delta, "negative slack"))
+        elif delta == 0:
+            equality.append(k)
+            if k not in best:
+                violations.append(lengths.SplitViolation(n, k, delta, "unexpected tie"))
+        elif k in best:
+            violations.append(lengths.SplitViolation(n, k, delta, "halved split not tight"))
+    return lengths.OptChoiceReport(n, not violations, tuple(equality), tuple(violations))
+
+
+def test_check_opt_choice_matches_split_delta_reference():
+    for n in range(1, 301):
+        assert lengths.check_opt_choice(n) == reference_opt_choice(n), n
+
+
+# f(7) is moved by +1, by -1, and by split_delta(7, 1) = 2002, which makes
+# the split 1 + 6 of n = 7 exactly as long as the halved one.  The moved value
+# also enters every n whose split has a part of 7.
+@pytest.mark.parametrize("offset, reasons", [
+    (1, {"negative slack", "halved split not tight"}),
+    (-1, {"negative slack", "halved split not tight"}),
+    (2002, {"negative slack", "unexpected tie", "halved split not tight"}),
+])
+def test_check_opt_choice_matches_reference_when_f_is_wrong(monkeypatch, offset, reasons):
+    true = lengths.f_table(40)
+    assert lengths.split_delta(7, 1) == 2002
+    monkeypatch.setattr(lengths, "f", lambda n: true[n - 1] + (offset if n == 7 else 0))
+    seen = set()
+    for n in range(1, 41):
+        report = lengths.check_opt_choice(n)
+        assert report == reference_opt_choice(n), n
+        seen |= {v.reason for v in report.violations}
+    assert seen == reasons
 
 
 def test_check_triple_growth():
