@@ -8,6 +8,32 @@ asymptotic growth bounds with interval arithmetic, and cross-checks
 optimality against an exhaustive search at tiny n.
 """
 
+import importlib.util
+import sys
+
+
+def _load_on_first_use(name: str):
+    """The module `name`, imported in full at its first attribute access
+    (or the module itself, if something imported it already).
+
+    The module is registered in sys.modules, and a submodule is also set as
+    an attribute of its package, as a normal import does, so both `import
+    permrex.X` and `from permrex import X` find it before it has loaded."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
+    return module
+
+
 from .construct import (
     AlphabetSet,
     build_divide_and_conquer,

@@ -52,51 +52,35 @@ The n = 1 upper bound holds with exact equality, so g_alpha keeps
 integer inputs on an exact path (4^k is one mantissa bit; 1^w is [1,1])
 and comparisons accept touching intervals for <=.
 
-mpmath is reached through one module object, `mpmath`, which
-`importlib.util.LazyLoader` imports in full at its first attribute
-access.  Importing this module, and with it the CLI, therefore loads no
-mpmath; the first interval operation does.
+mpmath is reached through one module object, `mpmath`, which the
+package's `_load_on_first_use` imports in full at its first attribute
+access.  Importing this module therefore loads no mpmath; the first
+interval operation does.  The CLI loads this module the same way, so only
+its `bounds` and `estimate` commands run it and mpmath.  The CLI's parser
+prints `DEFAULT_PRECISION_BITS` and `MAX_GRID_POINTS`, so both are defined
+in `lengths` and read from there.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import lengths
+from . import _load_on_first_use, lengths
 from .errors import DomainError, InvalidArgs
+from .lengths import DEFAULT_PRECISION_BITS, MAX_GRID_POINTS
 
 if TYPE_CHECKING:
     from .doubling import Formal
 
 
-def _load_on_first_use(name: str):
-    """The module `name`, imported in full at its first attribute access
-    (or the module itself, if something imported it already)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 mpmath = _load_on_first_use("mpmath")
 
 
-DEFAULT_PRECISION_BITS = 200
 MAX_PRECISION_BITS = 2000
-MAX_GRID_POINTS = 10_000
 MAX_SWEEP_N = 16_384  # the two n-sweeps take about 100 s there
 
 CERTIFIED = "certified"
@@ -219,9 +203,9 @@ def g_alpha(x: mpmath.iv.mpf, alpha: mpmath.iv.mpf) -> mpmath.iv.mpf:
             return four_pow
         log_x = mpmath.iv.log(mpmath.iv.mpf(xi))
     else:
-        four_pow = mpmath.iv.exp(x * mpmath.iv.log(mpmath.iv.mpf(4)))
+        four_pow = mpmath.iv.exp(x * _log_at(4, mpmath.iv.prec))
         log_x = mpmath.iv.log(x)
-    lg_x = log_x / mpmath.iv.log(mpmath.iv.mpf(2))
+    lg_x = log_x / _log_at(2, mpmath.iv.prec)
     exponent = alpha - lg_x / 4
     return four_pow * mpmath.iv.exp(exponent * log_x)
 
@@ -239,10 +223,17 @@ def alpha_for_beta(beta: Fraction | int) -> mpmath.iv.mpf:
 def _alpha_at(beta: Fraction, bits: int) -> mpmath.iv.mpf:
     # Keyed by the ambient precision `bits`: every sweep point asks again for
     # the same two alphas at the same few rungs.
-    ln2 = mpmath.iv.log(mpmath.iv.mpf(2))
+    ln2 = _log_at(2, bits)
     lg_beta = mpmath.iv.log(rational(beta)) / ln2
     lg_pi = mpmath.iv.log(mpmath.iv.pi) / ln2
     return lg_beta + rational(Fraction(1, 4)) - lg_pi / 2
+
+
+@lru_cache(maxsize=64)
+def _log_at(value: int, bits: int) -> mpmath.iv.mpf:
+    # ln 2 and ln 4 at the ambient precision `bits`: g_alpha divides by ln 2
+    # at every call.
+    return mpmath.iv.log(mpmath.iv.mpf(value))
 
 
 def _constant(value: Fraction) -> mpmath.iv.mpf:
@@ -269,8 +260,7 @@ def alpha_high() -> mpmath.iv.mpf:
 
 # -- report plumbing --------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one certified sweep."""
 
     inequality: str
@@ -531,8 +521,7 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
     )
 
 
-@dataclass(frozen=True)
-class EstimateRow:
+class EstimateRow(NamedTuple):
     """One row of the power-of-two closed-form comparison."""
 
     m: int

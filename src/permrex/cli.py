@@ -12,14 +12,18 @@ input errors.
 Each command returns its whole output, a report dict or finished text,
 with its exit status; `run` times it, wraps a report with `meta` and only
 then opens `--output`, so a refused command leaves no partial file.
+
+Importing this module loads only what every command needs.  `bounds` and
+`oracle` are registered in sys.modules, and as attributes of the package,
+but run no code until a command reads one of their attributes, and
+`csv` is imported by the two commands that print it.  The parser reads
+its `bounds` defaults from `lengths`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import io
 import json
 import resource
@@ -27,8 +31,11 @@ import sys
 import time
 from fractions import Fraction
 
-from . import bounds, construct, lengths, oracle, regex_ast, verify
+from . import _load_on_first_use, construct, lengths, regex_ast, verify
 from .errors import InvalidArgs, PermrexError, RegexSyntaxError
+
+bounds = _load_on_first_use("permrex.bounds")
+oracle = _load_on_first_use("permrex.oracle")
 
 # Looked up at call time, so a caller may wrap the entries.
 _BUILDERS = {
@@ -43,6 +50,8 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _csv(header: list[str], rows: list[dict]) -> str:
+    import csv
+
     sink = io.StringIO()
     writer = csv.DictWriter(sink, header, lineterminator="\n")
     writer.writeheader()
@@ -118,7 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
         expr = _build(args)
         source = {"kind": "builder", "builder": args.builder}
     cert = verify.language_equals_permutations(expr, args.n, cap=args.verify_cap)
-    report = {"source": source, "certificate": dataclasses.asdict(cert)}
+    report = {"source": source, "certificate": cert._asdict()}
     return report, 0 if cert.passed else 1
 
 
@@ -128,7 +137,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict | str, int]:
     for n in range(2, args.max_n + 1):
         result = lengths.check_opt_choice(n)
         if not result.passed:
-            violations = [dataclasses.asdict(v) for v in result.violations]
+            violations = [v._asdict() for v in result.violations]
             choice_failures.append({"n": n, "violations": violations})
     growth = lengths.check_triple_growth(args.max_n)
     report = {
@@ -156,9 +165,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
     def growth_template(alpha_name: str, alpha) -> bounds.BoundReport:
         usable = bounds.filter_ga_domain(grid, alpha, base_bits=bits)
         report = bounds.check_lemma_ga(usable, alpha, base_bits=bits)
-        return dataclasses.replace(
-            report, inequality=f"{report.inequality}[{alpha_name}]"
-        )
+        return report._replace(inequality=f"{report.inequality}[{alpha_name}]")
 
     checks = [
         lambda: bounds.check_fn_bounds(args.max_n, base_bits=bits),
@@ -172,7 +179,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
     entries = []
     for check in checks:
         begun = time.monotonic()
-        report = dataclasses.asdict(check())
+        report = check()._asdict()
         entries.append(report | {"seconds": round(time.monotonic() - begun, 3)})
     payload = {
         "max_n": args.max_n,
@@ -290,21 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     bnd = command("bounds", _cmd_bounds, "certified interval checks for the growth bounds")
     bnd.add_argument("--max-n", type=int, default=1024)
     bnd.add_argument("--precision-bits", type=int,
-                     default=bounds.DEFAULT_PRECISION_BITS)
+                     default=lengths.DEFAULT_PRECISION_BITS)
     bnd.add_argument(
         "--grid",
         type=_parse_grid,
         default="1:100:0.25",
         help="start:stop:step for the Stirling-midpoint and growth-template "
         "bracket sweeps; the doubling identity is proved for every x > 0 "
-        f"(default %(default)s, at most {bounds.MAX_GRID_POINTS} points)",
+        f"(default %(default)s, at most {lengths.MAX_GRID_POINTS} points)",
     )
 
     est = command("estimate", _cmd_estimate,
                   "closed-form f(2^m) approximation vs exact values")
     est.add_argument("--max-m", type=int, default=8)
     est.add_argument("--precision-bits", type=int,
-                     default=bounds.DEFAULT_PRECISION_BITS)
+                     default=lengths.DEFAULT_PRECISION_BITS)
     est.add_argument("--format", choices=["json", "csv"], default="json")
 
     orc = command("oracle", _cmd_oracle, "exhaustive minimal-length search at n <= 3")

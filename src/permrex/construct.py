@@ -24,30 +24,39 @@ what makes rendered output byte-stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import lengths
 from .errors import InvalidArgs, SizeCap
 from .regex_ast import Concat, Regex, Sym, Union
 
 
-@dataclass(frozen=True)
-class AlphabetSet:
-    """A nonempty set of symbol ids, kept sorted and duplicate-free."""
-
+class _AlphabetFields(NamedTuple):
     members: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.members:
+
+class AlphabetSet(_AlphabetFields):
+    """A nonempty set of symbol ids, kept sorted and duplicate-free."""
+
+    __slots__ = ()
+
+    # A NamedTuple class body cannot define __new__, so the check lives in
+    # this subclass; _make, which _replace calls, goes through it too.
+    def __new__(cls, members: tuple[int, ...]) -> "AlphabetSet":
+        if not members:
             raise InvalidArgs("alphabet must be nonempty")
         previous = 0
-        for m in self.members:
+        for m in members:
             if m <= previous:
                 raise InvalidArgs(
-                    f"alphabet members must be strictly increasing positive ints, got {self.members}")
+                    f"alphabet members must be strictly increasing positive ints, got {members}")
             previous = m
+        return super().__new__(cls, members)
+
+    @classmethod
+    def _make(cls, iterable) -> "AlphabetSet":
+        return cls(*iterable)
 
     @classmethod
     def first_n(cls, n: int) -> "AlphabetSet":

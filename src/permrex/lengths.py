@@ -23,9 +23,9 @@ split_delta stays the reference definition of the slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .errors import InvalidArgs
 
@@ -33,6 +33,10 @@ DEFAULT_LEMMA_CAP = 512
 # `lemmas` takes about 5 s at n = 2048 on a 2-CPU machine (Python 3.11.7), and
 # doubling n costs 6-10x: the sweep multiplies n^2/4 pairs of ~2n-bit numbers.
 MAX_LEMMA_N = 2048
+# Defaults and limits of the `bounds` interval sweeps, defined here so that
+# building the CLI parser, which prints them, does not load `bounds`.
+DEFAULT_PRECISION_BITS = 200
+MAX_GRID_POINTS = 10_000
 
 
 @cache
@@ -89,16 +93,14 @@ def split_delta(n: int, k: int) -> int:
     return math.comb(n, k) * (f(k) + f(n - k)) - f(n)
 
 
-@dataclass(frozen=True)
-class SplitViolation:
+class SplitViolation(NamedTuple):
     n: int
     k: int
     delta: int
     reason: str
 
 
-@dataclass(frozen=True)
-class OptChoiceReport:
+class OptChoiceReport(NamedTuple):
     """Outcome of sweeping every split size k for one n."""
 
     n: int
@@ -143,15 +145,14 @@ def check_opt_choice(n: int) -> OptChoiceReport:
     )
 
 
-@dataclass(frozen=True)
-class TripleGrowthReport:
+class TripleGrowthReport(NamedTuple):
     """Outcome of checking f(n+1) >= 3 f(n) for all 1 <= n < max_n."""
 
     max_n: int
     passed: bool
     min_ratio: Fraction | None
     min_ratio_at: int | None
-    violations: tuple[tuple[int, Fraction], ...] = field(default=())
+    violations: tuple[tuple[int, Fraction], ...] = ()
 
 
 def check_triple_growth(max_n: int) -> TripleGrowthReport:

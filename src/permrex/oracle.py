@@ -33,8 +33,8 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lengths
 from .errors import CapExceeded, InvalidArgs
@@ -43,8 +43,7 @@ ORACLE_CAP = 3
 STAR_FREE_SEMANTICS = "union+concat only (star-free, epsilon-free)"
 
 
-@dataclass(frozen=True)
-class WordUniverse:
+class WordUniverse(NamedTuple):
     """All nonempty distinct-symbol words over {1..n}, in (length, lex) order."""
 
     n: int
@@ -129,8 +128,7 @@ def _proper_submasks(mask: int) -> list[int]:
     return subs[:-1]
 
 
-@dataclass(frozen=True)
-class CostTable:
+class CostTable(NamedTuple):
     """Minimal alphabetic length of every expressible nonempty language."""
 
     universe: WordUniverse
@@ -189,8 +187,7 @@ def languages_by_cost(n: int) -> list[tuple[int, int]]:
     return sorted(Counter(_table_for(n).costs[1:]).items())
 
 
-@dataclass(frozen=True)
-class MainOptReport:
+class MainOptReport(NamedTuple):
     """Exact-rational check that per-permutation cost is minimized by P_n."""
 
     n: int

@@ -36,9 +36,8 @@ text is 4.5 MB, yet its DAG has 39 193 distinct nodes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator, Literal, TypeVar
+from typing import Callable, Iterator, Literal, NamedTuple, TypeVar
 
 from .errors import CompactOverflow, InvalidArgs, RegexSyntaxError, SymbolOutOfRange
 
@@ -165,8 +164,7 @@ def fold(expr: Regex, combine: Callable[..., T]) -> T:
     return values[expr]
 
 
-@dataclass(frozen=True, slots=True)
-class RegexMetrics:
+class RegexMetrics(NamedTuple):
     """Size summary of one expression: Sym-leaf count, node count, height."""
 
     alphabetic_length: int

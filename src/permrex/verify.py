@@ -42,8 +42,7 @@ an unconditional certificate for star-free inputs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import CapExceeded, InvalidArgs, SizeCap
 from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold
@@ -53,8 +52,7 @@ DEFAULT_VERIFY_CAP = 7
 MAX_POSITIONS = 1 << 17
 
 
-@dataclass(frozen=True)
-class PositionNfa:
+class PositionNfa(NamedTuple):
     """Position automaton: one state per Sym occurrence of the source tree."""
 
     symbols: tuple[int, ...]
@@ -330,8 +328,7 @@ def _split_proof(expr: Regex, n: int) -> tuple[bool, int, bool, frozenset[int] |
     return proved, positions, not star, foreign
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Result of the language comparison against P_n.
 
     `method` is "structural" when the split structure proved the equality;

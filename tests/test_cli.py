@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import permrex
-from permrex import bounds, cli, construct, lengths, oracle, regex_ast
+from permrex import bounds, cli, construct, lengths, oracle, regex_ast, verify
 
 from conftest import union_terms
 
@@ -273,6 +273,40 @@ def test_bounds_builds_domains_and_constants_once(capsys):
     assert constants.misses <= 4 * len(bounds.precision_ladder())
 
 
+def test_bounds_takes_ln_2_once_per_rung(capsys, monkeypatch):
+    # g_alpha divides by ln 2 at every call, and alpha_for_beta needs it too;
+    # it is evaluated once per rung.  The other logs of exactly 2 take the log
+    # of an argument that is 2: ln beta once per rung for alpha_low (beta = 2),
+    # and one per call of S(2) or g_a(2).
+    iv = bounds.mpmath.iv
+    logs = collections.Counter()  # rung -> iv.log calls on exactly 2
+    at_two = collections.Counter()  # rung -> S or g_a calls at exactly 2
+    real_log = iv.log
+
+    def log(x):
+        if bounds.exact_int(x) == 2:
+            logs[iv.prec] += 1
+        return real_log(x)
+
+    def counted(fn):
+        def evaluate(x, *args):
+            if bounds.exact_int(x) == 2:
+                at_two[iv.prec] += 1
+            return fn(x, *args)
+        return evaluate
+
+    for value in vars(bounds).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    monkeypatch.setattr(iv, "log", log)
+    monkeypatch.setattr(bounds, "stirling_S", counted(bounds.stirling_S))
+    monkeypatch.setattr(bounds, "g_alpha", counted(bounds.g_alpha))
+    code, _, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4")
+    assert code == 0
+    assert logs and at_two
+    assert {bits: logs[bits] - at_two[bits] for bits in logs} == dict.fromkeys(logs, 2)
+
+
 @pytest.mark.parametrize("bits", [200, 16])
 def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch, bits):
     # Tag each call of S or g_a with the bracket sweep it serves, and each
@@ -477,33 +511,132 @@ def test_max_n_defaults_and_benchmark_values_are_within_the_limits(tmp_path, mon
 
 def test_benchmark_trace_hooks_resolve():
     # perfbench/layers.py wraps these names through sys.modules right after
-    # `import permrex.cli`; a rename or a lazy import would break its traced
-    # run.  A fresh interpreter, because this one has imported every module.
-    # The probe also reports whether the CLI pulled numpy in, which no
-    # module of the package uses, and whether it loaded mpmath, which `bounds`
-    # loads at its first interval operation.  `mpmath` itself is in
-    # sys.modules as a module not yet loaded, so the probe asks for a
-    # submodule that loading it imports.  An interval is then built and
-    # printed in the same process.
+    # `import permrex.cli`; a rename would break its traced run.  `bounds` and
+    # `oracle` are there too, registered by LazyLoader before any of their
+    # code has run: the getattr that layers.py makes loads the module in
+    # place, in the same object the CLI reads, so the wrapped function is the
+    # one every command calls.  A fresh interpreter, because this one has
+    # imported every module.
+    # Before that the probe checks what start-up costs: the CLI imports no
+    # dataclasses, inspect or csv, and `bounds` and `oracle` stay unloaded
+    # through a `verify` command, while `table` loads csv.  It also reports
+    # whether the CLI pulled numpy in, which no module of the package uses,
+    # and whether it loaded mpmath, which `bounds` loads at its first
+    # interval operation.  `mpmath` itself is in sys.modules as a module not
+    # yet loaded, so the probe asks for a submodule that loading it imports.
+    # An interval is then built and printed in the same process.
     probe = (
-        "import json, sys\n"
+        "import contextlib, io, json, sys, types\n"
         "from fractions import Fraction\n"
-        "import layers\n"
         "import permrex.cli\n"
+        "startup = [m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules]\n"
+        "import layers\n"
+        "def lazy():\n"
+        "    return [type(sys.modules['permrex.' + m]) is not types.ModuleType\n"
+        "            for m in ('bounds', 'oracle')]\n"
+        "lazy_states = [lazy()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    permrex.cli.run(['verify', '--builder', 'dnc', '--n', '4'])\n"
+        "    lazy_states.append(lazy())\n"
+        "    permrex.cli.run(['table', '--max-n', '5'])\n"
+        "csv_loaded = 'csv' in sys.modules\n"
         "missing = [f'{m}.{a}' for m, a, _ in layers.WRAPPED\n"
         "           if not callable(getattr(sys.modules.get('permrex.' + m), a, None))]\n"
+        "lazy_states.append(lazy())\n"
         "loaded = ['numpy' in sys.modules, 'mpmath.libmp' in sys.modules]\n"
         "bounds = permrex.cli.bounds\n"
         "third = bounds.format_interval(bounds.rational(Fraction(1, 3)))\n"
-        "print(json.dumps([missing, sorted(permrex.cli._BUILDERS), loaded, third]))\n"
+        "print(json.dumps([missing, sorted(permrex.cli._BUILDERS), loaded, third,\n"
+        "                  startup, lazy_states, csv_loaded]))\n"
     )
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [
+    missing, builders, loaded, third, startup, lazy_states, csv_loaded = json.loads(
+        done.stdout)
+    assert [missing, builders, loaded, third] == [
         [], ["dnc", "flat", "tail"], [False, False], "[0.333333333333, 0.333333333333]"]
+    assert startup == []
+    # Unloaded after the import and after `verify`; loaded once read.
+    assert lazy_states == [[True, True], [True, True], [False, False]]
+    assert csv_loaded
+
+
+@pytest.mark.parametrize("name, attr", [("bounds", "MAX_SWEEP_N"), ("oracle", "ORACLE_CAP")])
+@pytest.mark.parametrize("form", ["import permrex.{name} as mod",
+                                  "from permrex import {name} as mod"])
+def test_lazy_submodules_import_after_the_cli(name, attr, form):
+    # Registering a module in sys.modules does not set it on its package; a
+    # fresh interpreter, so the CLI is what registered it.
+    probe = (
+        "import permrex, permrex.cli\n"
+        f"{form.format(name=name)}\n"
+        f"print(mod is permrex.{name} is permrex.cli.{name}, mod.{attr})\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"True {getattr(getattr(permrex, name), attr)}\n"
+
+
+def _records():
+    """One instance of each record type the package returns."""
+    expr = construct.build_divide_and_conquer(construct.AlphabetSet.first_n(3))
+    universe = oracle.build_universe(2)
+    return [
+        bounds.check_lemma_gaS(Fraction(2)),
+        bounds.estimate_power_of_two(1)[0],
+        construct.AlphabetSet.first_n(3),
+        lengths.SplitViolation(3, 1, -1, "negative slack"),
+        lengths.check_opt_choice(4),
+        lengths.check_triple_growth(5),
+        universe,
+        oracle.minimal_cost_table(universe),
+        oracle.check_main_opt(2),
+        regex_ast.metrics(expr),
+        verify.glushkov(expr),
+        verify.language_equals_permutations(expr, 3),
+    ]
+
+
+def test_records_are_immutable():
+    records = _records()
+    assert len({type(r) for r in records}) == 12
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+
+def test_record_fields_are_the_json_keys(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--builder", "dnc", "--n", "3")
+    assert code == 0
+    certificate = json.loads(out)["report"]["certificate"]
+    assert list(verify.Certificate._fields) == list(certificate) == [
+        "n", "positions", "words_tested", "accepted", "expected_accepted",
+        "permutations_accepted", "short_words_accepted", "accepts_empty_word",
+        "uniform_length", "star_free", "passed", "violations", "method"]
+
+    code, out, _ = run(capsys, "bounds", "--max-n", "4", "--grid", "2:4:1")
+    assert code == 0
+    for entry in json.loads(out)["report"]["reports"]:
+        assert list(entry) == [
+            "inequality", "domain", "status", "points_checked", "worst_margin",
+            "worst_point", "max_precision_bits", "failures", "seconds"]
+        assert list(bounds.BoundReport._fields) == list(entry)[:-1]
+
+    violation = lengths.SplitViolation(3, 1, -1, "negative slack")
+    monkeypatch.setattr(lengths, "check_opt_choice", lambda n: lengths.OptChoiceReport(
+        n=n, passed=False, equality_ks=(), violations=(violation,)))
+    code, out, _ = run(capsys, "lemmas", "--max-n", "2")
+    assert code == 1
+    failure = json.loads(out)["report"]["split_choice"]["failures"][0]
+    assert failure["violations"] == [
+        {"n": 3, "k": 1, "delta": -1, "reason": "negative slack"}]
+    assert list(failure["violations"][0]) == list(violation._asdict())
 
 
 def test_readme_library_example_runs():

@@ -41,6 +41,13 @@ def test_alphabet_set_validation():
         construct.AlphabetSet.first_n(0)
 
 
+def test_alphabet_set_replace_validates():
+    assert first_n(3)._replace(members=(2, 5)) == construct.AlphabetSet((2, 5))
+    for members in [(), (2, 1)]:
+        with pytest.raises(InvalidArgs):
+            first_n(3)._replace(members=members)
+
+
 def test_dnc_matches_published_display_for_n4():
     expr = construct.build_divide_and_conquer(first_n(4))
     assert regex_ast.render(expr, "compact") == R4_COMPACT
