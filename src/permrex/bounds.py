@@ -18,16 +18,16 @@ decides, and the report keeps the worst certified point.  One judge,
 sandwich, the bracket lemmas, the growth bound and the domain filter of
 the growth-template bracket.
 
-The bracket lemmas evaluate S or g_a at x, x + 1/2 and x + 1, which on a
-half- or quarter-step grid are also later points' arguments.  Each
-bracket sweep, which has one alpha, memoizes its function on (x,
-precision) for as long as the sweep runs (`_per_rung`), so every
-argument is evaluated once per rung and the memo is freed with the
-sweep.  4^alpha, which the domain filter compares every point against,
-is computed once per alpha and rung.  A
-memoized interval is the one a fresh evaluation at that precision gives,
-so no verdict, margin or worst point moves.  The growth-bound sweep reads
-exact f(n) from `lengths.f_table`.
+A value here depends on its arguments and on the ambient precision
+`mpmath.iv.prec`, so one helper, `_per_precision`, memoizes on both for as
+long as the function it returns lives.  At module level that is the
+process: ln 2 and ln 4, the rational constants, the alpha of a beta and
+4^alpha are each computed once per rung.  A bracket sweep makes its own
+memo of S or g_a, whose arguments x, x + 1/2 and x + 1 are also later grid
+points' arguments, so each is evaluated once per rung and freed with the
+sweep.  A memoized interval is the one a fresh evaluation at that
+precision gives, so no verdict, margin or worst point moves.  The
+growth-bound sweep reads exact f(n) from `lengths.f_table`.
 
 The doubling identity is not sampled but proved: `permrex.doubling`
 builds its log gap as a formal polynomial, which cancels to exactly zero
@@ -81,7 +81,7 @@ mpmath = _load_on_first_use("mpmath")
 
 
 MAX_PRECISION_BITS = 2000
-MAX_SWEEP_N = 16_384  # the two n-sweeps take about 100 s there
+MAX_SWEEP_N = 16_384  # the two n-sweeps take about 50 s there
 
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
@@ -203,9 +203,9 @@ def g_alpha(x: mpmath.iv.mpf, alpha: mpmath.iv.mpf) -> mpmath.iv.mpf:
             return four_pow
         log_x = mpmath.iv.log(mpmath.iv.mpf(xi))
     else:
-        four_pow = mpmath.iv.exp(x * _log_at(4, mpmath.iv.prec))
+        four_pow = mpmath.iv.exp(x * _log(4))
         log_x = mpmath.iv.log(x)
-    lg_x = log_x / _log_at(2, mpmath.iv.prec)
+    lg_x = log_x / _log(2)
     exponent = alpha - lg_x / 4
     return four_pow * mpmath.iv.exp(exponent * log_x)
 
@@ -216,36 +216,30 @@ def alpha_for_beta(beta: Fraction | int) -> mpmath.iv.mpf:
     fr = Fraction(beta)
     if fr <= 0:
         raise InvalidArgs(f"beta must be positive, got {beta}")
-    return _alpha_at(fr, mpmath.iv.prec)
+    return _alpha(fr)
 
 
-@lru_cache(maxsize=64)
-def _alpha_at(beta: Fraction, bits: int) -> mpmath.iv.mpf:
-    # Keyed by the ambient precision `bits`: every sweep point asks again for
-    # the same two alphas at the same few rungs.
-    ln2 = _log_at(2, bits)
-    lg_beta = mpmath.iv.log(rational(beta)) / ln2
-    lg_pi = mpmath.iv.log(mpmath.iv.pi) / ln2
+def _per_precision(value: Callable, maxsize: int | None = 64) -> Callable:
+    """value(*args), memoized on (mpmath.iv.prec, *args) while the returned
+    function lives, in an lru_cache(maxsize) whose cache_info/cache_clear it shares."""
+    memo = lru_cache(maxsize)(lambda bits, *args: value(*args))
+
+    def at(*args):
+        return memo(mpmath.iv.prec, *args)
+
+    at.cache_info, at.cache_clear = memo.cache_info, memo.cache_clear
+    return at
+
+
+_log = _per_precision(lambda value: mpmath.iv.log(mpmath.iv.mpf(value)))  # ln 2, ln 4
+_constant = _per_precision(rational)
+
+
+@_per_precision
+def _alpha(beta: Fraction) -> mpmath.iv.mpf:
+    lg_beta = mpmath.iv.log(rational(beta)) / _log(2)
+    lg_pi = mpmath.iv.log(mpmath.iv.pi) / _log(2)
     return lg_beta + rational(Fraction(1, 4)) - lg_pi / 2
-
-
-@lru_cache(maxsize=64)
-def _log_at(value: int, bits: int) -> mpmath.iv.mpf:
-    # ln 2 and ln 4 at the ambient precision `bits`: g_alpha divides by ln 2
-    # at every call.
-    return mpmath.iv.log(mpmath.iv.mpf(value))
-
-
-def _constant(value: Fraction) -> mpmath.iv.mpf:
-    """Interval of a rational constant at the ambient precision."""
-    return _constant_at(value, mpmath.iv.prec)
-
-
-@lru_cache(maxsize=64)
-def _constant_at(value: Fraction, bits: int) -> mpmath.iv.mpf:
-    # Keyed by `bits` like _alpha_at: the sweeps reuse a few constants at
-    # every point and every rung.
-    return rational(value)
 
 
 def alpha_low() -> mpmath.iv.mpf:
@@ -274,9 +268,9 @@ class BoundReport(NamedTuple):
 
 
 # A judge evaluates one sweep point at the ambient precision and returns
-# (verdict, rank, margin).  Among certified points the lowest rank is the
-# worst one, and its margin is the one the report prints.
-Judgement = tuple[str, object, "mpmath.iv.mpf"]
+# (verdict, margin).  The certified point whose margin has the lowest lower
+# endpoint is the worst, and its margin is the one the report prints.
+Judgement = tuple[str, "mpmath.iv.mpf"]
 Judge = Callable[[], Judgement]
 
 
@@ -301,14 +295,14 @@ def _sweep(
     ladder = precision_ladder(base_bits)
     status = CERTIFIED
     failures: list[str] = []
-    worst: tuple[object, str, mpmath.iv.mpf] | None = None
+    worst: tuple[str, mpmath.iv.mpf] | None = None
     max_bits = ladder[0]
     for label, judge in points:
-        (verdict, rank, margin), bits = _climb(judge, ladder)
+        (verdict, margin), bits = _climb(judge, ladder)
         max_bits = max(max_bits, bits)
         if verdict == CERTIFIED:
-            if worst is None or rank < worst[0]:
-                worst = (rank, label, margin)
+            if worst is None or endpoints(margin)[0] < endpoints(worst[1])[0]:
+                worst = (label, margin)
             continue
         failures.append(f"{label}: {verdict}")
         if status != VIOLATED:
@@ -318,32 +312,16 @@ def _sweep(
         domain=domain,
         status=status,
         points_checked=len(points),
-        worst_margin="" if worst is None else format_interval(worst[2]),
-        worst_point="" if worst is None else worst[1],
+        worst_margin="" if worst is None else format_interval(worst[1]),
+        worst_point="" if worst is None else worst[0],
         max_precision_bits=max_bits,
         failures=tuple(failures),
     )
 
 
-def _per_rung(
-    value: Callable[[Fraction], mpmath.iv.mpf]
-) -> Callable[[Fraction], mpmath.iv.mpf]:
-    """value(x), memoized on (x, ambient precision) for as long as the sweep
-    that made it keeps it; grid neighbours share arguments."""
-    memo: dict[tuple[Fraction, int], mpmath.iv.mpf] = {}
-
-    def at(x: Fraction) -> mpmath.iv.mpf:
-        key = (x, mpmath.iv.prec)
-        if key not in memo:
-            memo[key] = value(x)
-        return memo[key]
-
-    return at
-
-
 def _le_judge(make: Callable[[], list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]]) -> Judge:
     """Judge of a point where every (lhs, rhs) pair from make() must satisfy
-    lhs <= rhs.  Rank and margin come from the smallest rhs - lhs."""
+    lhs <= rhs.  Its margin is the rhs - lhs with the lowest lower endpoint."""
 
     def judge() -> Judgement:
         pairs = make()
@@ -351,7 +329,7 @@ def _le_judge(make: Callable[[], list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]]) -> 
         margin = min((rhs - lhs for lhs, rhs in pairs), key=lambda m: endpoints(m)[0])
         verdict = (VIOLATED if VIOLATED in verdicts
                    else UNDECIDED if UNDECIDED in verdicts else CERTIFIED)
-        return verdict, endpoints(margin)[0], margin
+        return verdict, margin
 
     return judge
 
@@ -389,7 +367,7 @@ def check_lemma_sa(
         if x < 1:
             raise DomainError(f"grid point {x} < 1")
 
-    S = _per_rung(lambda x: stirling_S(rational(x)))
+    S = _per_precision(lambda x: stirling_S(rational(x)), maxsize=None)
 
     def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
         s_mid = S(x + Fraction(1, 2))
@@ -419,7 +397,7 @@ def check_lemma_ga(
         if not _in_ga_domain(x, alpha, base_bits):
             raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
 
-    g = _per_rung(lambda x: g_alpha(rational(x), alpha()))
+    g = _per_precision(lambda x: g_alpha(rational(x), alpha()), maxsize=None)
 
     def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
         mid = _constant(Fraction(5, 2)) * g(x + Fraction(1, 2))
@@ -448,15 +426,12 @@ def filter_ga_domain(
 @lru_cache(maxsize=2 * MAX_GRID_POINTS)
 def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf], base_bits: int) -> bool:
     # Cached: check_lemma_ga re-checks the points filter_ga_domain kept.
-    judge = _le_judge(lambda: [(_four_pow(alpha, mpmath.iv.prec), rational(x))])
-    (verdict, _, _), _ = _climb(judge, precision_ladder(base_bits))
+    judge = _le_judge(lambda: [(_four_pow(alpha), rational(x))])
+    (verdict, _), _ = _climb(judge, precision_ladder(base_bits))
     return verdict == CERTIFIED
 
 
-@lru_cache(maxsize=64)
-def _four_pow(alpha: Callable[[], mpmath.iv.mpf], bits: int) -> mpmath.iv.mpf:
-    # 4^alpha at the ambient precision `bits`; it does not depend on x.
-    return enc_pow(mpmath.iv.mpf(4), alpha())
+_four_pow = _per_precision(lambda alpha: enc_pow(mpmath.iv.mpf(4), alpha()))
 
 
 def check_lemma_gaS(
@@ -483,7 +458,7 @@ def _identity_report(inequality: str, gap: Formal, base_bits: int) -> BoundRepor
 
     def judge(coefficient: Formal) -> Judgement:
         value = coefficient.evaluate()
-        return (UNDECIDED if 0 in value else VIOLATED), 0, value
+        return (UNDECIDED if 0 in value else VIOLATED), value
 
     return _sweep(
         inequality=inequality,

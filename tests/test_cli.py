@@ -256,9 +256,15 @@ def test_bounds_small(capsys):
     assert all(r["seconds"] >= 0 for r in report["reports"])
 
 
+def _clear_bounds_memos():
+    for value in vars(bounds).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 def test_bounds_builds_domains_and_constants_once(capsys):
     bounds._in_ga_domain.cache_clear()
-    bounds._constant_at.cache_clear()
+    bounds._constant.cache_clear()
     code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4")
     assert code == 0
     report = json.loads(out)["report"]
@@ -269,7 +275,7 @@ def test_bounds_builds_domains_and_constants_once(capsys):
     assert domain.misses == 2 * report["grid_points"]
     assert domain.hits == kept
     # Four distinct constants (1/4, 195/1000, 5/2, 1/2), one per rung used.
-    constants = bounds._constant_at.cache_info()
+    constants = bounds._constant.cache_info()
     assert constants.misses <= 4 * len(bounds.precision_ladder())
 
 
@@ -295,9 +301,7 @@ def test_bounds_takes_ln_2_once_per_rung(capsys, monkeypatch):
             return fn(x, *args)
         return evaluate
 
-    for value in vars(bounds).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    _clear_bounds_memos()
     monkeypatch.setattr(iv, "log", log)
     monkeypatch.setattr(bounds, "stirling_S", counted(bounds.stirling_S))
     monkeypatch.setattr(bounds, "g_alpha", counted(bounds.g_alpha))
@@ -409,14 +413,54 @@ GOLDEN_FIELDS = ("inequality", "domain", "status", "points_checked", "worst_marg
 
 
 @pytest.mark.parametrize("extra, golden", [
-    ((), GOLDEN_BOUNDS_200),
-    (("--precision-bits", "16"), GOLDEN_BOUNDS_16),
+    ([()], [GOLDEN_BOUNDS_200]),
+    ([("--precision-bits", "16")], [GOLDEN_BOUNDS_16]),
+    # One process, cold memos: nothing memoized at 16 bits is read at 200.
+    ([("--precision-bits", "16"), ()], [GOLDEN_BOUNDS_16, GOLDEN_BOUNDS_200]),
 ])
 def test_bounds_golden_reports(capsys, extra, golden):
-    code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4", *extra)
-    assert code == 0
-    reports = json.loads(out)["report"]["reports"]
-    assert [tuple(r[f] for f in GOLDEN_FIELDS) for r in reports] == golden
+    _clear_bounds_memos()
+    for flags, expected in zip(extra, golden, strict=True):
+        code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4", *flags)
+        assert code == 0
+        reports = json.loads(out)["report"]["reports"]
+        assert [tuple(r[f] for f in GOLDEN_FIELDS) for r in reports] == expected
+
+
+def test_sweep_memos_die_with_their_sweep(monkeypatch):
+    # Each bracket sweep memoizes S or g_a for itself, so a second sweep over
+    # the same grid evaluates every argument again.  ln 2 (which g_a divides
+    # by, and alpha_low takes as ln beta) is memoized for the process, so the
+    # second round takes no log of 2 at the rung the first round used.
+    iv = bounds.mpmath.iv
+    grid = [Fraction(3), Fraction(7, 2), Fraction(4)]  # arguments 3 .. 5, none 2
+    calls = collections.Counter()
+    real_log = iv.log
+
+    def log(x):
+        if bounds.exact_int(x) == 2:
+            calls["ln 2", iv.prec] += 1
+        return real_log(x)
+
+    def counted(name, fn):
+        def evaluate(x, *args):
+            calls[name, iv.prec] += 1
+            return fn(x, *args)
+        return evaluate
+
+    _clear_bounds_memos()
+    monkeypatch.setattr(iv, "log", log)
+    monkeypatch.setattr(bounds, "stirling_S", counted("S", bounds.stirling_S))
+    monkeypatch.setattr(bounds, "g_alpha", counted("g_a", bounds.g_alpha))
+    rounds = []
+    for _ in range(2):
+        before = calls.copy()
+        assert bounds.check_lemma_sa(grid).status == bounds.CERTIFIED
+        assert bounds.check_lemma_ga(grid, bounds.alpha_low).status == bounds.CERTIFIED
+        rounds.append(calls - before)
+    bits = bounds.DEFAULT_PRECISION_BITS
+    assert rounds[0] == {("S", bits): 5, ("g_a", bits): 5, ("ln 2", bits): 2}
+    assert rounds[1] == {("S", bits): 5, ("g_a", bits): 5}
 
 
 def test_bounds_bad_grid(capsys):
