@@ -13,11 +13,15 @@ Each command returns its whole output, a report dict or finished text,
 with its exit status; `run` times it, wraps a report with `meta` and only
 then opens `--output`, so a refused command leaves no partial file.
 
-Importing this module loads only what every command needs.  `bounds` and
-`oracle` are registered in sys.modules, and as attributes of the package,
-but run no code until a command reads one of their attributes, and
-`csv` is imported by the two commands that print it.  The parser reads
-its `bounds` defaults from `lengths`.
+Importing this module loads only what every command needs: `lengths` and
+`errors`.  The regex layer (`construct`, `regex_ast`, `verify`), `bounds`
+and `oracle` are registered in sys.modules, and as attributes of the
+package, but run no code until a command reads one of their attributes:
+`gen` loads `construct` and `regex_ast`, `verify` those and `verify`,
+`bounds` and `estimate` load `bounds`, and `oracle` loads `oracle`, so
+`len`, `table` and `lemmas` run no module but `lengths`.  `csv` is imported
+by the two commands that print it.  The parser reads its defaults from
+`lengths`.
 """
 
 from __future__ import annotations
@@ -31,17 +35,21 @@ import sys
 import time
 from fractions import Fraction
 
-from . import _load_on_first_use, construct, lengths, regex_ast, verify
+from . import _load_on_first_use, lengths
 from .errors import InvalidArgs, PermrexError, RegexSyntaxError
 
 bounds = _load_on_first_use("permrex.bounds")
+construct = _load_on_first_use("permrex.construct")
 oracle = _load_on_first_use("permrex.oracle")
+regex_ast = _load_on_first_use("permrex.regex_ast")
+verify = _load_on_first_use("permrex.verify")
 
-# Looked up at call time, so a caller may wrap the entries.
+# Read at call time, so a caller may wrap the entries.  Each entry finds its
+# builder when called, so listing the names loads no `construct`.
 _BUILDERS = {
-    "dnc": construct.build_divide_and_conquer,
-    "tail": construct.build_tail_recursive,
-    "flat": construct.build_flat_union,
+    "dnc": lambda s: construct.build_divide_and_conquer(s),
+    "tail": lambda s: construct.build_tail_recursive(s),
+    "flat": lambda s: construct.build_flat_union(s),
 }
 
 
@@ -60,6 +68,7 @@ def _csv(header: list[str], rows: list[dict]) -> str:
 
 
 def _build(args: argparse.Namespace) -> regex_ast.Regex:
+    construct.require_buildable(args.builder, args.n)  # before an n-tuple exists
     return _BUILDERS[args.builder](construct.AlphabetSet.first_n(args.n))
 
 
@@ -289,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = ver.add_mutually_exclusive_group(required=True)
     group.add_argument("--builder", choices=sorted(_BUILDERS))
     group.add_argument("--regex-file", default=None)
-    ver.add_argument("--verify-cap", type=int, default=verify.DEFAULT_VERIFY_CAP)
+    ver.add_argument("--verify-cap", type=int, default=lengths.DEFAULT_VERIFY_CAP)
 
     lem = command("lemmas", _cmd_lemmas, "exact split-choice and triple-growth sweeps")
     lem.add_argument("--max-n", type=int, default=lengths.DEFAULT_LEMMA_CAP)

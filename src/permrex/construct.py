@@ -17,7 +17,9 @@ the split builders predict their length, and FLAT_CAP bounds the flat
 one.  Lengths grow with n, so past the first n over the cap a split
 builder refuses on n alone, without computing a length of millions of
 digits, and `first_n` materializes no alphabet of more than MAX_SYMBOLS
-symbols.  Subset enumeration is colexicographic; that fixed order is
+symbols.  `require_buildable` makes the same refusals from n and a
+builder's name, before `first_n` builds an n-tuple that the builder would
+refuse.  Subset enumeration is colexicographic; that fixed order is
 what makes rendered output byte-stable.
 """
 
@@ -61,11 +63,7 @@ class AlphabetSet(_AlphabetFields):
     @classmethod
     def first_n(cls, n: int) -> "AlphabetSet":
         """The standard alphabet {1, ..., n}."""
-        if n < 1:
-            raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
-        # Each symbol occurs in any expression for P_n, so none larger is built.
-        if n > MAX_SYMBOLS:
-            raise SizeCap(n, MAX_SYMBOLS, what="alphabet symbols")
+        _require_alphabet_size(n)
         return cls(tuple(range(1, n + 1)))
 
     @property
@@ -79,6 +77,44 @@ MAX_SYMBOLS = 10**7
 FLAT_CAP = 8
 
 
+def _require_alphabet_size(n: int) -> None:
+    if n < 1:
+        raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
+    # Each symbol occurs in any expression for P_n, so none larger is built.
+    if n > MAX_SYMBOLS:
+        raise SizeCap(n, MAX_SYMBOLS, what="alphabet symbols")
+
+
+def _require_split_fits(n: int, length: Callable[[int], int]) -> None:
+    # `length` grows with n: once some m < n is over the cap, so is n.
+    stop = next(m for m in itertools.count(1) if m == n or length(m) > MAX_SYMBOLS)
+    if stop < n:
+        raise SizeCap(n, stop - 1, what="alphabet symbols")
+    predicted = length(n)
+    if predicted > MAX_SYMBOLS:
+        raise SizeCap(predicted, MAX_SYMBOLS)
+
+
+def _require_flat_fits(n: int) -> None:
+    if n > FLAT_CAP:
+        raise SizeCap(n, FLAT_CAP, what="alphabet symbols (flat union)")
+
+
+# The refusal on the alphabet size of each builder, by its name in the CLI.
+_SIZE_CHECKS: dict[str, Callable[[int], None]] = {
+    "dnc": lambda n: _require_split_fits(n, lengths.f),
+    "tail": lambda n: _require_split_fits(n, lengths.t),
+    "flat": _require_flat_fits,
+}
+
+
+def require_buildable(builder: str, n: int) -> None:
+    """Raise what `first_n(n)`, then the builder named `builder` ("dnc",
+    "tail" or "flat") would raise on n symbols, without building them."""
+    _require_alphabet_size(n)
+    _SIZE_CHECKS[builder](n)
+
+
 def _build_split(
     s: AlphabetSet, length: Callable[[int], int], first_size: Callable[[int], int]
 ) -> Regex:
@@ -88,13 +124,7 @@ def _build_split(
     Sub-expressions for repeated subsets are built once and shared, so the
     result is a DAG whose tree expansion has alphabetic length `length(|s|)`.
     """
-    # `length` grows with n: once some m < |s| is over the cap, so is |s|.
-    stop = next(m for m in itertools.count(1) if m == s.n or length(m) > MAX_SYMBOLS)
-    if stop < s.n:
-        raise SizeCap(s.n, stop - 1, what="alphabet symbols")
-    predicted = length(s.n)
-    if predicted > MAX_SYMBOLS:
-        raise SizeCap(predicted, MAX_SYMBOLS)
+    _require_split_fits(s.n, length)
 
     @cache
     def expr_for(members: tuple[int, ...]) -> Regex:
@@ -129,8 +159,7 @@ def build_tail_recursive(s: AlphabetSet) -> Regex:
 
 def build_flat_union(s: AlphabetSet) -> Regex:
     """One concatenation chain per permutation, in lexicographic order."""
-    if s.n > FLAT_CAP:
-        raise SizeCap(s.n, FLAT_CAP, what="alphabet symbols (flat union)")
+    _require_flat_fits(s.n)
     words = (
         reduce(Concat, (Sym(m) for m in perm))
         for perm in itertools.permutations(s.members)

@@ -33,10 +33,12 @@ DEFAULT_LEMMA_CAP = 512
 # `lemmas` takes about 5 s at n = 2048 on a 2-CPU machine (Python 3.11.7), and
 # doubling n costs 6-10x: the sweep multiplies n^2/4 pairs of ~2n-bit numbers.
 MAX_LEMMA_N = 2048
-# Defaults and limits of the `bounds` interval sweeps, defined here so that
-# building the CLI parser, which prints them, does not load `bounds`.
+# Defaults and limits of the `bounds` interval sweeps and of `verify`'s
+# exhaustive walk, defined here so that building the CLI parser, which prints
+# them, loads neither `bounds` nor `verify`.
 DEFAULT_PRECISION_BITS = 200
 MAX_GRID_POINTS = 10_000
+DEFAULT_VERIFY_CAP = 7
 
 
 @cache

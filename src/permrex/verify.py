@@ -45,9 +45,9 @@ import math
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import CapExceeded, InvalidArgs, SizeCap
+from .lengths import DEFAULT_VERIFY_CAP
 from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold
 
-DEFAULT_VERIFY_CAP = 7
 # The follow table is dense, about positions^2 / 8 bytes: 2 GB at this cap.
 MAX_POSITIONS = 1 << 17
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +191,17 @@ def test_check_stirling_sandwich_certifies():
     assert report.status == bounds.CERTIFIED
     assert report.points_checked == 100
     assert report.failures == ()
+
+
+def test_check_stirling_sandwich_carries_the_factorial(monkeypatch):
+    # n! is carried from n - 1, never computed from scratch.
+    def factorial(n):
+        raise AssertionError(f"math.factorial({n}) called")
+
+    monkeypatch.setattr(math, "factorial", factorial)
+    report = bounds.check_stirling_sandwich(100)
+    assert report.status == bounds.CERTIFIED
+    assert report.points_checked == 100
 
 
 def test_check_stirling_sandwich_empty_range():

@@ -280,13 +280,14 @@ def test_bounds_builds_domains_and_constants_once(capsys):
 
 
 def test_bounds_takes_ln_2_once_per_rung(capsys, monkeypatch):
-    # g_alpha divides by ln 2 at every call, and alpha_for_beta needs it too;
-    # it is evaluated once per rung.  The other logs of exactly 2 take the log
-    # of an argument that is 2: ln beta once per rung for alpha_low (beta = 2),
-    # and one per call of S(2) or g_a(2).
+    # The alpha-free parts of g_a divide by ln 2 at every evaluation, and
+    # alpha_for_beta needs it too; it is evaluated once per rung.  The other
+    # logs of exactly 2 take the log of an argument that is 2: ln beta once
+    # per rung for alpha_low (beta = 2), and one per evaluation of S(2) or of
+    # the parts of g_a at 2.
     iv = bounds.mpmath.iv
     logs = collections.Counter()  # rung -> iv.log calls on exactly 2
-    at_two = collections.Counter()  # rung -> S or g_a calls at exactly 2
+    at_two = collections.Counter()  # (S or parts, rung) -> evaluations at exactly 2
     real_log = iv.log
 
     def log(x):
@@ -294,29 +295,38 @@ def test_bounds_takes_ln_2_once_per_rung(capsys, monkeypatch):
             logs[iv.prec] += 1
         return real_log(x)
 
-    def counted(fn):
+    def counted(name, fn):
         def evaluate(x, *args):
             if bounds.exact_int(x) == 2:
-                at_two[iv.prec] += 1
+                at_two[name, iv.prec] += 1
             return fn(x, *args)
         return evaluate
 
     _clear_bounds_memos()
     monkeypatch.setattr(iv, "log", log)
-    monkeypatch.setattr(bounds, "stirling_S", counted(bounds.stirling_S))
-    monkeypatch.setattr(bounds, "g_alpha", counted(bounds.g_alpha))
+    monkeypatch.setattr(bounds, "stirling_S", counted("S", bounds.stirling_S))
+    monkeypatch.setattr(bounds, "_template_parts",
+                        counted("parts", bounds._template_parts))
     code, _, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4")
     assert code == 0
-    assert logs and at_two
-    assert {bits: logs[bits] - at_two[bits] for bits in logs} == dict.fromkeys(logs, 2)
+    bits = bounds.DEFAULT_PRECISION_BITS
+    assert logs == {bits: 2 + 4}
+    # S(2) in the factorial sandwich and the Stirling bracket; the parts at 2
+    # once for both growth templates of f(2), and once in the alpha_low
+    # bracket (2 is below alpha_high's domain).
+    assert at_two == {("S", bits): 2, ("parts", bits): 2}
 
 
 @pytest.mark.parametrize("bits", [200, 16])
 def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch, bits):
-    # Tag each call of S or g_a with the bracket sweep it serves, and each
-    # grid point with the highest rung its climb reached.
+    # Count each evaluation, inside a bracket sweep, of S, of the alpha-free
+    # parts of g_a, and of the square root in the bracket's e^(-/+1/(2 sqrt x))
+    # wobble, and tag each grid point with the highest rung its climb reached.
+    # S is evaluated once per argument per rung of the Stirling bracket, and
+    # the parts and the wobble once per argument per rung of the two growth
+    # template brackets together.
     sweep = [None]
-    calls = collections.Counter()  # (sweep, argument endpoints, bits) -> calls
+    calls = collections.Counter()  # (value, argument endpoints, bits) -> calls
     reached = collections.defaultdict(dict)  # sweep -> {x: highest rung}
 
     def tagged(name, fn):
@@ -329,10 +339,10 @@ def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch
                 sweep[0] = None
         return run_sweep
 
-    def counted(fn):
+    def counted(name, fn):
         def evaluate(x, *args):
             if sweep[0] is not None:
-                calls[sweep[0], bounds.endpoints(x), bounds.mpmath.iv.prec] += 1
+                calls[name, bounds.endpoints(x), bounds.mpmath.iv.prec] += 1
             return fn(x, *args)
         return evaluate
 
@@ -350,10 +360,13 @@ def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch
 
     point_of = {}
     real_le_judge, real_climb = bounds._le_judge, bounds._climb
+    _clear_bounds_memos()  # the alpha-free parts are memoized for the process
     monkeypatch.setattr(bounds, "_le_judge", le_judge)
     monkeypatch.setattr(bounds, "_climb", climb)
-    monkeypatch.setattr(bounds, "stirling_S", counted(bounds.stirling_S))
-    monkeypatch.setattr(bounds, "g_alpha", counted(bounds.g_alpha))
+    monkeypatch.setattr(bounds, "stirling_S", counted("S", bounds.stirling_S))
+    monkeypatch.setattr(bounds, "_template_parts",
+                        counted("parts", bounds._template_parts))
+    monkeypatch.setattr(bounds, "enc_sqrt", counted("sqrt", bounds.enc_sqrt))
     monkeypatch.setattr(bounds, "check_lemma_sa", tagged("sa", bounds.check_lemma_sa))
     monkeypatch.setattr(bounds, "check_lemma_ga", tagged("ga", bounds.check_lemma_ga))
     code, _, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:0.25",
@@ -362,18 +375,26 @@ def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch
     assert set(reached) == {"sa", "ga[alpha_low]", "ga[alpha_high]"}
     ladder = bounds.precision_ladder(bits)
     expected = collections.Counter()
-    for tag, points in reached.items():
+    whole, grid_only = (0, Fraction(1, 2), 1), (0,)
+    for name, tags, offsets in [("S", ["sa"], whole),
+                                ("parts", ["ga[alpha_low]", "ga[alpha_high]"], whole),
+                                ("sqrt", ["ga[alpha_low]", "ga[alpha_high]"], grid_only)]:
         for rung in ladder:
             with bounds.precision(rung):
                 expected.update({
-                    (tag, bounds.endpoints(bounds.rational(y)), rung)
-                    for x, used in points.items() if used >= rung
-                    for y in (x, x + Fraction(1, 2), x + 1)})
+                    (name, bounds.endpoints(bounds.rational(x + offset)), rung)
+                    for tag in tags for x, used in reached[tag].items() if used >= rung
+                    for offset in offsets})
     assert calls == expected
     # 113 grid points share 117 arguments; at 16 bits some points climb.
     assert len(reached["sa"]) == 113
-    assert sum(1 for tag, _, rung in calls if tag == "sa" and rung == bits) == 117
+    assert sum(1 for name, _, rung in calls if name == "S" and rung == bits) == 117
     assert (max(reached["sa"].values()) > bits) == (bits == 16)
+    # alpha_low's bracket keeps all 113 points and alpha_high's a subset, so
+    # at the base rung the parts are evaluated at the 117 arguments once.
+    assert len(reached["ga[alpha_low]"]) == 113
+    assert set(reached["ga[alpha_high]"]) < set(reached["ga[alpha_low]"])
+    assert sum(1 for name, _, rung in calls if name == "parts" and rung == bits) == 117
 
 
 # Every field but `seconds` of each `bounds --max-n 16 --grid 2:30:4` report:
@@ -408,6 +429,22 @@ GOLDEN_BOUNDS_16 = [
     ("doubling_identity_beta_2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
     ("doubling_identity_beta_5/2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
 ]
+# Every field but `seconds` of `bounds --max-n 300 --grid 1:40:0.125
+# --precision-bits 24`, whose factorial sandwich climbs to 48 bits: the
+# report's header, then its reports as above.
+GOLDEN_BOUNDS_24 = ({"max_n": 300, "precision_bits": 24, "grid_points": 313}, [
+    ("fn_growth_bounds", "n in [1, 300]", "certified", 300, "[0.0, 0.0]", "n=1", 24, []),
+    ("factorial_sandwich", "n in [1, 300]", "certified", 300, "[0.0, 12.25]", "n=10", 48,
+     []),
+    ("stirling_midpoint_bracket", "x in [1, 40], 313 points", "certified", 313,
+     "[0.185925126076, 0.185928106308]", "x=1", 24, []),
+    ("growth_template_bracket[alpha_low]", "x in [15/8, 40], 306 points", "certified",
+     306, "[20.1172180176, 20.1174125671]", "x=15/8", 24, []),
+    ("growth_template_bracket[alpha_high]", "x in [23/8, 40], 298 points", "certified",
+     298, "[93.0807800293, 93.0823364258]", "x=23/8", 24, []),
+    ("doubling_identity_beta_2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
+    ("doubling_identity_beta_5/2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
+])
 GOLDEN_FIELDS = ("inequality", "domain", "status", "points_checked", "worst_margin",
                  "worst_point", "max_precision_bits", "failures")
 
@@ -427,11 +464,22 @@ def test_bounds_golden_reports(capsys, extra, golden):
         assert [tuple(r[f] for f in GOLDEN_FIELDS) for r in reports] == expected
 
 
+def test_bounds_golden_report_up_the_ladder(capsys):
+    _clear_bounds_memos()
+    code, out, _ = run(capsys, "bounds", "--max-n", "300", "--grid", "1:40:0.125",
+                       "--precision-bits", "24")
+    assert code == 0
+    report = json.loads(out)["report"]
+    reports = report.pop("reports")
+    assert (report, [tuple(r[f] for f in GOLDEN_FIELDS) for r in reports]) == GOLDEN_BOUNDS_24
+
+
 def test_sweep_memos_die_with_their_sweep(monkeypatch):
     # Each bracket sweep memoizes S or g_a for itself, so a second sweep over
-    # the same grid evaluates every argument again.  ln 2 (which g_a divides
-    # by, and alpha_low takes as ln beta) is memoized for the process, so the
-    # second round takes no log of 2 at the rung the first round used.
+    # the same grid evaluates every argument again.  The alpha-free parts of
+    # g_a and ln 2 (which the parts divide by, and alpha_low takes as ln beta)
+    # are memoized for the process, so the second round evaluates no parts
+    # and takes no log of 2 at the rung the first round used.
     iv = bounds.mpmath.iv
     grid = [Fraction(3), Fraction(7, 2), Fraction(4)]  # arguments 3 .. 5, none 2
     calls = collections.Counter()
@@ -451,7 +499,9 @@ def test_sweep_memos_die_with_their_sweep(monkeypatch):
     _clear_bounds_memos()
     monkeypatch.setattr(iv, "log", log)
     monkeypatch.setattr(bounds, "stirling_S", counted("S", bounds.stirling_S))
-    monkeypatch.setattr(bounds, "g_alpha", counted("g_a", bounds.g_alpha))
+    monkeypatch.setattr(bounds._TemplateParts, "at", counted("g_a", bounds._TemplateParts.at))
+    monkeypatch.setattr(bounds, "_template_parts",
+                        counted("parts", bounds._template_parts))
     rounds = []
     for _ in range(2):
         before = calls.copy()
@@ -459,7 +509,8 @@ def test_sweep_memos_die_with_their_sweep(monkeypatch):
         assert bounds.check_lemma_ga(grid, bounds.alpha_low).status == bounds.CERTIFIED
         rounds.append(calls - before)
     bits = bounds.DEFAULT_PRECISION_BITS
-    assert rounds[0] == {("S", bits): 5, ("g_a", bits): 5, ("ln 2", bits): 2}
+    assert rounds[0] == {("S", bits): 5, ("g_a", bits): 5, ("parts", bits): 5,
+                         ("ln 2", bits): 2}
     assert rounds[1] == {("S", bits): 5, ("g_a", bits): 5}
 
 
@@ -531,6 +582,25 @@ def test_out_of_range_inputs_refused_up_front(capsys, monkeypatch, argv, word):
     assert word in err
 
 
+@pytest.mark.parametrize("argv, what, cap", [
+    (["gen", "dnc"], "alphabet symbols", 13),
+    (["gen", "tail"], "alphabet symbols", 10),
+    (["gen", "flat"], "alphabet symbols (flat union)", construct.FLAT_CAP),
+    (["verify", "--builder", "dnc"], "alphabet symbols", 13),
+])
+def test_builder_refuses_before_the_alphabet_exists(capsys, monkeypatch, argv, what, cap):
+    # n just under MAX_SYMBOLS passes the alphabet's own cap; the builder's
+    # refusal on n comes before any n-tuple or AlphabetSet is made.
+    def built(cls, *args):
+        raise AssertionError("an AlphabetSet was built")
+
+    monkeypatch.setattr(construct.AlphabetSet, "__new__", built)
+    n = construct.MAX_SYMBOLS - 1
+    code, err = _exit_code_and_err(capsys, [*argv, "--n", str(n)])
+    assert code == 2
+    assert err == f"error: refusing to build: {n} {what} exceeds cap {cap}\n"
+
+
 def _load_perfbench(monkeypatch, name):
     """Load perfbench/<name>.py from the checkout, as the benchmark runs it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # its modules import each other
@@ -555,9 +625,9 @@ def test_max_n_defaults_and_benchmark_values_are_within_the_limits(tmp_path, mon
 
 def test_benchmark_trace_hooks_resolve():
     # perfbench/layers.py wraps these names through sys.modules right after
-    # `import permrex.cli`; a rename would break its traced run.  `bounds` and
-    # `oracle` are there too, registered by LazyLoader before any of their
-    # code has run: the getattr that layers.py makes loads the module in
+    # `import permrex.cli`; a rename would break its traced run.  `bounds`,
+    # `oracle`, `regex_ast` and `verify` are there too, registered by
+    # LazyLoader before any of their code has run: the getattr that layers.py makes loads the module in
     # place, in the same object the CLI reads, so the wrapped function is the
     # one every command calls.  A fresh interpreter, because this one has
     # imported every module.
@@ -606,6 +676,54 @@ def test_benchmark_trace_hooks_resolve():
     # Unloaded after the import and after `verify`; loaded once read.
     assert lazy_states == [[True, True], [True, True], [False, False]]
     assert csv_loaded
+
+
+def test_proofs_commands_leave_the_regex_layer_unloaded():
+    # A fresh interpreter: `import permrex` runs no submodule, and the
+    # commands that need no regex leave `construct`, `regex_ast` and `verify`
+    # registered but unloaded until `verify` reads them.
+    probe = (
+        "import contextlib, io, json, sys, types\n"
+        "import permrex\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('permrex.'))\n"
+        "import permrex.cli\n"
+        "def loaded():\n"
+        "    return [type(sys.modules['permrex.' + m]) is types.ModuleType\n"
+        "            for m in ('construct', 'regex_ast', 'verify')]\n"
+        "states = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['lemmas', '--max-n', '64'], ['len', '--max-n', '50'],\n"
+        "                 ['bounds', '--max-n', '16', '--grid', '2:30:4'],\n"
+        "                 ['verify', '--builder', 'dnc', '--n', '4']):\n"
+        "        assert permrex.cli.run(argv) == 0, argv\n"
+        "        states.append(loaded())\n"
+        "print(json.dumps([bare, states]))\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    bare, states = json.loads(done.stdout)
+    assert bare == []
+    assert states == [[False] * 3] * 3 + [[True] * 3]
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    probe = (
+        "import importlib, json, permrex\n"
+        "homes = {name: getattr(permrex, name).__module__\n"
+        "         for name in permrex.__all__ if name != '__version__'}\n"
+        "same = all(getattr(permrex, name) is getattr(importlib.import_module(home), name)\n"
+        "           for name, home in homes.items())\n"
+        "print(json.dumps([sorted(set(permrex.__all__) - set(dir(permrex))), same,\n"
+        "                  permrex.__version__]))\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], True, permrex.__version__]
+    assert len(permrex.__all__) == 41
 
 
 @pytest.mark.parametrize("name, attr", [("bounds", "MAX_SWEEP_N"), ("oracle", "ORACLE_CAP")])

@@ -155,6 +155,21 @@ def test_size_caps_refuse_before_building():
     assert info.value.cap == construct.FLAT_CAP
 
 
+@pytest.mark.parametrize("name, build, ns", [
+    ("dnc", construct.build_divide_and_conquer, [0, 14, 15, 100, 10**8]),
+    ("tail", construct.build_tail_recursive, [0, 11, 12, 100, 10**8]),
+    ("flat", construct.build_flat_union, [0, 9, 100, 10**8]),
+])
+def test_require_buildable_refuses_as_the_builder_does(name, build, ns):
+    for n in ns:
+        with pytest.raises((InvalidArgs, SizeCap)) as early:
+            construct.require_buildable(name, n)
+        with pytest.raises(type(early.value)) as late:
+            build(first_n(n))
+        assert str(early.value) == str(late.value)
+    construct.require_buildable(name, 1)  # fits
+
+
 def test_huge_alphabets_refused_on_their_size(monkeypatch):
     # Lengths grow with n, so past the first n over the cap none is computed,
     # and no alphabet larger than the symbol cap is materialized.
