@@ -26,14 +26,16 @@ when it is freed:
   * for the process: ln 2 and ln 4, the rational constants, the integers
     1 and 4, 2 pi, the alpha of a beta and 4^alpha, each computed once
     per rung (a few dozen intervals);
-  * for the process, in a least-recently-used memo of 3 * MAX_GRID_POINTS
+  * until `grid_memos` exits (the CLI's `bounds` holds it for its
+    checks), in a least-recently-used memo of 3 * MAX_GRID_POINTS
     entries: the alpha-free parts of g_a (the interval of x, 4^x, ln x
     and lg(x)/4) at each argument x, x + 1/2, x + 1 of a bracket grid
     point x; and, in one of MAX_GRID_POINTS entries, the wobble factors
     e^(-/+ 1/(2 sqrt x)) at each grid point.  The growth-template brackets
     of alpha_low and alpha_high share them, so each is evaluated once per
     argument per rung for both; past the memo's size the least recently
-    read are dropped, and evaluated again if read again;
+    read are dropped, and evaluated again if read again.  A caller that
+    runs the brackets outside `grid_memos` keeps them for the process;
   * for the process, in an LRU of 2 * MAX_GRID_POINTS entries: whether a
     grid point is in the bracket's domain, per alpha and base precision;
   * for one sweep: each Stirling or growth-template bracket memoizes S or
@@ -43,8 +45,9 @@ when it is freed:
 
 A memoized interval is the one a fresh evaluation at that precision
 gives, so no verdict, margin or worst point moves.  The n-sweeps keep no
-memo.  The growth-bound sweep reads exact f(n) from `lengths.f_table` and
-evaluates the alpha-free parts at n once for both templates; the factorial
+memo.  The growth-bound sweep reads exact f(n) from `lengths.f_values`,
+which keeps f only up to ceil(max_n/2), and evaluates the alpha-free
+parts at n once for both templates; the factorial
 sandwich carries n! from n - 1 as an exact integer, held by the one point
 being judged.  No interval operation is reordered or re-associated, so
 every enclosure is the one a direct evaluation gives.
@@ -491,6 +494,17 @@ def _wobble(x: Fraction) -> tuple[mpmath.iv.mpf, mpmath.iv.mpf]:
     return mpmath.iv.exp(-wobble), mpmath.iv.exp(wobble)
 
 
+@contextmanager
+def grid_memos() -> Iterator[None]:
+    """Free, on exit, what the growth-template brackets run inside shared:
+    the alpha-free parts of g_a and the wobble factors at their grid points."""
+    try:
+        yield
+    finally:
+        _grid_parts.cache_clear()
+        _wobble.cache_clear()
+
+
 def check_lemma_gaS(
     beta: Fraction | int, base_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundReport:
@@ -531,11 +545,10 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
     plus f(n) <= (1/4) g_al(n) whenever n is a power of two."""
     if max_n < 1:
         raise InvalidArgs(f"max_n must be >= 1, got {max_n}")
-    table = lengths.f_table(max_n)
 
-    def pairs(n: int) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
+    def pairs(n: int, f_n: int) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
         parts = _template_parts(mpmath.iv.mpf(n))  # shared by both templates
-        exact = mpmath.iv.mpf(table[n - 1])
+        exact = mpmath.iv.mpf(f_n)
         quarter = _constant(Fraction(1, 4))
         low_template = parts.at(alpha_low())
         lower = _constant(Fraction(195, 1000)) * low_template
@@ -545,10 +558,13 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
             checks.append((exact, quarter * low_template))
         return checks
 
+    # f(n) comes from a stream that keeps f only up to ceil(max_n/2); a
+    # larger one is held by the one point being judged.
     return _sweep(
         inequality="fn_growth_bounds",
         domain=f"n in [1, {max_n}]",
-        points=[(f"n={n}", _le_judge(partial(pairs, n))) for n in range(1, max_n + 1)],
+        points=((f"n={n}", _le_judge(partial(pairs, n, f_n)))
+                for n, f_n in enumerate(lengths.f_values(max_n), 1)),
         base_bits=base_bits,
     )
 

@@ -186,10 +186,11 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
         lambda: bounds.check_lemma_gaS(Fraction(5, 2), base_bits=bits),
     ]
     entries = []
-    for check in checks:
-        begun = time.monotonic()
-        report = check()._asdict()
-        entries.append(report | {"seconds": round(time.monotonic() - begun, 3)})
+    with bounds.grid_memos():
+        for check in checks:
+            begun = time.monotonic()
+            report = check()._asdict()
+            entries.append(report | {"seconds": round(time.monotonic() - begun, 3)})
     payload = {
         "max_n": args.max_n,
         "precision_bits": bits,

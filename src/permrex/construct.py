@@ -9,7 +9,10 @@ exactly the permutations of S:
                               choices; length f(n), the optimal one
 
 The tail and divide-and-conquer builders are one split construction that
-differs only in the size of the first part (1, or half of S).
+differs only in the size of the first part (1, or half of S).  Each
+union is built once, as one n-ary node over all of its terms.  The flat
+builder shares the chains of consecutive permutations' common prefixes,
+so every distinct prefix is one node built once.
 
 Every builder refuses with SizeCap before it builds anything larger than
 MAX_SYMBOLS symbol occurrences, so a typo in n cannot allocate gigabytes:
@@ -26,12 +29,12 @@ what makes rendered output byte-stable.
 from __future__ import annotations
 
 import itertools
-from functools import cache, reduce
+from functools import cache
 from typing import Callable, NamedTuple
 
 from . import lengths
 from .errors import InvalidArgs, SizeCap
-from .regex_ast import Concat, Regex, Sym, Union
+from .regex_ast import Concat, Regex, Sym, Union, union_of
 
 
 class _AlphabetFields(NamedTuple):
@@ -133,11 +136,10 @@ def _build_split(
         # Colex order: compare member lists from their largest element down.
         firsts = sorted(itertools.combinations(members, first_size(len(members))),
                         key=lambda part: part[::-1])
-        terms = [
+        return Union(*(
             Concat(expr_for(chosen), expr_for(tuple(m for m in members if m not in chosen)))
             for chosen in firsts
-        ]
-        return reduce(Union, terms)
+        ))
 
     return expr_for(s.members)
 
@@ -158,10 +160,23 @@ def build_tail_recursive(s: AlphabetSet) -> Regex:
 
 
 def build_flat_union(s: AlphabetSet) -> Regex:
-    """One concatenation chain per permutation, in lexicographic order."""
+    """One concatenation chain per permutation, in lexicographic order.
+
+    Consecutive permutations share a prefix, so the chains of the previous
+    one are kept, cut back to the shared prefix and extended from there:
+    each distinct prefix is built once, each Sym once.
+    """
     _require_flat_fits(s.n)
-    words = (
-        reduce(Concat, (Sym(m) for m in perm))
-        for perm in itertools.permutations(s.members)
-    )
-    return reduce(Union, words)
+    words: list[Regex] = []
+    chain: list[Regex] = []  # chain[k]: the current permutation's first k + 1 symbols
+    previous = (None,) * s.n
+    for perm in itertools.permutations(tuple(map(Sym, s.members))):
+        shared = 0
+        while perm[shared] is previous[shared]:
+            shared += 1
+        del chain[shared:]
+        for sym in perm[shared:]:
+            chain.append(Concat(chain[-1], sym) if chain else sym)
+        words.append(chain[-1])
+        previous = perm
+    return union_of(words)

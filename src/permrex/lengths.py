@@ -16,7 +16,9 @@ No sweep here calls math.comb per value.  check_opt_choice walks row n
 of Pascal's triangle, C(n, k) = C(n, k-1) * (n-k+1) // k, and computes
 the slack only for k <= n/2: split_delta(n, k) = split_delta(n, n-k)
 exactly, because C(n, k) = C(n, n-k).  f_table builds f bottom-up and
-carries the middle binomial C(n, floor(n/2)) from one n to the next.
+carries the middle binomial C(n, floor(n/2)) from one n to the next;
+f_values is the same walk as a stream, which keeps only the values that
+later ones read.
 split_delta stays the reference definition of the slack.
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidArgs
 
@@ -62,13 +64,23 @@ def f_table(max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise InvalidArgs(f"table needs max_n >= 1, got {max_n}")
-    table = [1]  # table[n - 1] = f(n)
+    return list(f_values(max_n))
+
+
+def f_values(max_n: int) -> Iterator[int]:
+    """f(1), ..., f(max_n) in order, bottom-up.  f(n) reads only f(floor(n/2))
+    and f(ceil(n/2)), so only the values up to ceil(max_n/2) are kept."""
+    kept = [1]  # kept[n - 1] = f(n) for n <= ceil(max_n / 2)
     middle = 1  # C(n, floor(n/2)), starting at n = 1
+    if max_n >= 1:
+        yield 1
     for n in range(2, max_n + 1):
         half = n // 2
         middle = middle * n // (n - half)  # C(n, half) from C(n - 1, (n - 1) // 2)
-        table.append(middle * (table[half - 1] + table[n - half - 1]))
-    return table
+        value = middle * (kept[half - 1] + kept[n - half - 1])
+        if 2 * n <= max_n + 1:
+            kept.append(value)
+        yield value
 
 
 def t(n: int) -> int:

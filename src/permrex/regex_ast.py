@@ -1,16 +1,21 @@
 """Regular expressions over numbered alphabets, as one hash-consed DAG.
 
-Expressions are built from six node kinds: EmptySet, Epsilon, Sym,
-Union, Concat, and Star.  The size measure used throughout the package
-is *alphabetic length*: the number of Sym leaves.  Operators and
-parentheses are free.
+Expressions are built from six node kinds: the leaves EmptySet, Epsilon
+and Sym, the binary Concat (left, right), the unary Star (child), and the
+n-ary Union over a tuple of two or more terms.  A union is flat: a term
+that is itself a union contributes its terms, so every bracketing of the
+same terms is one node, and no union has a union as a term.  Repeated
+terms are kept.  The size measure used throughout the package is
+*alphabetic length*: the number of Sym leaves.  Operators and parentheses
+are free.
 
 Every node is interned when it is built: constructing a node whose kind
 and children (by identity) already exist returns the existing object.
 Structurally equal expressions are therefore the same object, equality
 and hashing are plain identity, and the builders and the parser share
-one DAG.  The intern table holds every node ever built and lives as long
-as the process.
+one DAG.  Each kind has its own constructor, which looks its key up once
+and sets its slots only on a miss.  The intern table holds every node
+ever built and lives as long as the process.
 
 Two textual formats are supported.  The compact format writes symbols
 as bare digits with juxtaposition for concatenation ("(12+21)(34+43)")
@@ -18,8 +23,9 @@ and is only valid while every symbol id is a single digit.  The spaced
 format separates every token with single spaces and works for any
 alphabet size; it is the canonical interchange form.
 
-Expressions can be hundreds of thousands of nodes deep (a flat union
-over 8 symbols is a 40319-deep chain), so nothing here recurses:
+Concatenation chains can be hundreds of thousands of nodes deep, and a
+union can have tens of thousands of terms (the flat union over 8 symbols
+has 40320), so nothing here recurses:
 `postorder` visits the distinct nodes with an explicit stack, `fold`
 computes bottom-up values on top of it, and rendering and parsing keep
 their own stacks.
@@ -30,21 +36,23 @@ same node, so `parse` keeps a per-call memo of the groups it has closed,
 keyed by their first 48 characters.  A '(' that starts the text of one of
 them takes its node and resumes tokenizing after it.  The builders'
 output repeats each subset's group many times: the spaced `dnc` n=12
-text is 4.5 MB, yet its DAG has 39 193 distinct nodes.
+text is 4.5 MB, yet its DAG has 21 419 distinct nodes, one union per
+subset and the concatenations of its terms.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from typing import Callable, Iterator, Literal, NamedTuple, TypeVar
+from typing import Callable, Iterator, Literal, NamedTuple, Sequence, TypeVar
 
 from .errors import CompactOverflow, InvalidArgs, RegexSyntaxError, SymbolOutOfRange
 
 RenderFormat = Literal["compact", "spaced"]
 T = TypeVar("T")
 
-# (kind, *fields) -> the one node with that kind and those fields.
+# (kind, *fields) -> the one node with that kind and those fields.  A
+# union's one field is its tuple of terms.
 _INTERNED: dict[tuple, "Regex"] = {}
 
 
@@ -54,17 +62,12 @@ class Regex:
 
     __slots__ = ()
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
+    def __new__(cls):
+        # The kinds without fields, EmptySet and Epsilon: one node each.
+        key = (cls,)
         node = _INTERNED.get(key)
         if node is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(
-                    f"{cls.__name__} takes {len(cls.__slots__)} arguments, got {len(fields)}")
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
-            _INTERNED[key] = node
+            node = _INTERNED[key] = object.__new__(cls)
         return node
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -102,11 +105,46 @@ class Sym(Regex):
     __slots__ = ("sym",)
     sym: int
 
+    def __new__(cls, sym: int) -> "Sym":
+        key = (cls, sym)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = object.__new__(cls)
+            _set_sym(node, sym)
+        return node
+
 
 class Union(Regex):
-    __slots__ = ("left", "right")
-    left: Regex
-    right: Regex
+    """The union of two or more terms, none of them a union.
+
+    A term that is a union contributes its own terms, so every bracketing
+    of the same terms is one node: reduce(Union, xs) is Union(*xs).
+    Repeated terms are kept.
+    """
+
+    __slots__ = ("terms",)
+    terms: tuple[Regex, ...]
+
+    def __new__(cls, *terms: Regex) -> "Union":
+        if len(terms) < 2:
+            raise TypeError(f"Union takes two or more terms, got {len(terms)}")
+        if Union in map(type, terms):
+            terms = tuple(part for term in terms
+                          for part in (term.terms if type(term) is Union else (term,)))
+        key = (cls, terms)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = object.__new__(cls)
+            _set_terms(node, terms)
+        return node
+
+    def __reduce__(self):
+        return Union, self.terms
+
+
+def union_of(terms: Sequence[Regex]) -> Regex:
+    """The union of one or more terms: the only term itself, else Union(*terms)."""
+    return Union(*terms) if len(terms) > 1 else terms[0]
 
 
 class Concat(Regex):
@@ -114,16 +152,43 @@ class Concat(Regex):
     left: Regex
     right: Regex
 
+    def __new__(cls, left: Regex, right: Regex) -> "Concat":
+        key = (cls, left, right)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = object.__new__(cls)
+            _set_left(node, left)
+            _set_right(node, right)
+        return node
+
 
 class Star(Regex):
     __slots__ = ("child",)
     child: Regex
 
+    def __new__(cls, child: Regex) -> "Star":
+        key = (cls, child)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = object.__new__(cls)
+            _set_child(node, child)
+        return node
+
+
+# The slot setters the constructors call; Regex.__setattr__ refuses.
+_set_sym = Sym.sym.__set__
+_set_terms = Union.terms.__set__
+_set_left = Concat.left.__set__
+_set_right = Concat.right.__set__
+_set_child = Star.child.__set__
+
 
 def _children(node: Regex) -> tuple[Regex, ...]:
     kind = type(node)
-    if kind is Union or kind is Concat:
+    if kind is Concat:
         return node.left, node.right
+    if kind is Union:
+        return node.terms
     if kind is Star:
         return (node.child,)
     return ()
@@ -155,8 +220,8 @@ def fold(expr: Regex, combine: Callable[..., T]) -> T:
     """Bottom-up value of `expr`: `combine(node, *child_values)` is called
     once per distinct node, so shared subexpressions are computed once.
 
-    Sym, Epsilon and EmptySet get no child values, Star one, Union and
-    Concat two (left, right).
+    Sym, Epsilon and EmptySet get no child values, Star one, Concat two
+    (left, right) and Union one per term, in order.
     """
     values: dict[Regex, T] = {}
     for node in postorder(expr):
@@ -268,9 +333,10 @@ def render_to(expr: Regex, write: Callable[[str], None], fmt: RenderFormat = "sp
                 stack.append("*")
                 push(item.child, _PREC_STAR)
             elif kind is Union:
-                push(item.right, _PREC_UNION)
-                stack.append("+")
-                push(item.left, _PREC_UNION)
+                # No term is parenthesized: none binds looser than a union.
+                for term in reversed(item.terms):
+                    stack += (term, "+")
+                stack.pop()
             else:  # Concat
                 push(item.right, _PREC_CONCAT)
                 push(item.left, _PREC_CONCAT)
@@ -305,14 +371,63 @@ _GROUP_BUCKET = 16
 _GROUP_ROOM = 4
 
 
+# A group the parser closes with two or more alternatives, one of them a
+# union, is kept as the list of its alternatives (each a node or such a
+# list) until it is used as something other than a whole alternative of an
+# enclosing union.  A nest like ((1+1)+1)+1 is then one flat union built
+# once: building one union per level would copy the inner terms at each
+# level, quadratic in the nesting depth.
+
+
+def _group(alts: list) -> Regex | list:
+    """A closed group: its one alternative, its union, or the list of its
+    alternatives while one of them is a union (above)."""
+    if len(alts) == 1:
+        return alts[0]
+    if list in map(type, alts) or Union in map(type, alts):
+        return alts
+    return Union(*alts)
+
+
+def _built(term: Regex | list) -> Regex:
+    """The node of a parsed term, building an unbuilt union (above)."""
+    if type(term) is not list:
+        return term
+    if len(term) == 1:  # built before, under a reused copy of its group
+        return term[0]
+    flat: list[Regex] = []
+    stack = [term]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack += reversed(item)
+        else:
+            flat.append(item)
+    node = union_of(flat)
+    term[:] = (node,)
+    return node
+
+
+def _alternative(terms: list) -> Regex | list:
+    """One union alternative from a concatenation run; a run of one term
+    is that term, so an unbuilt union stays unbuilt."""
+    if len(terms) == 1:
+        return terms[0]
+    if list in map(type, terms):
+        terms = list(map(_built, terms))
+    return reduce(Concat, terms)
+
+
 def parse(text: str, n: int) -> Regex:
     """Parse compact or spaced text into an expression over the alphabet {1..n}.
 
-    Union binds loosest, then concatenation, then postfix star.  Chains
-    associate to the left, so parse(render(e)) is e itself for
-    expressions in that left-leaning normal form, builder output
-    included.  Parenthesis nesting is handled with an explicit stack;
-    input depth is unbounded.
+    Union binds loosest, then concatenation, then postfix star.  A union
+    is one n-ary node, and concatenation chains associate to the left, so
+    parse(render(e)) is e itself for expressions whose concatenations lean
+    left, builder output included.  Parenthesis nesting is handled with an
+    explicit stack; input depth is unbounded.  A union group that is a
+    whole alternative of an enclosing union is flattened into it before
+    any union is built (see `_group`), so nested unions cost linear time.
 
     A group is reused (see the module docstring) only once it has parsed
     cleanly, so every error comes from the token loop, with the message
@@ -323,11 +438,14 @@ def parse(text: str, n: int) -> Regex:
     pattern = _TOKEN_MULTI_DIGIT if n >= 10 else _TOKEN_SINGLE_DIGIT
     width = len(str(n))
     # One frame per open parenthesis: (completed alternatives, current concat
-    # run, offset of the '(').
-    frames: list[tuple[list[Regex], list[Regex], int]] = [([], [], 0)]
+    # run, offset of the '(').  Either list may hold unbuilt unions (see
+    # `_group`), once `deferred` is set.
+    frames: list[tuple[list, list, int]] = [([], [], 0)]
+    deferred = False
     # Closed groups by the first _GROUP_KEY characters from their '(':
-    # (group text, node) for each, stored when it first closes.
-    groups: dict[str, list[tuple[str, Regex]]] = {}
+    # (group text, node or unbuilt union) for each, stored when it first
+    # closes.
+    groups: dict[str, list[tuple[str, Regex | list]]] = {}
     # Characters of group text the memo may still hold.
     room = _GROUP_ROOM * len(text)
     # Where tokenizing resumes after a reused group; None once the text
@@ -363,11 +481,11 @@ def parse(text: str, n: int) -> Regex:
             elif token == "*":
                 if not terms:
                     raise RegexSyntaxError("star needs an expression to repeat", offset)
-                terms[-1] = Star(terms[-1])
+                terms[-1] = Star(_built(terms[-1]))
             elif token == "+":
                 if not terms:
                     raise RegexSyntaxError("empty union alternative", offset)
-                alts.append(reduce(Concat, terms))
+                alts.append(_alternative(terms) if deferred else reduce(Concat, terms))
                 terms.clear()
             elif token == "(":
                 for group, node in groups.get(text[offset:offset + _GROUP_KEY], ()):
@@ -383,8 +501,9 @@ def parse(text: str, n: int) -> Regex:
                     raise RegexSyntaxError("unbalanced ')'", offset)
                 if not terms:
                     raise RegexSyntaxError("empty group or union alternative", offset)
-                alts.append(reduce(Concat, terms))
-                node = reduce(Union, alts)
+                alts.append(_alternative(terms) if deferred else reduce(Concat, terms))
+                node = _group(alts)
+                deferred = deferred or node is alts
                 opened = frames.pop()[2]
                 bucket = groups.setdefault(text[opened:opened + _GROUP_KEY], [])
                 size = offset + 1 - opened
@@ -400,5 +519,5 @@ def parse(text: str, n: int) -> Regex:
     if not terms:
         raise RegexSyntaxError(
             "empty union alternative" if alts else "empty expression", len(text))
-    alts.append(reduce(Concat, terms))
-    return reduce(Union, alts)
+    alts.append(_alternative(terms) if deferred else reduce(Concat, terms))
+    return _built(_group(alts))

@@ -10,10 +10,12 @@ concatenation of the permutations of A with those of a disjoint B is the
 of blocks over one support S is every permutation of S exactly when each
 maximal chain of subsets from the empty set to S meets the family of
 block prefixes, because the prefix sets of a permutation form such a
-chain.  One fold over the distinct DAG nodes computes these descriptors
-and tests a family only where a concatenation consumes it, or at the
-root.  Anything else (stars, epsilon, the empty set, overlapping or
-differing supports) is unknown and sends the expression to the walk.
+chain.  Unions are n-ary and flat, so a union's descriptor lists its
+terms' blocks at once.  One fold over the distinct DAG nodes computes
+these descriptors and tests a family only where a concatenation consumes
+it, or at the root.  Anything else (stars, epsilon, the empty set,
+overlapping or differing supports) is unknown and sends the expression
+to the walk.
 
 The same fold counts the Sym leaves, proof or not, and that count is the
 position count the walk refuses on (MAX_POSITIONS) before it builds its
@@ -24,7 +26,9 @@ needs neither, since it denotes a nonempty, star-free set of
 permutations over 1..n.
 
 The position automaton keeps one NFA state per Sym leaf, so its state
-count is an independent cross-check of the fold's count.  State sets are
+count is an independent cross-check of the fold's count.  A union's
+(nullable, first, last) value absorbs each term's as soon as that term is
+done, so the terms' masks are never held all at once.  State sets are
 Python ints used as bitmasks; stepping a set is an or-loop over its set
 bits, which keeps the hot path in C.  The walk combines three facts into
 an unconditional certificate for star-free inputs:
@@ -92,10 +96,14 @@ def glushkov(expr: Regex) -> PositionNfa:
             elif kind is Star:
                 work.append((node, True))
                 work.append((node.child, False))
-            else:
+            elif kind is Concat:
                 work.append((node, True))
                 work.append((node.right, False))
                 work.append((node.left, False))
+            else:  # Union: each term's value is merged as soon as it is done
+                values.append((False, 0, 0))
+                for term in reversed(node.terms):
+                    work += ((node, True), (term, False))
             continue
         if kind is Star:
             nullable, first, last = values.pop()
@@ -118,14 +126,14 @@ def glushkov(expr: Regex) -> PositionNfa:
                 left_first | (right_first if left_nullable else 0),
                 right_last | (left_last if right_nullable else 0),
             ))
-        else:  # Union
-            right_nullable, right_first, right_last = values.pop()
-            left_nullable, left_first, left_last = values.pop()
-            values.append((
-                left_nullable or right_nullable,
-                left_first | right_first,
-                left_last | right_last,
-            ))
+        else:  # Union: merge one finished term into the union's running value
+            term_nullable, term_first, term_last = values.pop()
+            nullable, first, last = values[-1]
+            values[-1] = (nullable or term_nullable, first | term_first, last | term_last)
+            # Free the replaced masks now, not when these names are next bound:
+            # held while the next term's follow sets grow, they cost `flat`
+            # n=7 about 3 MB of peak RSS.
+            del first, last, term_first, term_last
     nullable, first, last = values.pop()
     return PositionNfa(tuple(symbols), first, last, tuple(follow), nullable)
 
@@ -152,7 +160,7 @@ def naive_matches(expr: Regex, word: Sequence[int]) -> bool:
         elif kind is EmptySet:
             out = False
         elif kind is Union:
-            out = matches(node.left, i, j) or matches(node.right, i, j)
+            out = any(matches(term, i, j) for term in node.terms)
         elif kind is Concat:
             out = any(
                 matches(node.left, i, mid) and matches(node.right, mid, j)
@@ -184,14 +192,13 @@ def _word_length(node: Regex, *kids: object) -> object:
     if kind is Star:
         # Star of nothing (or of epsilon) is just epsilon.
         return 0 if kids[0] is _EMPTY or kids[0] == 0 else _UNKNOWN
-    left, right = kids
     if kind is Union:
-        if left is _EMPTY:
-            return right
-        if right is _EMPTY:
-            return left
-        return left if left == right and left is not _UNKNOWN else _UNKNOWN
-    # Concat
+        # Uniform when every nonempty term has the same certified length.
+        live = {kid for kid in kids if kid is not _EMPTY}
+        if not live:
+            return _EMPTY
+        return live.pop() if len(live) == 1 else _UNKNOWN
+    left, right = kids
     if left is _EMPTY or right is _EMPTY:
         return _EMPTY
     if left is _UNKNOWN or right is _UNKNOWN:
@@ -214,27 +221,19 @@ def uniform_length(expr: Regex) -> int | None:
 MAX_SPLIT_N = 16
 
 # A split descriptor is (support, prefix) for the block of permutations of
-# `support` whose first |prefix| symbols are `prefix`, or (support, left,
-# right) for the union of two descriptors over one support.  Symbol sets
-# are bitmasks (bit s for symbol s).  (S, S) is every permutation of S.
+# `support` whose first |prefix| symbols are `prefix`, or (support, *blocks)
+# for the union of two or more blocks over one support.  A union's terms
+# are never unions, so its blocks are all blocks.  Symbol sets are bitmasks
+# (bit s for symbol s).  (S, S) is every permutation of S.
 Split = tuple
 
 
 def _covers(family: Split) -> bool:
     """Whether the union of the blocks in `family` is every permutation of
     its support: no maximal chain from the empty set to the support avoids
-    every block prefix.  The linked unions are flattened here, once."""
+    every block prefix."""
     support = family[0]
-    prefixes: set[int] = set()
-    joined: set[int] = set()
-    stack = [family]
-    while stack:
-        part = stack.pop()
-        if len(part) == 2:
-            prefixes.add(part[1])
-        elif id(part) not in joined:
-            joined.add(id(part))
-            stack += part[1:]
+    prefixes = {block[1] for block in family[1:]}
     bits = [1 << s for s in range(support.bit_length()) if support >> s & 1]
     reached = {0}
     stack = [0]
@@ -288,14 +287,13 @@ def _split_proof(expr: Regex, n: int) -> tuple[bool, int, bool, frozenset[int] |
             rest = perm_support(node.right, kids[1]) if first else 0
             return (first | rest, first) if rest and not first & rest else None
         if kind is Union:
-            left, right = kids
-            if left is None or right is None or left[0] != right[0]:
+            if None in kids or len({block[0] for block in kids}) > 1:
                 return None
-            if left[0] == left[1]:
-                return left
-            if right[0] == right[1]:
-                return right
-            return left[0], left, right
+            support = kids[0][0]
+            for block in kids:
+                if block[1] == support:
+                    return block
+            return (support, *kids)
         return None
 
     def read(node: Regex, *kids: tuple) -> tuple[bool, frozenset[int] | None]:

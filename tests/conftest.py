@@ -1,9 +1,9 @@
 """Shared strategies and fixtures.
 
 `any_regexes` yields arbitrarily nested ASTs for language-level checks.
-`normal_form_regexes` reassociates union and concatenation chains to
-the left, the shape the parser produces, so render -> parse is an exact
-AST round trip.
+`normal_form_regexes` reassociates concatenation chains to the left, the
+shape the parser produces (unions are n-ary and flattened when built), so
+render -> parse is an exact AST round trip.
 """
 
 from __future__ import annotations
@@ -39,13 +39,19 @@ def any_regexes(
     return st.recursive(leaf, extend, max_leaves=24)
 
 
-def _flatten(expr, kind):
-    # In-order leaves of a same-operator subtree.
+def union_terms(expr):
+    """The terms of the union at `expr`, left to right; [expr] for any
+    other node."""
+    return list(expr.terms) if type(expr) is ra.Union else [expr]
+
+
+def _concat_factors(expr):
+    # In-order factors of a concatenation subtree.
     parts = []
     stack = [expr]
     while stack:
         node = stack.pop()
-        if type(node) is kind:
+        if type(node) is ra.Concat:
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -53,23 +59,21 @@ def _flatten(expr, kind):
     return parts
 
 
-def union_terms(expr):
-    """The terms of the union chain at `expr`, left to right."""
-    return _flatten(expr, ra.Union)
-
-
 def normalize(expr):
-    """Reassociate unions and concatenations to the left, recursively.
+    """Reassociate concatenations to the left, recursively.  Unions are
+    n-ary and flat already.
 
     The result is exactly the AST the parser builds from the rendering
     of `expr`; the language is unchanged.
     """
     kind = type(expr)
-    if kind in (ra.Union, ra.Concat):
-        parts = [normalize(p) for p in _flatten(expr, kind)]
+    if kind is ra.Union:
+        return ra.Union(*map(normalize, expr.terms))
+    if kind is ra.Concat:
+        parts = [normalize(p) for p in _concat_factors(expr)]
         out = parts[0]
         for part in parts[1:]:
-            out = kind(out, part)
+            out = ra.Concat(out, part)
         return out
     if kind is ra.Star:
         return ra.Star(normalize(expr.child))
@@ -79,5 +83,5 @@ def normalize(expr):
 def normal_form_regexes(
     n: int = 3, with_specials: bool = True, with_star: bool = True
 ) -> st.SearchStrategy:
-    """ASTs shaped exactly like parser output (chains fold left)."""
+    """ASTs shaped exactly like parser output (concatenations fold left)."""
     return any_regexes(n, with_specials, with_star).map(normalize)

@@ -364,6 +364,16 @@ def test_check_fn_bounds_certifies_with_tight_power_of_two():
     assert report.worst_margin == "[0.0, 0.0]"
 
 
+def test_check_fn_bounds_streams_f(monkeypatch):
+    # The sweep reads f from lengths.f_values, never the whole table.
+    def no_table(max_n):
+        raise AssertionError("f_table read")
+
+    monkeypatch.setattr(lengths, "f_table", no_table)
+    report = bounds.check_fn_bounds(64)
+    assert report.status == bounds.CERTIFIED and report.points_checked == 64
+
+
 def test_power_of_two_strengthening_is_powers_only():
     # The sharper bound f(n) <= (1/4) g_low(n) genuinely fails off the
     # power-of-two lattice for large enough n, so the sweep must not

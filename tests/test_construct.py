@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -116,6 +117,35 @@ def test_dnc_shares_subproblems_across_the_union():
     # Alphabetic length counts occurrences (6720 at n = 8); the shared
     # DAG must be far smaller than the fully expanded tree.
     assert nodes < 2500
+
+
+def kinds(expr):
+    """Distinct nodes of `expr` by kind name."""
+    return collections.Counter(type(node).__name__ for node in regex_ast.postorder(expr))
+
+
+def test_flat_union_builds_each_prefix_once(monkeypatch):
+    # 5 + 20 + 60 + 120 + 120 distinct prefixes: the first symbol of each
+    # is a Sym, every longer one a Concat.  Each is constructed once.
+    calls = collections.Counter()
+    for build in (regex_ast.Sym, regex_ast.Concat, regex_ast.union_of):
+        def counted(*args, build=build):
+            calls[build.__name__] += 1
+            return build(*args)
+        monkeypatch.setattr(construct, build.__name__, counted)
+    expr = construct.build_flat_union(first_n(5))
+    assert kinds(expr) == {"Sym": 5, "Concat": 320, "Union": 1}
+    assert calls == {"Sym": 5, "Concat": 320, "union_of": 1}
+    assert len(expr.terms) == 120
+
+
+def test_builder_dags_have_pinned_node_counts():
+    # One n-ary union per subset of two or more symbols the halving reaches,
+    # one Concat per union term, and one Sym per symbol.
+    assert kinds(construct.build_divide_and_conquer(first_n(12))) == {
+        "Sym": 12, "Concat": 20_196, "Union": 1_211}
+    assert kinds(construct.build_flat_union(first_n(8))) == {
+        "Sym": 8, "Concat": 109_592, "Union": 1}
 
 
 BUILDERS = {

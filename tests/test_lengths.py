@@ -27,6 +27,16 @@ def test_f_table_matches_pointwise():
     assert [lengths.f(n) for n in range(1, 601)] == table
 
 
+def test_f_values_stream_the_table_keeping_half():
+    assert list(lengths.f_values(0)) == []
+    for max_n in (1, 2, 7, 100, 101):
+        stream = lengths.f_values(max_n)
+        assert [next(stream) for _ in range(max_n)] == lengths.f_table(max_n)
+        # At its last value the stream holds f up to ceil(max_n/2) alone.
+        assert len(stream.gi_frame.f_locals["kept"]) == (max_n + 1) // 2
+        assert next(stream, None) is None
+
+
 def test_f_rejects_nonpositive():
     with pytest.raises(InvalidArgs):
         lengths.f(0)

@@ -1,7 +1,10 @@
 import copy
 import functools
 import pickle
+import time
+import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -59,6 +62,45 @@ def test_construction_interns_nodes():
     expr = ra.Concat(ra.Star(ra.Union(sym(1), sym(2))), ra.EmptySet())
     assert copy.deepcopy(expr) is expr
     assert pickle.loads(pickle.dumps(expr)) is expr
+
+
+def bracketed_unions(draw, terms):
+    """A union of `terms` in the order given, under a drawn bracketing."""
+    if len(terms) == 1:
+        return terms[0]
+    k = draw(st.integers(1, len(terms) - 1))
+    return ra.Union(bracketed_unions(draw, terms[:k]), bracketed_unions(draw, terms[k:]))
+
+
+@settings(max_examples=200)
+@given(st.lists(any_regexes(n=3), min_size=2, max_size=8), st.data())
+def test_every_bracketing_of_a_union_is_one_flat_node(terms, data):
+    union = ra.Union(*terms)
+    assert functools.reduce(ra.Union, terms) is union
+    assert bracketed_unions(data.draw, terms) is union
+    assert ra.Union in map(type, terms) or union.terms == tuple(terms)
+    assert ra.Union not in map(type, union.terms)
+    # A union term is never parenthesized, so the text is that of the left
+    # chain of binary unions: the terms' texts joined by " + ".
+    for fmt, plus in (("spaced", " + "), ("compact", "+")):
+        assert ra.render(union, fmt) == plus.join(ra.render(t, fmt) for t in terms)
+
+
+def test_union_needs_two_terms_and_keeps_repeats():
+    with pytest.raises(TypeError):
+        ra.Union(sym(1))
+    with pytest.raises(TypeError):
+        ra.Union()
+    assert ra.Union(sym(1), sym(1)).terms == (sym(1), sym(1))
+    assert ra.Union(ra.Union(sym(1), sym(2)), sym(1)).terms == (sym(1), sym(2), sym(1))
+
+
+def test_copies_of_a_three_term_union_are_the_node():
+    union = ra.Union(sym(1), ra.Concat(sym(2), sym(3)), ra.Star(sym(3)))
+    assert copy.copy(union) is union
+    assert copy.deepcopy(union) is union
+    assert pickle.loads(pickle.dumps(union)) is union
+    assert pickle.loads(pickle.dumps([union, union.terms])) == [union, union.terms]
 
 
 def test_postorder_yields_each_distinct_node_after_its_children():
@@ -307,3 +349,42 @@ def test_parse_memo_stays_exact_past_its_caps():
             node = ra.Concat(sym(i), node)
         expected.append(node)
     assert ra.parse(" ".join(nests), depth) is ra.Concat(*expected)
+
+
+def test_parse_builds_nested_union_groups_as_one_flat_node():
+    pair = ra.Union(sym(1), sym(2))
+    triple = ra.Union(sym(1), sym(2), sym(3))
+    assert ra.parse("((1+2)+3)", 3) is triple
+    assert ra.parse("(1+(2+3))", 3) is triple
+    assert ra.parse("((1+2)+3)(1+(2+3))", 3) is ra.Concat(triple, triple)
+    assert ra.parse("(((1+2)))*+((1+2))3", 3) is ra.Union(
+        ra.Star(pair), ra.Concat(pair, sym(3)))
+    # The second and third copies of the group come from the memo: one is
+    # built by the concatenation, the first stays a whole alternative.
+    assert ra.parse("(1+2)+(1+2)(1+2)", 2) is ra.Union(
+        sym(1), sym(2), ra.Concat(pair, pair))
+
+
+@pytest.mark.parametrize("nest, symbol", [
+    (lambda depth: "(" * depth + "1" + "+1)" * depth, 1),
+    (lambda depth: "(2+" * depth + "2" + ")" * depth, 2),
+], ids=["left", "right"])
+def test_parse_of_a_deep_union_nest_is_linear(nest, symbol):
+    # One flat union of depth + 1 terms.  Building and interning a union
+    # per level would copy the inner terms at each level: about 2e8 term
+    # slots at depth 20 000.  The shallow nest goes first, so such a parser
+    # fails on it before it can fill the memory; the two nests use their
+    # own symbol, so neither finds the other's unions already interned.
+    for depth, megabytes in ((2_000, 1), (20_000, 10)):
+        text = nest(depth)
+        tracemalloc.start()
+        try:
+            expr = ra.parse(text, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert expr is ra.Union(*[sym(symbol)] * (depth + 1))
+        assert peak < megabytes * 1e6
+        start = time.perf_counter()
+        ra.parse(text, 2)
+        assert time.perf_counter() - start < 2

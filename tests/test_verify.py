@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import json
@@ -149,7 +148,7 @@ def test_certificate_flags_starred_expressions():
 
 
 def drop_first_term(expr):
-    return functools.reduce(regex_ast.Union, union_terms(expr)[1:])
+    return regex_ast.Union(*union_terms(expr)[1:])
 
 
 def test_verify_cap_and_args():
@@ -203,11 +202,11 @@ def test_dropped_or_duplicated_terms_of_dnc_six():
     expr = build("dnc", 6)
     terms = union_terms(expr)
     for i in range(len(terms)):
-        dropped = functools.reduce(regex_ast.Union, terms[:i] + terms[i + 1:])
+        dropped = regex_ast.Union(*terms[:i], *terms[i + 1:])
         assert not verify._split_proof(dropped, 6)[0]
         cert = verify.language_equals_permutations(dropped, 6)
         assert not cert.passed and cert.method == "exhaustive"
-    doubled = functools.reduce(regex_ast.Union, terms + terms[:1])
+    doubled = regex_ast.Union(*terms, terms[0])
     assert verify.language_equals_permutations(doubled, 6).method == "structural"
 
 
@@ -236,30 +235,69 @@ def substitute(expr, target, replacement):
     return regex_ast.fold(expr, rebuild)
 
 
+def chain_links(expr):
+    """The union nodes of `expr` as binary left chains ((t1 + t2) + t3) + ...
+    would have them, in the order a post-order walk meets them: (union, m)
+    stands for the link over the first m terms, m >= 2."""
+    links, seen = [], set()
+
+    def visit(node):
+        if node in seen:
+            return
+        seen.add(node)
+        if type(node) is regex_ast.Union:
+            for m, term in enumerate(node.terms, 1):
+                visit(term)
+                if m >= 2:
+                    links.append((node, m))
+        else:
+            for child in regex_ast._children(node):
+                visit(child)
+
+    visit(expr)
+    return links
+
+
+def chain_step(node, pick):
+    """The index of the child of `node` that left/right picks lead to: one
+    pick for a concatenation, one per link walked down a union's left chain."""
+    if type(node) is not regex_ast.Union:
+        return 0 if pick((True, False)) else 1
+    m = len(node.terms)
+    while m > 1 and pick((True, False)):
+        m -= 1
+    return m - 1
+
+
 def mutate(expr, n, kind, pick):
     """`expr` with one change: a union chain, shared wherever it occurs,
     loses, repeats or swaps a term; or one symbol occurrence, at the end of
     a picked path from the root, is relabelled or starred.  `pick(options)`
-    chooses one element of a nonempty sequence."""
+    chooses one element of a nonempty sequence.
+
+    Unions are read as the left chains of binary links they render as, so
+    that one sequence of picks always names the same mutant (the golden
+    digests below pin seeded ones)."""
     if kind in ("relabel", "star"):
         # Only the path is rebuilt: replacing the Sym node itself would
         # change every occurrence of its symbol in the shared DAG.
         path = []
         leaf = expr
         while type(leaf) is not regex_ast.Sym:
-            left = pick((True, False))
-            path.append((leaf, left))
-            leaf = leaf.left if left else leaf.right
+            index = chain_step(leaf, pick)
+            path.append((leaf, index))
+            leaf = regex_ast._children(leaf)[index]
         if kind == "star":
             node = regex_ast.Star(leaf)
         else:
             node = regex_ast.Sym(pick([s for s in range(1, n + 1) if s != leaf.sym]))
-        for parent, left in reversed(path):
-            node = type(parent)(node, parent.right) if left else type(parent)(parent.left, node)
+        for parent, index in reversed(path):
+            kids = list(regex_ast._children(parent))
+            kids[index] = node
+            node = type(parent)(*kids)
         return node
-    nodes = list(regex_ast.postorder(expr))
-    target = pick([x for x in nodes if type(x) is regex_ast.Union])
-    terms = union_terms(target)
+    target, m = pick(chain_links(expr))
+    terms = list(target.terms[:m])
     i = pick(range(len(terms)))
     j = pick(range(len(terms)))
     if kind == "drop":
@@ -268,7 +306,8 @@ def mutate(expr, n, kind, pick):
         terms.insert(j, terms[i])
     else:
         terms[i], terms[j] = terms[j], terms[i]
-    return substitute(expr, target, functools.reduce(regex_ast.Union, terms))
+    terms += target.terms[m:]
+    return substitute(expr, target, regex_ast.union_of(terms))
 
 
 @st.composite
@@ -341,8 +380,8 @@ def _longest_word(node, *kids):
         return 0
     if kind is regex_ast.EmptySet:
         return None
-    left, right = kids
     if kind is regex_ast.Concat:
+        left, right = kids
         return None if left is None or right is None else left + right
     return max((k for k in kids if k is not None), default=None)
 
