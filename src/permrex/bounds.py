@@ -14,34 +14,26 @@ over.
 Every sweep runs through one ladder: `_sweep` feeds each (label, judge)
 point to `_climb`, which re-runs the judge one rung higher until it
 decides, and the report keeps the worst certified point.  One judge,
-`_le_judge`, certifies lhs <= rhs pairs; it serves the factorial
-sandwich, the bracket lemmas, the growth bound and the domain filter of
-the growth-template bracket.
+`_le_judge`, certifies lhs <= rhs pairs for the sandwich, bracket and
+growth-bound sweeps; the bracket domain x >= 4^alpha climbs on
+`compare_le` alone, with no margin.
 
 A value here depends on its arguments and on the ambient precision
-`mpmath.iv.prec`, so one helper, `_per_precision`, memoizes on both for as
-long as the function it returns lives.  The memos, what each holds, and
-when it is freed:
+`mpmath.iv.prec`, so one helper, `_per_precision`, memoizes on both, for
+one of two lifetimes:
 
-  * for the process: ln 2 and ln 4, the rational constants, the integers
-    1 and 4, 2 pi, the alpha of a beta and 4^alpha, each computed once
-    per rung (a few dozen intervals);
-  * until `grid_memos` exits (the CLI's `bounds` holds it for its
-    checks), in a least-recently-used memo of 3 * MAX_GRID_POINTS
-    entries: the alpha-free parts of g_a (the interval of x, 4^x, ln x
-    and lg(x)/4) at each argument x, x + 1/2, x + 1 of a bracket grid
-    point x; and, in one of MAX_GRID_POINTS entries, the wobble factors
-    e^(-/+ 1/(2 sqrt x)) at each grid point.  The growth-template brackets
-    of alpha_low and alpha_high share them, so each is evaluated once per
-    argument per rung for both; past the memo's size the least recently
-    read are dropped, and evaluated again if read again.  A caller that
-    runs the brackets outside `grid_memos` keeps them for the process;
-  * for the process, in an LRU of 2 * MAX_GRID_POINTS entries: whether a
-    grid point is in the bracket's domain, per alpha and base precision;
-  * for one sweep: each Stirling or growth-template bracket memoizes S or
-    g_a of its own, whose arguments are also later grid points'
-    arguments, so each is evaluated once per rung and freed with the
-    sweep.
+  * the process: ln 2 and ln 4, the rational constants, the integers 1
+    and 4, 2 pi, the alpha of a beta and 4^alpha, once per rung each;
+  * the outermost `grid_memos` block: the alpha-free parts of g_a (x, 4^x,
+    ln x and lg(x)/4) at the arguments x, x + 1/2, x + 1 of a
+    growth-template bracket's grid point x, and its wobble factors
+    e^(-/+ 1/(2 sqrt x)).  `check_lemma_ga` opens a block, so a lone
+    bracket frees them when it returns; the CLI's `bounds` holds one
+    around its checks, so the brackets of alpha_low and alpha_high
+    evaluate each once per argument per rung between them.
+
+Each Stirling or growth-template bracket also memoizes S or g_a for its
+own sweep, since a grid point's arguments are later points' arguments.
 
 A memoized interval is the one a fresh evaluation at that precision
 gives, so no verdict, margin or worst point moves.  The n-sweeps keep no
@@ -259,10 +251,10 @@ def alpha_for_beta(beta: Fraction | int) -> mpmath.iv.mpf:
     return _alpha(fr)
 
 
-def _per_precision(value: Callable, maxsize: int | None = 64) -> Callable:
+def _per_precision(value: Callable) -> Callable:
     """value(*args), memoized on (mpmath.iv.prec, *args) while the returned
-    function lives, in an lru_cache(maxsize) whose cache_info/cache_clear it shares."""
-    memo = lru_cache(maxsize)(lambda bits, *args: value(*args))
+    function lives, in an lru_cache whose cache_info/cache_clear it shares."""
+    memo = lru_cache(None)(lambda bits, *args: value(*args))
 
     def at(*args):
         return memo(mpmath.iv.prec, *args)
@@ -417,7 +409,7 @@ def check_lemma_sa(
         if x < 1:
             raise DomainError(f"grid point {x} < 1")
 
-    S = _per_precision(lambda x: stirling_S(rational(x)), maxsize=None)
+    S = _per_precision(lambda x: stirling_S(rational(x)))
 
     def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
         s_mid = S(x + Fraction(1, 2))
@@ -441,13 +433,14 @@ def check_lemma_ga(
 ) -> BoundReport:
     """Certify e^(-1/2 sqrt x) (5/2) g_a(x+1/2) <= g_a(x) + g_a(x+1)
     <= e^(1/2 sqrt x) (5/2) g_a(x+1/2) at grid points with x >= 4^a.
-    alpha, such as alpha_low, encloses a at the ambient precision."""
+    alpha, such as alpha_low, encloses a at the ambient precision.  Runs in
+    a `grid_memos` block, so its grid memos go when the outermost block exits."""
     xs = [Fraction(x) for x in grid]
-    for x in xs:
-        if not _in_ga_domain(x, alpha, base_bits):
-            raise DomainError(f"grid point {x} is not certifiably >= 4^alpha")
+    # Once min(xs) is certified, x >= min(xs) >= 4^a holds at every point.
+    if xs and not _in_ga_domain(min(xs), alpha, precision_ladder(base_bits)):
+        raise DomainError(f"grid point {min(xs)} is not certifiably >= 4^alpha")
 
-    g = _per_precision(lambda x: _grid_parts(x).at(alpha()), maxsize=None)
+    g = _per_precision(lambda x: _grid_parts(x).at(alpha()))
 
     def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
         mid = _constant(Fraction(5, 2)) * g(x + Fraction(1, 2))
@@ -455,12 +448,13 @@ def check_lemma_ga(
         shrink, stretch = _wobble(x)
         return [(shrink * mid, total), (total, stretch * mid)]
 
-    return _sweep(
-        inequality="growth_template_bracket",
-        domain=_grid_domain(xs),
-        points=[(f"x={x}", _le_judge(partial(pairs, x))) for x in xs],
-        base_bits=base_bits,
-    )
+    with grid_memos():
+        return _sweep(
+            inequality="growth_template_bracket",
+            domain=_grid_domain(xs),
+            points=[(f"x={x}", _le_judge(partial(pairs, x))) for x in xs],
+            base_bits=base_bits,
+        )
 
 
 def filter_ga_domain(
@@ -469,40 +463,42 @@ def filter_ga_domain(
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[Fraction]:
     """Grid points certifiably >= 4^alpha (the bracket's domain)."""
-    require_precision(base_bits)
-    return [x for x in map(Fraction, grid) if _in_ga_domain(x, alpha, base_bits)]
+    ladder = precision_ladder(base_bits)
+    return [x for x in map(Fraction, grid) if _in_ga_domain(x, alpha, ladder)]
 
 
-@lru_cache(maxsize=2 * MAX_GRID_POINTS)
-def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf], base_bits: int) -> bool:
-    # Cached: check_lemma_ga re-checks the points filter_ga_domain kept.
-    judge = _le_judge(lambda: [(_four_pow(alpha), rational(x))])
-    (verdict, _), _ = _climb(judge, precision_ladder(base_bits))
+def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf], ladder: Sequence[int]) -> bool:
+    (verdict, _), _ = _climb(lambda: (compare_le(_four_pow(alpha), rational(x)), None), ladder)
     return verdict == CERTIFIED
 
 
 _four_pow = _per_precision(lambda alpha: enc_pow(mpmath.iv.mpf(4), alpha()))
-# Shared by the bracket sweeps of every alpha: three arguments per point of
-# the largest grid fit at one rung.
-_grid_parts = _per_precision(lambda x: _template_parts(rational(x)),
-                             maxsize=3 * MAX_GRID_POINTS)
+_grid_parts = _per_precision(lambda x: _template_parts(rational(x)))
 
 
-@partial(_per_precision, maxsize=MAX_GRID_POINTS)
+@_per_precision
 def _wobble(x: Fraction) -> tuple[mpmath.iv.mpf, mpmath.iv.mpf]:
     wobble = _constant(Fraction(1, 2)) / enc_sqrt(_grid_parts(x).x)
     return mpmath.iv.exp(-wobble), mpmath.iv.exp(wobble)
 
 
+_open_grid_blocks = 0
+
+
 @contextmanager
 def grid_memos() -> Iterator[None]:
-    """Free, on exit, what the growth-template brackets run inside shared:
-    the alpha-free parts of g_a and the wobble factors at their grid points."""
+    """Keep what the growth-template brackets share, the alpha-free parts of
+    g_a and the wobble factors at their grid points, until the outermost
+    block exits; a nested block frees nothing."""
+    global _open_grid_blocks
+    _open_grid_blocks += 1
     try:
         yield
     finally:
-        _grid_parts.cache_clear()
-        _wobble.cache_clear()
+        _open_grid_blocks -= 1
+        if not _open_grid_blocks:
+            _grid_parts.cache_clear()
+            _wobble.cache_clear()
 
 
 def check_lemma_gaS(

@@ -123,7 +123,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
     if args.regex_file is not None:
-        with open(args.regex_file, "r", encoding="utf-8") as handle:
+        # newline="" keeps each "\r", a blank to parse, so an offset in the
+        # text is the file's byte offset up to the first non-ASCII character,
+        # which parse refuses.
+        with open(args.regex_file, "r", encoding="utf-8", newline="") as handle:
             try:
                 text = handle.read()
             except UnicodeDecodeError as exc:

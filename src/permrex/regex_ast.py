@@ -439,9 +439,8 @@ def parse(text: str, n: int) -> Regex:
     width = len(str(n))
     # One frame per open parenthesis: (completed alternatives, current concat
     # run, offset of the '(').  Either list may hold unbuilt unions (see
-    # `_group`), once `deferred` is set.
+    # `_group`).
     frames: list[tuple[list, list, int]] = [([], [], 0)]
-    deferred = False
     # Closed groups by the first _GROUP_KEY characters from their '(':
     # (group text, node or unbuilt union) for each, stored when it first
     # closes.
@@ -485,7 +484,7 @@ def parse(text: str, n: int) -> Regex:
             elif token == "+":
                 if not terms:
                     raise RegexSyntaxError("empty union alternative", offset)
-                alts.append(_alternative(terms) if deferred else reduce(Concat, terms))
+                alts.append(_alternative(terms))
                 terms.clear()
             elif token == "(":
                 for group, node in groups.get(text[offset:offset + _GROUP_KEY], ()):
@@ -501,9 +500,8 @@ def parse(text: str, n: int) -> Regex:
                     raise RegexSyntaxError("unbalanced ')'", offset)
                 if not terms:
                     raise RegexSyntaxError("empty group or union alternative", offset)
-                alts.append(_alternative(terms) if deferred else reduce(Concat, terms))
+                alts.append(_alternative(terms))
                 node = _group(alts)
-                deferred = deferred or node is alts
                 opened = frames.pop()[2]
                 bucket = groups.setdefault(text[opened:opened + _GROUP_KEY], [])
                 size = offset + 1 - opened
@@ -519,5 +517,5 @@ def parse(text: str, n: int) -> Regex:
     if not terms:
         raise RegexSyntaxError(
             "empty union alternative" if alts else "empty expression", len(text))
-    alts.append(_alternative(terms) if deferred else reduce(Concat, terms))
+    alts.append(_alternative(terms))
     return _built(_group(alts))

@@ -232,6 +232,25 @@ def test_check_lemma_ga_rejects_point_below_domain():
         bounds.check_lemma_ga([Fraction(1)], lambda: iv.mpf(1))
 
 
+# 4^alpha_low is about 1.80 and 4^alpha_high about 2.81, so grids drawn from
+# [1, 4] straddle both.  Numerators and denominators are exact at every rung.
+@settings(max_examples=40, deadline=None)
+@given(grid=st.lists(st.fractions(min_value=1, max_value=4, max_denominator=16),
+                     min_size=1, max_size=6),
+       alpha=st.sampled_from([bounds.alpha_low, bounds.alpha_high]))
+def test_ga_domain_is_an_up_set_guarded_at_its_least_point(grid, alpha):
+    kept = bounds.filter_ga_domain(grid, alpha)
+    # Kept, in grid order, are exactly the points from some threshold up.
+    assert kept == [x for x in grid if kept and x >= min(kept)]
+    least = min(grid)
+    if least in kept:
+        assert bounds.check_lemma_ga(grid, alpha).points_checked == len(grid)
+    else:
+        with pytest.raises(DomainError) as refused:
+            bounds.check_lemma_ga(grid, alpha)
+        assert str(refused.value) == f"grid point {least} is not certifiably >= 4^alpha"
+
+
 def test_filter_ga_domain_drops_small_points():
     kept = bounds.filter_ga_domain(
         [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)],

@@ -262,18 +262,35 @@ def _clear_bounds_memos():
             value.cache_clear()
 
 
-def test_bounds_builds_domains_and_constants_once(capsys):
-    bounds._in_ga_domain.cache_clear()
+def test_bounds_builds_domains_and_constants_once(capsys, monkeypatch):
+    caller = [None]
+    decisions = collections.Counter()  # caller -> domain decisions
+
+    def tagged(name, fn):
+        def call(*args, **kwargs):
+            caller[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                caller[0] = None
+        return call
+
+    def decide(*args):
+        decisions[caller[0]] += 1
+        return real_decide(*args)
+
+    real_decide = bounds._in_ga_domain
+    monkeypatch.setattr(bounds, "_in_ga_domain", decide)
+    monkeypatch.setattr(bounds, "filter_ga_domain",
+                        tagged("filter", bounds.filter_ga_domain))
+    monkeypatch.setattr(bounds, "check_lemma_ga", tagged("bracket", bounds.check_lemma_ga))
     bounds._constant.cache_clear()
     code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4")
     assert code == 0
     report = json.loads(out)["report"]
-    kept = sum(r["points_checked"] for r in report["reports"]
-               if r["inequality"].startswith("growth_template_bracket"))
-    domain = bounds._in_ga_domain.cache_info()
-    # Each grid point is decided once per alpha; the bracket only looks them up.
-    assert domain.misses == 2 * report["grid_points"]
-    assert domain.hits == kept
+    # The filter decides each grid point once per alpha; each alpha's bracket
+    # decides only its least point.
+    assert decisions == {"filter": 2 * report["grid_points"], "bracket": 2}
     # Four distinct constants (1/4, 195/1000, 5/2, 1/2), one per rung used.
     constants = bounds._constant.cache_info()
     assert constants.misses <= 4 * len(bounds.precision_ladder())
@@ -291,6 +308,21 @@ def test_bounds_frees_the_grid_memos(capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["report"]["grid_points"] == 797
+    assert bounds._grid_parts.cache_info().currsize == 0
+    assert bounds._wobble.cache_info().currsize == 0
+    assert retained < 1_500_000
+    # A library bracket outside any grid_memos block frees them as it
+    # returns.  Kept for the process, they and the domain decisions held
+    # about 2.9 MB of this grid.
+    grid = bounds.default_grid(Fraction(1), Fraction(200), Fraction(1, 4))
+    tracemalloc.start()
+    try:
+        usable = bounds.filter_ga_domain(grid, bounds.alpha_high)
+        report = bounds.check_lemma_ga(usable, bounds.alpha_high)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == bounds.CERTIFIED and report.points_checked == len(usable)
     assert bounds._grid_parts.cache_info().currsize == 0
     assert bounds._wobble.cache_info().currsize == 0
     assert retained < 1_500_000
@@ -494,9 +526,11 @@ def test_bounds_golden_report_up_the_ladder(capsys):
 def test_sweep_memos_die_with_their_sweep(monkeypatch):
     # Each bracket sweep memoizes S or g_a for itself, so a second sweep over
     # the same grid evaluates every argument again.  The alpha-free parts of
-    # g_a and ln 2 (which the parts divide by, and alpha_low takes as ln beta)
-    # are memoized for the process, so the second round evaluates no parts
-    # and takes no log of 2 at the rung the first round used.
+    # g_a are memoized until the outermost grid_memos block exits, and ln 2
+    # (which the parts divide by, and alpha_low takes as ln beta) for the
+    # process: a second round in the block evaluates no parts and takes no
+    # log of 2 at the rung the first round used, and a round after the block
+    # evaluates the parts again.
     iv = bounds.mpmath.iv
     grid = [Fraction(3), Fraction(7, 2), Fraction(4)]  # arguments 3 .. 5, none 2
     calls = collections.Counter()
@@ -520,15 +554,22 @@ def test_sweep_memos_die_with_their_sweep(monkeypatch):
     monkeypatch.setattr(bounds, "_template_parts",
                         counted("parts", bounds._template_parts))
     rounds = []
-    for _ in range(2):
+
+    def sweep_round():
         before = calls.copy()
         assert bounds.check_lemma_sa(grid).status == bounds.CERTIFIED
         assert bounds.check_lemma_ga(grid, bounds.alpha_low).status == bounds.CERTIFIED
         rounds.append(calls - before)
+
+    with bounds.grid_memos():
+        sweep_round()
+        sweep_round()
+    sweep_round()
     bits = bounds.DEFAULT_PRECISION_BITS
     assert rounds[0] == {("S", bits): 5, ("g_a", bits): 5, ("parts", bits): 5,
                          ("ln 2", bits): 2}
     assert rounds[1] == {("S", bits): 5, ("g_a", bits): 5}
+    assert rounds[2] == {("S", bits): 5, ("g_a", bits): 5, ("parts", bits): 5}
 
 
 def test_bounds_bad_grid(capsys):
@@ -838,7 +879,8 @@ def test_package_exports_resolve():
      "not UTF-8 text: unexpected end of data (at offset 7000)"),
     ("\uff11\uff12+\uff12\uff11".encode(), 2, "unexpected character '\uff11' (at offset 0)"),
     ("10 \uff11\uff11".encode(), 12, "unexpected character '\uff11' (at offset 3)"),
-], ids=["bad-byte", "truncated-at-end", "fullwidth-n2", "fullwidth-n12"])
+    (b"12+\r\n2x", 2, "unexpected character 'x' (at offset 6)"),
+], ids=["bad-byte", "truncated-at-end", "fullwidth-n2", "fullwidth-n12", "after-crlf"])
 def test_verify_refuses_files_that_are_not_regex_text(tmp_path, capsys, content, n, message):
     path = tmp_path / "bad.rx"
     path.write_bytes(content)
