@@ -22,18 +22,15 @@ A value here depends on its arguments and on the ambient precision
 `mpmath.iv.prec`, so one helper, `_per_precision`, memoizes on both, for
 one of two lifetimes:
 
-  * the process: ln 2 and ln 4, the rational constants, the integers 1
-    and 4, 2 pi, the alpha of a beta and 4^alpha, once per rung each;
-  * the outermost `grid_memos` block: the alpha-free parts of g_a (x, 4^x,
-    ln x and lg(x)/4) at the arguments x, x + 1/2, x + 1 of a
-    growth-template bracket's grid point x, and its wobble factors
-    e^(-/+ 1/(2 sqrt x)).  `check_lemma_ga` opens a block, so a lone
-    bracket frees them when it returns; the CLI's `bounds` holds one
-    around its checks, so the brackets of alpha_low and alpha_high
-    evaluate each once per argument per rung between them.
-
-Each Stirling or growth-template bracket also memoizes S or g_a for its
-own sweep, since a grid point's arguments are later points' arguments.
+  * the process: the constants, which are ln 2 and ln 4, the rational
+    constants, the integers 1 and 4, 2 pi, the alpha of a beta and
+    4^alpha, once per rung each;
+  * one check call: everything else.  A Stirling bracket memoizes S, since
+    a grid point's arguments are later points' arguments.  One
+    `check_lemma_ga` call memoizes the alpha-free parts of g_a (x, 4^x,
+    ln x and lg(x)/4) at the arguments x, x + 1/2, x + 1 of its grid points
+    and the wobble factors e^(-/+ 1/(2 sqrt x)), which all its alphas
+    share, and g_a for each alpha's sweep.
 
 A memoized interval is the one a fresh evaluation at that precision
 gives, so no verdict, margin or worst point moves.  The n-sweeps keep no
@@ -42,7 +39,8 @@ which keeps f only up to ceil(max_n/2), and evaluates the alpha-free
 parts at n once for both templates; the factorial
 sandwich carries n! from n - 1 as an exact integer, held by the one point
 being judged.  No interval operation is reordered or re-associated, so
-every enclosure is the one a direct evaluation gives.
+every enclosure is the one a direct evaluation gives.  Each report's
+`seconds` is the time its check took.
 
 The doubling identity is not sampled but proved: `permrex.doubling`
 builds its log gap as a formal polynomial, which cancels to exactly zero
@@ -78,9 +76,10 @@ in `lengths` and read from there.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _load_on_first_use, lengths
@@ -289,7 +288,7 @@ def alpha_high() -> mpmath.iv.mpf:
 # -- report plumbing --------------------------------------------------------
 
 class BoundReport(NamedTuple):
-    """Outcome of one certified sweep."""
+    """Outcome of one certified sweep, and the seconds its check took."""
 
     inequality: str
     domain: str
@@ -299,6 +298,19 @@ class BoundReport(NamedTuple):
     worst_point: str
     max_precision_bits: int
     failures: tuple[str, ...] = ()
+    seconds: float = 0.0
+
+
+def _timed(check: Callable[..., BoundReport]) -> Callable[..., BoundReport]:
+    """check, with the seconds each call took in its report's `seconds`."""
+
+    @wraps(check)
+    def timed(*args, **kwargs) -> BoundReport:
+        begun = time.monotonic()
+        report = check(*args, **kwargs)
+        return report._replace(seconds=round(time.monotonic() - begun, 3))
+
+    return timed
 
 
 # A judge evaluates one sweep point at the ambient precision and returns
@@ -371,6 +383,7 @@ def _le_judge(make: Callable[[], list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]]) -> 
 
 # -- certified sweeps -------------------------------------------------------
 
+@_timed
 def check_stirling_sandwich(
     max_n: int, base_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundReport:
@@ -400,6 +413,7 @@ def check_stirling_sandwich(
     )
 
 
+@_timed
 def check_lemma_sa(
     grid: Iterable[Fraction | int], base_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundReport:
@@ -428,27 +442,34 @@ def check_lemma_sa(
 
 def check_lemma_ga(
     grid: Iterable[Fraction | int],
-    alpha: Callable[[], mpmath.iv.mpf],
+    alphas: Iterable[Callable[[], mpmath.iv.mpf]],
     base_bits: int = DEFAULT_PRECISION_BITS,
-) -> BoundReport:
+) -> list[BoundReport]:
     """Certify e^(-1/2 sqrt x) (5/2) g_a(x+1/2) <= g_a(x) + g_a(x+1)
-    <= e^(1/2 sqrt x) (5/2) g_a(x+1/2) at grid points with x >= 4^a.
-    alpha, such as alpha_low, encloses a at the ambient precision.  Runs in
-    a `grid_memos` block, so its grid memos go when the outermost block exits."""
-    xs = [Fraction(x) for x in grid]
-    # Once min(xs) is certified, x >= min(xs) >= 4^a holds at every point.
-    if xs and not _in_ga_domain(min(xs), alpha, precision_ladder(base_bits)):
-        raise DomainError(f"grid point {min(xs)} is not certifiably >= 4^alpha")
+    <= e^(1/2 sqrt x) (5/2) g_a(x+1/2), one report per alpha, in order; an
+    alpha, such as alpha_low, encloses a at the ambient precision.  Each
+    sweeps the grid points that `filter_ga_domain` certifies are >= 4^a, and
+    leaves the others out.  The alphas share the alpha-free parts of g_a and
+    the wobble factors, which go when the call returns."""
+    grid = [Fraction(x) for x in grid]
+    parts = _per_precision(lambda x: _template_parts(rational(x)))
 
-    g = _per_precision(lambda x: _grid_parts(x).at(alpha()))
+    @_per_precision
+    def wobble(x: Fraction) -> tuple[mpmath.iv.mpf, mpmath.iv.mpf]:
+        exponent = _constant(Fraction(1, 2)) / enc_sqrt(parts(x).x)
+        return mpmath.iv.exp(-exponent), mpmath.iv.exp(exponent)
 
-    def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
-        mid = _constant(Fraction(5, 2)) * g(x + Fraction(1, 2))
-        total = g(x) + g(x + 1)
-        shrink, stretch = _wobble(x)
-        return [(shrink * mid, total), (total, stretch * mid)]
+    @_timed
+    def bracket(alpha: Callable[[], mpmath.iv.mpf]) -> BoundReport:
+        xs = filter_ga_domain(grid, alpha, base_bits)
+        g = _per_precision(lambda x: parts(x).at(alpha()))
 
-    with grid_memos():
+        def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
+            mid = _constant(Fraction(5, 2)) * g(x + Fraction(1, 2))
+            total = g(x) + g(x + 1)
+            shrink, stretch = wobble(x)
+            return [(shrink * mid, total), (total, stretch * mid)]
+
         return _sweep(
             inequality="growth_template_bracket",
             domain=_grid_domain(xs),
@@ -456,13 +477,16 @@ def check_lemma_ga(
             base_bits=base_bits,
         )
 
+    return [bracket(alpha) for alpha in alphas]
+
 
 def filter_ga_domain(
     grid: Iterable[Fraction | int],
     alpha: Callable[[], mpmath.iv.mpf],
     base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[Fraction]:
-    """Grid points certifiably >= 4^alpha (the bracket's domain)."""
+    """The grid points certifiably >= 4^alpha, in grid order: those that
+    `check_lemma_ga` sweeps for alpha.  One undecided at the ceiling is out."""
     ladder = precision_ladder(base_bits)
     return [x for x in map(Fraction, grid) if _in_ga_domain(x, alpha, ladder)]
 
@@ -473,34 +497,9 @@ def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf], ladder: Seque
 
 
 _four_pow = _per_precision(lambda alpha: enc_pow(mpmath.iv.mpf(4), alpha()))
-_grid_parts = _per_precision(lambda x: _template_parts(rational(x)))
 
 
-@_per_precision
-def _wobble(x: Fraction) -> tuple[mpmath.iv.mpf, mpmath.iv.mpf]:
-    wobble = _constant(Fraction(1, 2)) / enc_sqrt(_grid_parts(x).x)
-    return mpmath.iv.exp(-wobble), mpmath.iv.exp(wobble)
-
-
-_open_grid_blocks = 0
-
-
-@contextmanager
-def grid_memos() -> Iterator[None]:
-    """Keep what the growth-template brackets share, the alpha-free parts of
-    g_a and the wobble factors at their grid points, until the outermost
-    block exits; a nested block frees nothing."""
-    global _open_grid_blocks
-    _open_grid_blocks += 1
-    try:
-        yield
-    finally:
-        _open_grid_blocks -= 1
-        if not _open_grid_blocks:
-            _grid_parts.cache_clear()
-            _wobble.cache_clear()
-
-
+@_timed
 def check_lemma_gaS(
     beta: Fraction | int, base_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundReport:
@@ -536,6 +535,7 @@ def _identity_report(inequality: str, gap: Formal, base_bits: int) -> BoundRepor
     )
 
 
+@_timed
 def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
     """Certify 0.195 g_al(n) <= f(n) <= (1/4) g_ah(n) for 1 <= n <= max_n,
     plus f(n) <= (1/4) g_al(n) whenever n is a power of two."""

@@ -122,9 +122,8 @@ def test_ac8_supporting_analytics(capsys):
     grid = bounds.default_grid()  # x in {1, 1.25, ..., 100}
     ok = bounds.check_stirling_sandwich(100).status == bounds.CERTIFIED
     ok = ok and bounds.check_lemma_sa(grid).status == bounds.CERTIFIED
-    for alpha in (bounds.alpha_low, bounds.alpha_high):
-        usable = bounds.filter_ga_domain(grid, alpha)
-        ok = ok and bounds.check_lemma_ga(usable, alpha).status == bounds.CERTIFIED
+    brackets = bounds.check_lemma_ga(grid, (bounds.alpha_low, bounds.alpha_high))
+    ok = ok and [r.status for r in brackets] == [bounds.CERTIFIED] * 2
     for beta in (Fraction(2), Fraction(5, 2)):
         gas = bounds.check_lemma_gaS(beta)
         ok = ok and gas.status == bounds.CERTIFIED and gas.domain == "x > 0"

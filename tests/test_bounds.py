@@ -222,14 +222,30 @@ def test_check_lemma_ga_certifies_inside_domain():
     grid = bounds.default_grid(Fraction(2), Fraction(50), Fraction(1, 2))
     usable = bounds.filter_ga_domain(grid, bounds.alpha_low)
     assert usable and usable[0] == 2
-    report = bounds.check_lemma_ga(usable, bounds.alpha_low)
+    [report] = bounds.check_lemma_ga(usable, [bounds.alpha_low])
     assert report.status == bounds.CERTIFIED
+    assert report.points_checked == len(usable)
+    assert bounds.check_lemma_ga(usable, []) == []
 
 
 def test_check_lemma_ga_rejects_point_below_domain():
-    with pytest.raises(DomainError):
-        # alpha = 1 needs x >= 4^1.
-        bounds.check_lemma_ga([Fraction(1)], lambda: iv.mpf(1))
+    # alpha = 1 needs x >= 4^1: the point 1 is left out of the sweep.
+    [report] = bounds.check_lemma_ga([Fraction(1), Fraction(5)], [lambda: iv.mpf(1)])
+    assert (report.status, report.domain, report.points_checked, report.worst_point) == (
+        bounds.CERTIFIED, "x in [5, 5], 1 points", 1, "x=5")
+    [report] = bounds.check_lemma_ga([Fraction(1)], [lambda: iv.mpf(1)])
+    assert (report.status, report.domain, report.points_checked) == (
+        bounds.CERTIFIED, "empty grid", 0)
+    # 2 and 5/2 lie above 4^alpha_low (about 1.80) and below 4^alpha_high
+    # (about 2.81), so alpha_high's bracket sweeps nothing and is certified.
+    low, high = bounds.check_lemma_ga([Fraction(2), Fraction(5, 2)],
+                                      (bounds.alpha_low, bounds.alpha_high))
+    assert (low.status, low.domain, low.points_checked) == (
+        bounds.CERTIFIED, "x in [2, 5/2], 2 points", 2)
+    assert high._replace(seconds=0.0) == bounds.BoundReport(
+        inequality="growth_template_bracket", domain="empty grid",
+        status=bounds.CERTIFIED, points_checked=0, worst_margin="", worst_point="",
+        max_precision_bits=bounds.DEFAULT_PRECISION_BITS)
 
 
 # 4^alpha_low is about 1.80 and 4^alpha_high about 2.81, so grids drawn from
@@ -238,17 +254,31 @@ def test_check_lemma_ga_rejects_point_below_domain():
 @given(grid=st.lists(st.fractions(min_value=1, max_value=4, max_denominator=16),
                      min_size=1, max_size=6),
        alpha=st.sampled_from([bounds.alpha_low, bounds.alpha_high]))
-def test_ga_domain_is_an_up_set_guarded_at_its_least_point(grid, alpha):
+def test_ga_domain_is_an_up_set_and_bounds_the_sweep(grid, alpha):
     kept = bounds.filter_ga_domain(grid, alpha)
     # Kept, in grid order, are exactly the points from some threshold up.
     assert kept == [x for x in grid if kept and x >= min(kept)]
-    least = min(grid)
-    if least in kept:
-        assert bounds.check_lemma_ga(grid, alpha).points_checked == len(grid)
-    else:
-        with pytest.raises(DomainError) as refused:
-            bounds.check_lemma_ga(grid, alpha)
-        assert str(refused.value) == f"grid point {least} is not certifiably >= 4^alpha"
+    # The bracket sweeps exactly those points; the others are not refused.
+    [report] = bounds.check_lemma_ga(grid, [alpha])
+    assert report.status == bounds.CERTIFIED
+    assert (report.domain, report.points_checked) == (bounds._grid_domain(kept), len(kept))
+    assert report.worst_point in {f"x={x}" for x in kept} | {""}
+
+
+def _untimed(reports):
+    return [report._replace(seconds=0.0) for report in reports]
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=st.lists(st.fractions(min_value=1, max_value=8, max_denominator=16),
+                     min_size=1, max_size=6))
+def test_check_lemma_ga_brackets_alphas_together_as_apart(grid):
+    # One call shares the alpha-free parts of g_a and the wobble factors
+    # between its alphas, which moves no report.
+    together = bounds.check_lemma_ga(grid, (bounds.alpha_low, bounds.alpha_high))
+    apart = [*bounds.check_lemma_ga(grid, [bounds.alpha_low]),
+             *bounds.check_lemma_ga(grid, [bounds.alpha_high])]
+    assert _untimed(together) == _untimed(apart)
 
 
 def test_filter_ga_domain_drops_small_points():
@@ -263,7 +293,8 @@ def test_check_lemma_gaS_certifies_tightly():
     for beta in (Fraction(2), Fraction(5, 2)):
         for bits in (16, 200):
             report = bounds.check_lemma_gaS(beta, base_bits=bits)
-            assert report == bounds.BoundReport(
+            assert report.seconds >= 0
+            assert report._replace(seconds=0.0) == bounds.BoundReport(
                 inequality=f"doubling_identity_beta_{beta}", domain="x > 0",
                 status=bounds.CERTIFIED, points_checked=0, worst_margin="0",
                 worst_point="symbolic", max_precision_bits=0)

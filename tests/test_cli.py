@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,20 @@ def test_gen_writes_file(tmp_path, capsys):
     text = target.read_text()
     assert text.endswith("\n")
     assert text.count("+") > 0
+
+
+def test_gen_writes_a_text_of_several_slices_unchanged(tmp_path, capsys):
+    # `run` writes its output in slices of cli._WRITE_SLICE characters; the
+    # dnc n=11 text is over 1 MiB and ends in a partial slice.
+    expr = construct.build_divide_and_conquer(construct.AlphabetSet.first_n(11))
+    text = regex_ast.render(expr, "spaced")
+    assert len(text) > 2**20 and len(text) % cli._WRITE_SLICE
+    expected = (text if text.endswith("\n") else text + "\n").encode()
+    code, out, _ = run(capsys, "gen", "dnc", "--n", "11")
+    assert code == 0 and out.encode() == expected
+    target = tmp_path / "r11.txt"
+    assert run(capsys, "gen", "dnc", "--n", "11", "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected
 
 
 def test_gen_cap_exit_code(capsys):
@@ -256,6 +271,24 @@ def test_bounds_small(capsys):
     assert all(r["seconds"] >= 0 for r in report["reports"])
 
 
+def test_bounds_reports_carry_their_checks_seconds(capsys, monkeypatch):
+    # Each check times itself, and the command prints each record's own
+    # `seconds`.  A clock that moves half a second at every reading gives
+    # each check one step.  Every point of this grid lies below 4^alpha for
+    # both alphas, so both growth brackets sweep nothing and are certified.
+    clock = itertools.count(0.0, 0.5)
+    monkeypatch.setattr(bounds, "time", types.SimpleNamespace(monotonic=clock.__next__))
+    code, out, _ = run(capsys, "bounds", "--max-n", "8", "--grid", "1:1.5:0.25")
+    assert code == 0
+    reports = json.loads(out)["report"]["reports"]
+    assert [r["seconds"] for r in reports] == [0.5] * 7
+    assert [r["status"] for r in reports] == ["certified"] * 7
+    assert [(r["inequality"], r["domain"], r["points_checked"], r["worst_point"])
+            for r in reports[3:5]] == [
+        ("growth_template_bracket[alpha_low]", "empty grid", 0, ""),
+        ("growth_template_bracket[alpha_high]", "empty grid", 0, "")]
+
+
 def _clear_bounds_memos():
     for value in vars(bounds).values():
         if hasattr(value, "cache_clear"):
@@ -288,19 +321,27 @@ def test_bounds_builds_domains_and_constants_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4")
     assert code == 0
     report = json.loads(out)["report"]
-    # The filter decides each grid point once per alpha; each alpha's bracket
-    # decides only its least point.
-    assert decisions == {"filter": 2 * report["grid_points"], "bracket": 2}
+    # Inside the bracket, its filter decides each grid point once per alpha,
+    # and the bracket decides nothing more.
+    assert decisions == {"filter": 2 * report["grid_points"]}
     # Four distinct constants (1/4, 195/1000, 5/2, 1/2), one per rung used.
     constants = bounds._constant.cache_info()
     assert constants.misses <= 4 * len(bounds.precision_ladder())
 
 
+def _module_memo_sizes():
+    return {name: value.cache_info().currsize for name, value in vars(bounds).items()
+            if hasattr(value, "cache_info")}
+
+
 def test_bounds_frees_the_grid_memos(capsys):
-    # The growth-template brackets share the alpha-free parts of g_a and the
-    # wobble factors at each grid point; the command frees both once its
-    # checks are done.  Kept, they held 3.1 MB of this 797-point grid.
+    # The growth-template brackets of one check_lemma_ga call share the
+    # alpha-free parts of g_a and the wobble factors at each grid point; the
+    # call frees both as it returns, in the command and in a library call.
+    # Kept, they held about 3 MB of this 797-point grid.  The module's own
+    # memos hold constants, a few per rung, and nothing per grid point.
     run(capsys, "bounds", "--max-n", "4", "--grid", "2:8:0.5")  # mpmath and constants
+    constants = _module_memo_sizes()
     tracemalloc.start()
     try:
         code, out, _ = run(capsys, "bounds", "--max-n", "4", "--grid", "1:200:0.25")
@@ -308,23 +349,19 @@ def test_bounds_frees_the_grid_memos(capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["report"]["grid_points"] == 797
-    assert bounds._grid_parts.cache_info().currsize == 0
-    assert bounds._wobble.cache_info().currsize == 0
+    assert _module_memo_sizes() == constants
     assert retained < 1_500_000
-    # A library bracket outside any grid_memos block frees them as it
-    # returns.  Kept for the process, they and the domain decisions held
-    # about 2.9 MB of this grid.
     grid = bounds.default_grid(Fraction(1), Fraction(200), Fraction(1, 4))
     tracemalloc.start()
     try:
-        usable = bounds.filter_ga_domain(grid, bounds.alpha_high)
-        report = bounds.check_lemma_ga(usable, bounds.alpha_high)
+        reports = bounds.check_lemma_ga(grid, (bounds.alpha_low, bounds.alpha_high))
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.status == bounds.CERTIFIED and report.points_checked == len(usable)
-    assert bounds._grid_parts.cache_info().currsize == 0
-    assert bounds._wobble.cache_info().currsize == 0
+    assert [(r.status, r.points_checked) for r in reports] == [
+        (bounds.CERTIFIED, len(bounds.filter_ga_domain(grid, alpha)))
+        for alpha in (bounds.alpha_low, bounds.alpha_high)]
+    assert _module_memo_sizes() == constants
     assert retained < 1_500_000
 
 
@@ -373,20 +410,24 @@ def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch
     # wobble, and tag each grid point with the highest rung its climb reached.
     # S is evaluated once per argument per rung of the Stirling bracket, and
     # the parts and the wobble once per argument per rung of the two growth
-    # template brackets together.
+    # template brackets together.  The one growth-template call brackets both
+    # alphas, each after its domain filter, so the filter tags the alpha.
     sweep = [None]
     calls = collections.Counter()  # (value, argument endpoints, bits) -> calls
     reached = collections.defaultdict(dict)  # sweep -> {x: highest rung}
 
     def tagged(name, fn):
         def run_sweep(grid, *args, **kwargs):
-            tag = name if not args else f"{name}[{args[0].__name__}]"
-            sweep[0] = tag
+            sweep[0] = name
             try:
                 return fn(grid, *args, **kwargs)
             finally:
                 sweep[0] = None
         return run_sweep
+
+    def filter_tagging(grid, alpha, *args):
+        sweep[0] = f"ga[{alpha.__name__}]"
+        return real_filter(grid, alpha, *args)
 
     def counted(name, fn):
         def evaluate(x, *args):
@@ -409,7 +450,8 @@ def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch
 
     point_of = {}
     real_le_judge, real_climb = bounds._le_judge, bounds._climb
-    _clear_bounds_memos()  # the alpha-free parts are memoized for the process
+    real_filter = bounds.filter_ga_domain
+    _clear_bounds_memos()  # cold process memos, as in a fresh command
     monkeypatch.setattr(bounds, "_le_judge", le_judge)
     monkeypatch.setattr(bounds, "_climb", climb)
     monkeypatch.setattr(bounds, "stirling_S", counted("S", bounds.stirling_S))
@@ -418,6 +460,7 @@ def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch
     monkeypatch.setattr(bounds, "enc_sqrt", counted("sqrt", bounds.enc_sqrt))
     monkeypatch.setattr(bounds, "check_lemma_sa", tagged("sa", bounds.check_lemma_sa))
     monkeypatch.setattr(bounds, "check_lemma_ga", tagged("ga", bounds.check_lemma_ga))
+    monkeypatch.setattr(bounds, "filter_ga_domain", filter_tagging)
     code, _, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:0.25",
                      "--precision-bits", str(bits))
     assert code == 0
@@ -526,11 +569,10 @@ def test_bounds_golden_report_up_the_ladder(capsys):
 def test_sweep_memos_die_with_their_sweep(monkeypatch):
     # Each bracket sweep memoizes S or g_a for itself, so a second sweep over
     # the same grid evaluates every argument again.  The alpha-free parts of
-    # g_a are memoized until the outermost grid_memos block exits, and ln 2
-    # (which the parts divide by, and alpha_low takes as ln beta) for the
-    # process: a second round in the block evaluates no parts and takes no
-    # log of 2 at the rung the first round used, and a round after the block
-    # evaluates the parts again.
+    # g_a are memoized for one check_lemma_ga call, which both its alphas
+    # share, and ln 2 (which the parts divide by, and alpha_low takes as
+    # ln beta) for the process: a second round evaluates the parts again but
+    # takes no log of 2 at the rung the first round used.
     iv = bounds.mpmath.iv
     grid = [Fraction(3), Fraction(7, 2), Fraction(4)]  # arguments 3 .. 5, none 2
     calls = collections.Counter()
@@ -558,18 +600,17 @@ def test_sweep_memos_die_with_their_sweep(monkeypatch):
     def sweep_round():
         before = calls.copy()
         assert bounds.check_lemma_sa(grid).status == bounds.CERTIFIED
-        assert bounds.check_lemma_ga(grid, bounds.alpha_low).status == bounds.CERTIFIED
+        brackets = bounds.check_lemma_ga(grid, (bounds.alpha_low, bounds.alpha_high))
+        assert [r.status for r in brackets] == [bounds.CERTIFIED] * 2
         rounds.append(calls - before)
 
-    with bounds.grid_memos():
-        sweep_round()
-        sweep_round()
+    sweep_round()
     sweep_round()
     bits = bounds.DEFAULT_PRECISION_BITS
-    assert rounds[0] == {("S", bits): 5, ("g_a", bits): 5, ("parts", bits): 5,
+    # g_a once per argument per alpha, on parts evaluated once per argument.
+    assert rounds[0] == {("S", bits): 5, ("g_a", bits): 10, ("parts", bits): 5,
                          ("ln 2", bits): 2}
-    assert rounds[1] == {("S", bits): 5, ("g_a", bits): 5}
-    assert rounds[2] == {("S", bits): 5, ("g_a", bits): 5, ("parts", bits): 5}
+    assert rounds[1] == {("S", bits): 5, ("g_a", bits): 10, ("parts", bits): 5}
 
 
 def test_bounds_bad_grid(capsys):
@@ -846,7 +887,7 @@ def test_record_fields_are_the_json_keys(capsys, monkeypatch):
         assert list(entry) == [
             "inequality", "domain", "status", "points_checked", "worst_margin",
             "worst_point", "max_precision_bits", "failures", "seconds"]
-        assert list(bounds.BoundReport._fields) == list(entry)[:-1]
+        assert list(bounds.BoundReport._fields) == list(entry)
 
     violation = lengths.SplitViolation(3, 1, -1, "negative slack")
     monkeypatch.setattr(lengths, "check_opt_choice", lambda n: lengths.OptChoiceReport(
