@@ -9,36 +9,11 @@ optimality against an exhaustive search at tiny n.
 
 Importing the package runs none of its submodules.  Each name in
 `__all__` is imported from the submodule that defines it at its first
-access (PEP 562), and `permrex.cli` registers the modules a command may
-need with `_load_on_first_use`, so each command runs only the modules it
-uses.
+access (PEP 562).  `permrex.cli` registers what a command may need, and
+every module imports what it uses.
 """
 
 import importlib
-import importlib.util
-import sys
-
-
-def _load_on_first_use(name: str):
-    """The module `name`, imported in full at its first attribute access
-    (or the module itself, if something imported it already).
-
-    The module is registered in sys.modules, and a submodule is also set as
-    an attribute of its package, as a normal import does, so both `import
-    permrex.X` and `from permrex import X` find it before it has loaded."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    package, _, child = name.rpartition(".")
-    if package:
-        setattr(sys.modules[package], child, module)
-    return module
 
 
 # The public names, by the submodule that defines them.  PEP 562: each is

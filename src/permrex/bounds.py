@@ -65,13 +65,10 @@ The n = 1 upper bound holds with exact equality, so g_alpha keeps
 integer inputs on an exact path (4^k is one mantissa bit; 1^w is [1,1])
 and comparisons accept touching intervals for <=.
 
-mpmath is reached through one module object, `mpmath`, which the
-package's `_load_on_first_use` imports in full at its first attribute
-access.  Importing this module therefore loads no mpmath; the first
-interval operation does.  The CLI loads this module the same way, so only
-its `bounds` and `estimate` commands run it and mpmath.  The CLI's parser
-prints `DEFAULT_PRECISION_BITS` and `MAX_GRID_POINTS`, so both are defined
-in `lengths` and read from there.
+The CLI registers this module to load on first use, so only its `bounds`
+and `estimate` commands run it; like every module, it imports what it
+uses.  The CLI's parser prints `DEFAULT_PRECISION_BITS` and
+`MAX_GRID_POINTS`, so both are defined in `lengths` and read from there.
 """
 
 from __future__ import annotations
@@ -80,17 +77,13 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import _load_on_first_use, lengths
+import mpmath
+
+from . import doubling, lengths
 from .errors import DomainError, InvalidArgs
 from .lengths import DEFAULT_PRECISION_BITS, MAX_GRID_POINTS
-
-if TYPE_CHECKING:
-    from .doubling import Formal
-
-
-mpmath = _load_on_first_use("mpmath")
 
 
 MAX_PRECISION_BITS = 2000
@@ -506,13 +499,11 @@ def check_lemma_gaS(
     """Prove the doubling identity beta S(2x)/S(x)^2 g_a(x) = g_a(2x) with
     a = lg(beta) + 1/4 - lg(pi)/2 for every x > 0, by exact cancellation of
     its formal log gap (see `permrex.doubling`)."""
-    from . import doubling  # loaded on first use; most commands never need it
-
     return _identity_report(
         f"doubling_identity_beta_{beta}", doubling.gap(beta, beta), base_bits)
 
 
-def _identity_report(inequality: str, gap: Formal, base_bits: int) -> BoundReport:
+def _identity_report(inequality: str, gap: doubling.Formal, base_bits: int) -> BoundReport:
     """Certified for x > 0 when the formal log gap is zero.  Otherwise each
     coefficient of an (x, ln x) monomial climbs the ladder: violated once it
     certifiably excludes 0, undecided while it does not."""
@@ -522,7 +513,7 @@ def _identity_report(inequality: str, gap: Formal, base_bits: int) -> BoundRepor
                            points_checked=0, worst_margin="0", worst_point="symbolic",
                            max_precision_bits=0)
 
-    def judge(coefficient: Formal) -> Judgement:
+    def judge(coefficient: doubling.Formal) -> Judgement:
         value = coefficient.evaluate()
         return (UNDECIDED if 0 in value else VIOLATED), value
 

@@ -13,21 +13,24 @@ Each command returns its whole output, a report dict or finished text,
 with its exit status; `run` times it, wraps a report with `meta` and only
 then opens `--output`, so a refused command leaves no partial file.
 
-Importing this module loads only what every command needs: `lengths` and
-`errors`.  The regex layer (`construct`, `regex_ast`, `verify`), `bounds`
-and `oracle` are registered in sys.modules, and as attributes of the
-package, but run no code until a command reads one of their attributes:
-`gen` loads `construct` and `regex_ast`, `verify` those and `verify`,
-`bounds` and `estimate` load `bounds`, and `oracle` loads `oracle`, so
-`len`, `table` and `lemmas` run no module but `lengths`.  `csv` is imported
-by the two commands that print it.  The parser reads its defaults from
-`lengths`.
+This module alone decides what loads when: it registers what a command
+may need with `_load_on_first_use`, and every module imports what it uses.
+Importing it loads only what every command needs: `lengths` and `errors`.
+The regex layer (`construct`, `regex_ast`, `verify`), `bounds` and
+`oracle` are registered in sys.modules, and as attributes of the package,
+but run no code until a command reads one of their attributes: `gen` loads
+`construct` and `regex_ast`, `verify` those and `verify`, `bounds` and
+`estimate` load `bounds` and with it mpmath and `doubling`, and `oracle`
+loads `oracle`, so `len`, `table` and `lemmas` run no module but `lengths`.
+`csv` is imported by the two commands that print it.  The parser reads its
+defaults from `lengths`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import resource
@@ -35,8 +38,31 @@ import sys
 import time
 from fractions import Fraction
 
-from . import _load_on_first_use, lengths
+from . import lengths
 from .errors import InvalidArgs, PermrexError, RegexSyntaxError
+
+
+def _load_on_first_use(name: str):
+    """The module `name`, imported in full at its first attribute access
+    (or the module itself, if something imported it already).
+
+    The module is registered in sys.modules, and a submodule is also set as
+    an attribute of its package, as a normal import does, so both `import
+    permrex.X` and `from permrex import X` find it before it has loaded."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
+    return module
+
 
 bounds = _load_on_first_use("permrex.bounds")
 construct = _load_on_first_use("permrex.construct")

@@ -12,14 +12,16 @@ independent functions on x > 0, so any coefficient that is nonzero as a
 real number makes the identity fail somewhere; `bounds` decides that on
 intervals.
 
-`bounds.check_lemma_gaS` is the entry point and imports this module on
-its first call, so commands that never prove the identity never load it.
+`bounds.check_lemma_gaS` is the entry point.  `bounds` and this module
+import each other at the top; neither reads the other until a call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable
+
+import mpmath
 
 from . import bounds
 from .errors import InvalidArgs
@@ -79,12 +81,12 @@ class Formal(dict):
             grouped[name] = grouped.get(name, Formal()) + constant
         return sorted(grouped.items())
 
-    def evaluate(self, value: Callable[[str], bounds.mpmath.iv.mpf] | None = None
-                 ) -> bounds.mpmath.iv.mpf:
+    def evaluate(self, value: Callable[[str], mpmath.iv.mpf] | None = None
+                 ) -> mpmath.iv.mpf:
         """Interval of the polynomial at the ambient precision, with value(atom)
         the interval of an atom (by default `atom_value`, for constants)."""
         value = value or atom_value
-        total = bounds.mpmath.iv.mpf(0)
+        total = mpmath.iv.mpf(0)
         for monomial, coefficient in self.items():
             term = bounds.rational(coefficient)
             for atom, power in monomial:
@@ -98,10 +100,10 @@ def ln(q: Fraction | int) -> Formal:
     return Formal.atom(f"ln {Fraction(q)}")
 
 
-def atom_value(atom: str) -> bounds.mpmath.iv.mpf:
+def atom_value(atom: str) -> mpmath.iv.mpf:
     """Interval of a constant atom, "ln pi" or "ln q", at the ambient precision."""
     argument = atom.removeprefix("ln ")
-    pi = bounds.mpmath.iv.pi
+    pi = mpmath.iv.pi
     return bounds.enc_log(+pi if argument == "pi" else bounds.rational(Fraction(argument)))
 
 

@@ -393,8 +393,6 @@ def _built(term: Regex | list) -> Regex:
     """The node of a parsed term, building an unbuilt union (above)."""
     if type(term) is not list:
         return term
-    if len(term) == 1:  # built before, under a reused copy of its group
-        return term[0]
     flat: list[Regex] = []
     stack = [term]
     while stack:

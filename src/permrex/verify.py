@@ -54,6 +54,10 @@ from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold
 
 # The follow table is dense, about positions^2 / 8 bytes: 2 GB at this cap.
 MAX_POSITIONS = 1 << 17
+# The largest n the walk takes whatever the cap.  With every prefix live it
+# visits all n^n words: (1+2+...+8) repeated 8 times takes 40 s, so n = 9
+# takes about 15 minutes and n = 10 about 7 hours (2 CPUs, Python 3.11).
+MAX_WALK_N = 9
 
 
 class PositionNfa(NamedTuple):
@@ -360,9 +364,10 @@ def language_equals_permutations(
 
     The split structure is tried first, for any n.  When it does not prove
     the equality, all n^n length-n words are checked plus the structural
-    uniform-length property.  That walk refuses n beyond `cap` because the
-    enumeration is n^n, and expressions over MAX_POSITIONS symbol
-    occurrences because the automaton's follow table is quadratic in them.
+    uniform-length property.  That walk refuses n beyond `cap`, or beyond
+    MAX_WALK_N whatever the cap, because the enumeration is n^n, and
+    expressions over MAX_POSITIONS symbol occurrences because the
+    automaton's follow table is quadratic in them.
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
@@ -391,12 +396,13 @@ def _exhaustive_certificate(
     expr: Regex, n: int, cap: int, positions: int, star_free: bool,
     foreign: frozenset[int] | None,
 ) -> Certificate:
-    """The walk over all n^n length-n words, under `cap` and MAX_POSITIONS.
-    `positions`, `star_free` and the live `foreign` symbols are what the
-    split fold read of `expr`."""
-    if n > cap:
+    """The walk over all n^n length-n words, under `cap`, MAX_WALK_N and
+    MAX_POSITIONS.  `positions`, `star_free` and the live `foreign` symbols
+    are what the split fold read of `expr`."""
+    ceiling = min(cap, MAX_WALK_N)
+    if n > ceiling:
         raise CapExceeded(
-            f"exhaustive verification capped at n = {cap} ({n}^{n} words is too many)")
+            f"exhaustive verification capped at n = {ceiling} ({n}^{n} words is too many)")
     if positions > MAX_POSITIONS:
         raise SizeCap(positions, MAX_POSITIONS, what="automaton positions")
 

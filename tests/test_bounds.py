@@ -210,6 +210,11 @@ def test_check_stirling_sandwich_empty_range():
     assert report.points_checked == 0
 
 
+def test_check_stirling_sandwich_refuses_a_negative_range():
+    with pytest.raises(InvalidArgs):
+        bounds.check_stirling_sandwich(-1)
+
+
 def test_check_lemma_sa_certifies():
     grid = bounds.default_grid(Fraction(1), Fraction(50), Fraction(1, 4))
     report = bounds.check_lemma_sa(grid)

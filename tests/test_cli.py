@@ -216,6 +216,22 @@ def test_verify_cap(tmp_path, capsys):
     assert "capped" in err
 
 
+def test_verify_walk_ceiling_holds_whatever_the_cap(tmp_path, capsys, monkeypatch):
+    # (1+2+...+10) ten times: every prefix is live and the split proof
+    # fails, so the walk would visit all 10^10 words.
+    def forbidden(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(verify, "glushkov", forbidden)
+    path = tmp_path / "every-word-10.rx"
+    path.write_text(" ".join(["(" + "+".join(map(str, range(1, 11))) + ")"] * 10))
+    code, out, err = run(capsys, "verify", "--regex-file", str(path), "--n", "10",
+                         "--verify-cap", "10")
+    assert (code, out) == (2, "")
+    assert err == (f"error: exhaustive verification capped at n = {verify.MAX_WALK_N} "
+                   "(10^10 words is too many)\n")
+
+
 @pytest.mark.parametrize("n", [10, 13])
 def test_verify_structural_past_the_cap(capsys, n):
     code, out, _ = run(capsys, "verify", "--builder", "dnc", "--n", str(n))
@@ -225,6 +241,13 @@ def test_verify_structural_past_the_cap(capsys, n):
     assert cert["words_tested"] == n**n
     assert cert["accepted"] == cert["permutations_accepted"] == math.factorial(n)
     assert cert["positions"] == lengths.f(n)
+
+
+def test_verify_structural_past_the_walk_ceiling(capsys):
+    code, out, _ = run(capsys, "verify", "--builder", "dnc", "--n", "12",
+                       "--verify-cap", "12")
+    assert code == 0
+    assert json.loads(out)["report"]["certificate"]["method"] == "structural"
 
 
 def test_verify_syntax_error(tmp_path, capsys):
@@ -253,6 +276,15 @@ def test_lemmas_reports_a_failing_triple_growth_sweep(capsys, monkeypatch):
     growth = json.loads(out)["report"]["triple_growth"]
     assert growth["min_ratio"] == "5/2"
     assert growth["violations"] == [{"n": 2, "ratio": "5/2"}, {"n": 3, "ratio": "11/4"}]
+
+
+def test_lemmas_exits_1_on_a_growth_ratio_below_three(capsys, monkeypatch):
+    real = lengths.f
+    monkeypatch.setattr(lengths, "f", lambda n: 6614 if n == 8 else real(n))
+    code, out, _ = run(capsys, "lemmas", "--max-n", "9")
+    assert code == 1
+    growth = json.loads(out)["report"]["triple_growth"]
+    assert growth["violations"] == [{"n": 7, "ratio": "6614/2205"}]
 
 
 def test_bounds_small(capsys):
@@ -620,6 +652,22 @@ def test_bounds_bad_grid(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("1:2", "grid must look like start:stop:step, e.g. 1:100:0.25"),
+    ("1:x:1", "bad grid number: "),
+])
+def test_bounds_refuses_a_malformed_grid(capsys, grid, message):
+    code, err = _exit_code_and_err(capsys, ["bounds", "--grid", grid])
+    assert code == 2
+    assert message in err
+
+
+def test_bounds_refuses_max_n_0(capsys):
+    code, out, err = run(capsys, "bounds", "--max-n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: max_n must be >= 1, got 0\n"
+
+
 def _exit_code_and_err(capsys, argv):
     try:
         code = cli.run(argv)
@@ -733,11 +781,10 @@ def test_benchmark_trace_hooks_resolve():
     # Before that the probe checks what start-up costs: the CLI imports no
     # dataclasses, inspect or csv, and `bounds` and `oracle` stay unloaded
     # through a `verify` command, while `table` loads csv.  It also reports
-    # whether the CLI pulled numpy in, which no module of the package uses,
-    # and whether it loaded mpmath, which `bounds` loads at its first
-    # interval operation.  `mpmath` itself is in sys.modules as a module not
-    # yet loaded, so the probe asks for a submodule that loading it imports.
-    # An interval is then built and printed in the same process.
+    # whether `verify` and `table` pulled in numpy, which no module of the
+    # package uses, or mpmath, which `bounds` imports when it loads.  The
+    # probe asks for `mpmath.libmp`, a submodule that importing mpmath
+    # imports.  An interval is then built and printed in the same process.
     probe = (
         "import contextlib, io, json, sys, types\n"
         "from fractions import Fraction\n"
@@ -753,10 +800,10 @@ def test_benchmark_trace_hooks_resolve():
         "    lazy_states.append(lazy())\n"
         "    permrex.cli.run(['table', '--max-n', '5'])\n"
         "csv_loaded = 'csv' in sys.modules\n"
+        "loaded = ['numpy' in sys.modules, 'mpmath.libmp' in sys.modules]\n"
         "missing = [f'{m}.{a}' for m, a, _ in layers.WRAPPED\n"
         "           if not callable(getattr(sys.modules.get('permrex.' + m), a, None))]\n"
         "lazy_states.append(lazy())\n"
-        "loaded = ['numpy' in sys.modules, 'mpmath.libmp' in sys.modules]\n"
         "bounds = permrex.cli.bounds\n"
         "third = bounds.format_interval(bounds.rational(Fraction(1, 3)))\n"
         "print(json.dumps([missing, sorted(permrex.cli._BUILDERS), loaded, third,\n"
@@ -1025,6 +1072,14 @@ def test_oracle_full(capsys):
     by_cost = {row["cost"]: row["languages"] for row in report["languages_by_cost"]}
     assert sum(by_cost.values()) == 2**15 - 1
     assert by_cost[24] == 1
+
+
+def test_oracle_exits_1_when_a_k_beats_the_full_language(capsys, monkeypatch):
+    real = oracle.ell
+    monkeypatch.setattr(oracle, "ell", lambda n, k: 7 if k == 3 else real(n, k))
+    code, out, _ = run(capsys, "oracle", "--n", "3")
+    assert code == 1
+    assert json.loads(out)["report"]["per_permutation_cost"]["passed"] is False
 
 
 def test_oracle_single_k(capsys):

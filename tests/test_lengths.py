@@ -159,6 +159,15 @@ def test_check_triple_growth():
                                         lengths.f(report.min_ratio_at))
 
 
+def test_check_triple_growth_reports_a_ratio_below_three(monkeypatch):
+    real = lengths.f  # f(8) = 6614 = 3 f(7) - 1
+    monkeypatch.setattr(lengths, "f", lambda n: 6614 if n == 8 else real(n))
+    report = lengths.check_triple_growth(9)
+    assert not report.passed
+    assert report.violations == ((7, Fraction(6614, 2205)),)
+    assert (report.min_ratio, report.min_ratio_at) == (Fraction(6614, 2205), 7)
+
+
 def test_check_triple_growth_trivial_range():
     report = lengths.check_triple_growth(1)
     assert report.passed

@@ -167,3 +167,12 @@ def test_check_main_opt_reports():
     assert r3.rows == tuple(
         (k, ELL_N3[k], Fraction(ELL_N3[k], k)) for k in range(1, 7))
     assert "star-free" in r3.semantics
+
+
+def test_check_main_opt_fails_when_a_k_beats_the_full_language(monkeypatch):
+    # ell(3, 3) = 7 would give 7/3 < f(3)/3! = 5/2.
+    real = oracle.ell
+    monkeypatch.setattr(oracle, "ell", lambda n, k: 7 if k == 3 else real(n, k))
+    report = oracle.check_main_opt(3)
+    assert report.matches_f and not report.passed
+    assert report.rows[2] == (3, 7, Fraction(7, 3))

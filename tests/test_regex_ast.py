@@ -365,6 +365,18 @@ def test_parse_builds_nested_union_groups_as_one_flat_node():
         sym(1), sym(2), ra.Concat(pair, pair))
 
 
+def test_parse_builds_a_reused_nested_union_group_once_per_use():
+    # A group of 66 characters with a union among its alternatives: the
+    # parser keeps it as a list until the concatenation with 1 builds it,
+    # and the list then holds the built union alone.  The second copy is
+    # that list, from the memo.
+    group = "( ( " + " + ".join(map(str, range(1, 13))) + " ) + 13 + 14 )"
+    assert len(group) > 48
+    union = ra.Union(*map(sym, range(1, 15)))
+    assert ra.parse(f"{group} 1 + {group} 2", 14) is ra.Union(
+        ra.Concat(union, sym(1)), ra.Concat(union, sym(2)))
+
+
 @pytest.mark.parametrize("nest, symbol", [
     (lambda depth: "(" * depth + "1" + "+1)" * depth, 1),
     (lambda depth: "(2+" * depth + "2" + ")" * depth, 2),
