@@ -18,19 +18,33 @@ decides, and the report keeps the worst certified point.  One judge,
 growth-bound sweeps; the bracket domain x >= 4^alpha climbs on
 `compare_le` alone, with no margin.
 
+`_sweep` cuts its points into one contiguous run per CPU in the process's
+affinity mask, if each run gets at least `_MIN_RUN_POINTS` points.  It
+judges the first run itself and forks a worker for each other run.  A
+worker skips the points before its run in its own copy of the point
+stream, so an n-sweep holds one n! or f(n) per process, and sends back a
+summary of its run through a pipe as `marshal` data.  The summaries are
+merged in point order, so a report is the one a single process gives,
+`seconds` apart.  Where the platform has no affinity mask, as on macOS,
+and while other threads run, every sweep runs in one process.
+
 A value here depends on its arguments and on the ambient precision
 `mpmath.iv.prec`, so one helper, `_per_precision`, memoizes on both, for
 one of two lifetimes:
 
   * the process: the constants, which are ln 2 and ln 4, the rational
     constants, the integers 1 and 4, 2 pi, the alpha of a beta and
-    4^alpha, once per rung each;
-  * one check call: everything else.  A Stirling bracket memoizes S, since
-    a grid point's arguments are later points' arguments.  One
-    `check_lemma_ga` call memoizes the alpha-free parts of g_a (x, 4^x,
-    ln x and lg(x)/4) at the arguments x, x + 1/2, x + 1 of its grid points
-    and the wobble factors e^(-/+ 1/(2 sqrt x)), which all its alphas
-    share, and g_a for each alpha's sweep.
+    4^alpha, once per rung each.  A split sweep judges its first point
+    before it forks, so its workers inherit the constants that point read;
+  * one run of one check call: everything else.  A Stirling bracket
+    memoizes S, since a grid point's arguments are later points'
+    arguments.  One `check_lemma_ga` call memoizes the alpha-free parts of
+    g_a (x, 4^x, ln x and lg(x)/4) at the arguments x, x + 1/2, x + 1 of
+    its grid points and the wobble factors e^(-/+ 1/(2 sqrt x)), which all
+    its alphas share, and g_a for each alpha's sweep.  A worker's memo
+    lives for its run: an argument at a run boundary is evaluated by both
+    neighbouring workers, and an alpha's worker evaluates again the parts
+    that the previous alpha's worker evaluated for the same points.
 
 A memoized interval is the one a fresh evaluation at that precision
 gives, so no verdict, margin or worst point moves.  The n-sweeps keep no
@@ -73,10 +87,15 @@ uses.  The CLI's parser prints `DEFAULT_PRECISION_BITS` and
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
+import threading
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import mpmath
@@ -87,7 +106,8 @@ from .lengths import DEFAULT_PRECISION_BITS, MAX_GRID_POINTS
 
 
 MAX_PRECISION_BITS = 2000
-# The two n-sweeps take 10.6 s there (2 CPUs, Python 3.11.7, pure-Python mpmath).
+# The two n-sweeps take 6.2-8.3 s there on one CPU and 4.0-6.9 s split over
+# two (Python 3.11.7, pure-Python mpmath, a shared 2-CPU machine).
 MAX_SWEEP_N = 16_384
 
 CERTIFIED = "certified"
@@ -329,34 +349,171 @@ def _sweep(
     domain: str,
     points: Iterable[tuple[str, Judge]],
     base_bits: int,
+    count: int | None = None,
 ) -> BoundReport:
-    """Decide every point, in order, up the ladder; violated outranks undecided."""
+    """Decide every point, in order, up the ladder; violated outranks undecided.
+
+    `count` is the number of points, if `points` has no len.  They are cut
+    into one contiguous run per CPU, each of at least `_MIN_RUN_POINTS`
+    points, and the runs are merged in point order, so the report is the
+    one a single process gives."""
     ladder = precision_ladder(base_bits)
+    runs = _runs(len(points) if count is None else count)
+    points = iter(points)
+    if len(runs) == 1:
+        judged = [_judge_run(points, ladder)]
+    else:
+        judged = _judge_split(points, runs, ladder)
+    worst = None
+    for run in judged:
+        if run.worst is not None and (
+                worst is None or mpmath.libmp.mpf_lt(run.worst[0], worst[0])):
+            worst = run.worst
+    statuses = {run.status for run in judged}
+    return BoundReport(
+        inequality=inequality,
+        domain=domain,
+        status=next(s for s in (VIOLATED, UNDECIDED, CERTIFIED) if s in statuses),
+        points_checked=sum(run.checked for run in judged),
+        worst_margin="" if worst is None else worst[2],
+        worst_point="" if worst is None else worst[1],
+        max_precision_bits=max(run.max_bits for run in judged),
+        failures=tuple(failure for run in judged for failure in run.failures),
+    )
+
+
+class _Run(NamedTuple):
+    """One contiguous run of a sweep's points, judged.  Its fields are plain
+    ints, strs, lists and tuples, so a worker sends it back with marshal.
+    `worst` is the certified point whose margin has the lowest lower
+    endpoint, the first such in the run: that endpoint as its raw mpf tuple,
+    the point's label and the margin as the report prints it."""
+
+    checked: int
+    max_bits: int
+    status: str
+    failures: list[str]
+    worst: tuple[tuple[int, int, int, int], str, str] | None
+
+
+def _judge_run(points: Iterable[tuple[str, Judge]], ladder: Sequence[int]) -> _Run:
+    """Decide every point, in order, up the ladder."""
     status = CERTIFIED
     failures: list[str] = []
-    worst: tuple[str, mpmath.iv.mpf] | None = None
+    worst: tuple[mpmath.mpf, str, mpmath.iv.mpf] | None = None
     max_bits = ladder[0]
     checked = 0
     for checked, (label, judge) in enumerate(points, 1):
         (verdict, margin), bits = _climb(judge, ladder)
         max_bits = max(max_bits, bits)
         if verdict == CERTIFIED:
-            if worst is None or endpoints(margin)[0] < endpoints(worst[1])[0]:
-                worst = (label, margin)
+            low = endpoints(margin)[0]
+            if worst is None or low < worst[0]:
+                worst = (low, label, margin)
             continue
         failures.append(f"{label}: {verdict}")
         if status != VIOLATED:
             status = verdict
-    return BoundReport(
-        inequality=inequality,
-        domain=domain,
-        status=status,
-        points_checked=checked,
-        worst_margin="" if worst is None else format_interval(worst[1]),
-        worst_point="" if worst is None else worst[0],
-        max_precision_bits=max_bits,
-        failures=tuple(failures),
-    )
+    if worst is not None:
+        sign, man, exp, bc = worst[0]._mpf_
+        worst = ((sign, int(man), exp, bc), worst[1], format_interval(worst[2]))
+    return _Run(checked, max_bits, status, failures, worst)
+
+
+# A sweep forks a worker only if each run gets at least this many points: a
+# fork and its reap cost a few milliseconds, a point about a tenth of one.
+_MIN_RUN_POINTS = 64
+
+
+def _runs(count: int) -> list[range]:
+    """The sweep's point indices cut into contiguous runs of nearly equal
+    length, one per CPU in this process's affinity mask, each of at least
+    `_MIN_RUN_POINTS` points.  One run where the platform has no mask, and
+    while other threads run, as a fork copies only the thread that calls it."""
+    cpus = 1
+    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        cpus = len(os.sched_getaffinity(0))
+    parts = max(1, min(cpus, count // _MIN_RUN_POINTS))
+    cuts = [count * k // parts for k in range(parts + 1)]
+    return [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
+
+
+def _judge_split(
+    points: Iterator[tuple[str, Judge]], runs: list[range], ladder: Sequence[int]
+) -> list[_Run]:
+    """Judge the first run here and each other run in a forked worker.
+
+    The first point is judged before any fork, so the memoized constants
+    every point reads (ln 2, 2 pi, the alphas, ...) are computed once.  Each
+    worker skips the points before its run in its own copy of the stream.
+    A run whose worker does not deliver is judged here, so an exception is
+    the one the serial sweep raises.  Every worker is reaped before this
+    returns or raises."""
+    judged = [_judge_run(islice(points, 1), ladder)]
+    workers: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        pids = [_fork_run(points, run, ladder, workers) for run in runs[1:]]
+        judged.append(_judge_run(islice(points, runs[0].stop - 1), ladder))
+        position = runs[0].stop  # of the stream here
+        for run, pid in zip(runs[1:], pids):
+            summary = None if pid is None else _collect(pid, workers)
+            if summary is None:
+                summary = _judge_run(
+                    islice(points, run.start - position, run.stop - position), ladder)
+                position = run.stop
+            judged.append(summary)
+    finally:
+        for pid, read_end in workers.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return judged
+
+
+def _fork_run(
+    points: Iterator[tuple[str, Judge]], run: range, ladder: Sequence[int],
+    workers: dict[int, int],
+) -> int | None:
+    """Fork a worker that judges `run` and writes its `_Run` to a pipe;
+    register it in `workers` and return its pid, or None if it cannot
+    start.  The worker leaves by os._exit, so it runs no atexit handler and
+    flushes no buffer it inherited.  One point was judged before the fork."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            summary = _judge_run(islice(points, run.start - 1, run.stop - 1), ladder)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(tuple(summary)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    workers[pid] = read_end
+    return pid
+
+
+def _collect(pid: int, workers: dict[int, int]) -> _Run | None:
+    """The `_Run` the worker `pid` sent, once it is reaped; None if it
+    failed."""
+    try:
+        with open(workers.pop(pid), "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    return _Run(*marshal.loads(data))
 
 
 def _le_judge(make: Callable[[], list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]]) -> Judge:
@@ -403,6 +560,7 @@ def check_stirling_sandwich(
         domain=f"n in [1, {max_n}]",
         points=points(),
         base_bits=base_bits,
+        count=max_n,
     )
 
 
@@ -553,6 +711,7 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
         points=((f"n={n}", _le_judge(partial(pairs, n, f_n)))
                 for n, f_n in enumerate(lengths.f_values(max_n), 1)),
         base_bits=base_bits,
+        count=max_n,
     )
 
 

@@ -33,6 +33,8 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
+import re
 import resource
 import sys
 import time
@@ -98,13 +100,19 @@ def _build(args: argparse.Namespace) -> regex_ast.Regex:
     return _BUILDERS[args.builder](construct.AlphabetSet.first_n(args.n))
 
 
+def _int_digit_limit() -> int:
+    """Python's limit on the digits of an int converted to or from text
+    (sys.set_int_max_str_digits); 0 for none, as before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _require_printable(max_n: int, largest) -> None:
     """Refuse, before any table is built, a `max_n` whose largest printed
     value `largest(max_n)` has more decimal digits than Python converts.
 
     `largest` grows with n, so it is probed at n = 1, 2, 4, ... and never
     evaluated past twice the first n it cannot print."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    limit = _int_digit_limit()
     if not limit or max_n < 1:
         return
     bound = 10**limit
@@ -268,16 +276,56 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[dict | str, int]:
     return report, 0 if opt.passed else 1
 
 
+# A number as Fraction reads it, loosely: digits with a decimal point and an
+# exponent, or a ratio of two digit strings.  Fraction refuses the rest.  A
+# string, so that only `bounds` compiles it.
+_GRID_NUMBER = (r"\s*[-+]?(?P<whole>[\d_]*)(?:\.(?P<decimals>[\d_]*))?"
+                r"(?:[eE](?P<exponent>[-+]?[\d_]+)|\s*/\s*(?P<denominator>[\d_]+))?\s*")
+
+
+def _grid_number_digits(text: str) -> int:
+    """The most decimal digits a numerator or a denominator has that
+    `Fraction(text)` builds on its way, counted from the text alone; 0 for
+    text that is no number."""
+    match = re.fullmatch(_GRID_NUMBER, text)
+    if match is None:
+        return 0
+    whole, decimals, exponent, denominator = (
+        (group or "").replace("_", "") for group in match.groups())
+    if denominator:
+        return max(len(whole), len(denominator))
+    if len(exponent.lstrip("+-")) > 18:  # an exponent beyond any digit limit
+        return sys.maxsize
+    power = int(exponent or 0)  # Fraction multiplies by 10**|power|
+    return max(len(whole) + len(decimals) + max(power, 0),
+               len(decimals) + max(-power, 0) + 1)
+
+
 def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             "grid must look like start:stop:step, e.g. 1:100:0.25"
         )
+    # Refused before Fraction expands an exponent or a report prints a label.
+    # Python's default limit stands in where it has none.
+    limit = _int_digit_limit() or 4300
+    for name, part in zip(("start", "stop", "step"), parts):
+        if _grid_number_digits(part) > limit:
+            shown = part if len(part) <= 40 else f"{part[:37]}..."
+            raise argparse.ArgumentTypeError(
+                f"grid {name} {shown} has more than {limit} digits "
+                "in its numerator or denominator")
     try:
         start, stop, step = (Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid number: {exc}") from None
+    # Each point is a fraction over a divisor of scale, and its numerator,
+    # like the point count, is at most (|start| + |stop|) * scale.
+    scale = math.lcm(start.denominator, step.denominator)
+    if 10 * (abs(start) + abs(stop)) * scale >= 10**limit:
+        raise argparse.ArgumentTypeError(
+            f"grid points or their count would have more than {limit} digits")
     # Only counted here; the points are built once the precision is accepted.
     try:
         bounds.grid_size(start, stop, step)
@@ -360,8 +408,10 @@ _WRITE_SLICE = 2**16
 
 
 def _peak_rss_mb() -> float:
-    """This process's peak resident set size so far, in MB."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """The peak resident set size so far of this process or of any child it
+    reaped, such as a `bounds` sweep's workers, whichever is larger, in MB."""
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     # ru_maxrss counts kilobytes on Linux and bytes on macOS.
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 

@@ -32,8 +32,9 @@ from typing import Iterator, NamedTuple
 from .errors import InvalidArgs
 
 DEFAULT_LEMMA_CAP = 512
-# `lemmas` takes about 5 s at n = 2048 on a 2-CPU machine (Python 3.11.7), and
-# doubling n costs 6-10x: the sweep multiplies n^2/4 pairs of ~2n-bit numbers.
+# `lemmas` takes 4.6-7.7 s at n = 2048 in one process on a shared 2-CPU machine
+# (Python 3.11.7), and doubling n costs 6-10x: the sweep multiplies n^2/4
+# pairs of ~2n-bit numbers.
 MAX_LEMMA_N = 2048
 # Defaults and limits of the `bounds` interval sweeps and of `verify`'s
 # exhaustive walk, defined here so that building the CLI parser, which prints

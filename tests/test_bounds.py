@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -525,3 +527,129 @@ def test_default_grid():
     assert bounds.grid_size(Fraction(0), Fraction(9999), Fraction(1)) == 10_000
     with pytest.raises(InvalidArgs):
         bounds.grid_size(Fraction(0), Fraction(10_000), Fraction(1))
+
+
+# -- sweeps split across forked workers -------------------------------------
+
+def _split_reports(monkeypatch, workers, check):
+    """check()'s reports with `seconds` stripped, swept by `workers`
+    processes, and the forks that took; no worker may outlive the sweep."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(os, "fork", fork)
+    try:
+        reports = check()
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    reports = reports if isinstance(reports, list) else [reports]
+    return [report._replace(seconds=0.0) for report in reports], len(forks)
+
+
+_GRID_300 = bounds.default_grid(Fraction(1), Fraction(303, 4), Fraction(1, 4))
+_SPLIT_CHECKS = {
+    "fn_bounds": lambda: bounds.check_fn_bounds(300),
+    "stirling": lambda: bounds.check_stirling_sandwich(300),
+    "lemma_sa": lambda: bounds.check_lemma_sa(_GRID_300),
+    "lemma_ga": lambda: bounds.check_lemma_ga(_GRID_300, (bounds.alpha_low, bounds.alpha_high)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_CHECKS))
+def test_split_sweeps_report_what_one_process_does(monkeypatch, name):
+    assert len(_GRID_300) == 300
+    check = _SPLIT_CHECKS[name]
+    serial, forks = _split_reports(monkeypatch, 1, check)
+    assert forks == 0 and all(r.status == bounds.CERTIFIED for r in serial)
+    for workers in (2, 3):
+        reports, forks = _split_reports(monkeypatch, workers, check)
+        assert reports == serial, workers
+        assert forks == (workers - 1) * len(serial)  # one sweep per report
+
+
+def test_split_sweep_merges_failures_from_two_runs(monkeypatch):
+    # f is wrong at n = 50 (run 0) and at n = 250 and 260 (the last run): too
+    # large for the upper bound, then too small for the lower one.
+    real_f_values = lengths.f_values
+
+    def wrong_f_values(max_n):
+        for n, value in enumerate(real_f_values(max_n), 1):
+            yield value * 10**6 if n in (50, 250) else value // 10**6 if n == 260 else value
+
+    monkeypatch.setattr(lengths, "f_values", wrong_f_values)
+    check = _SPLIT_CHECKS["fn_bounds"]
+    [serial], _ = _split_reports(monkeypatch, 1, check)
+    assert serial.status == bounds.VIOLATED
+    assert serial.failures == ("n=50: violated", "n=250: violated", "n=260: violated")
+    assert serial.points_checked == 300 and serial.worst_point == "n=1"
+    for workers in (2, 3):
+        reports, forks = _split_reports(monkeypatch, workers, check)
+        assert (reports, forks) == ([serial], workers - 1)
+
+
+def _points_raising_at(bad: int):
+    def judge(i):
+        if i == bad:
+            raise DomainError(f"no value at point {i}")
+        return bounds.CERTIFIED, iv.mpf(1000 - i)
+
+    return [(f"i={i}", partial(judge, i)) for i in range(300)]
+
+
+def test_split_sweep_raises_what_one_process_raises(monkeypatch):
+    # The point at index 200 lies in the second of two runs, and in the third
+    # of three: its worker fails, and the parent judges that run itself.
+    raised = []
+    for workers in (1, 2, 3):
+        with pytest.raises(DomainError) as info:
+            _split_reports(monkeypatch, workers, lambda: bounds._sweep(
+                "demo", "300 points", _points_raising_at(200), base_bits=200))
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(DomainError, "no value at point 200")] * 3
+    # Without the bad point, the last point is the worst.
+    [report], _ = _split_reports(monkeypatch, 2, lambda: bounds._sweep(
+        "demo", "300 points", _points_raising_at(-1), base_bits=200))
+    assert (report.status, report.points_checked, report.worst_point) == (
+        bounds.CERTIFIED, 300, "i=299")
+
+
+def test_sweeps_split_only_into_runs_of_enough_points(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    least = bounds._MIN_RUN_POINTS
+    assert bounds._runs(2 * least - 1) == [range(0, 2 * least - 1)]
+    assert bounds._runs(2 * least) == [range(0, least), range(least, 2 * least)]
+    count = 10 * least
+    cuts = [0, count // 3, 2 * count // 3, count]
+    assert bounds._runs(count) == [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    assert bounds._runs(0) == [range(0, 0)]
+    # Another thread would not live on in a forked worker.
+    cut_in_a_thread = []
+    thread = threading.Thread(target=lambda: cut_in_a_thread.append(bounds._runs(count)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and cut_in_a_thread == [[range(0, count)]]
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
+    assert bounds._runs(count) == [range(0, count)]
+
+
+def test_split_sweep_workers_run_no_exit_handler():
+    # A worker leaves by os._exit: the handler runs once, in the parent, and
+    # the line buffered before the fork is written once.
+    probe = ("import atexit, os\n"
+             "from permrex import bounds\n"
+             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+             "atexit.register(print, 'exit handler')\n"
+             "print('before the sweep')\n"
+             "print(bounds.check_fn_bounds(300).status)\n")
+    src = Path(bounds.__file__).resolve().parent.parent
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["before the sweep", "certified", "exit handler"]

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 from fractions import Fraction
@@ -660,6 +661,35 @@ def test_bounds_refuses_a_malformed_grid(capsys, grid, message):
     code, err = _exit_code_and_err(capsys, ["bounds", "--grid", grid])
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("grid, part", [
+    ("1e5000:1e5000:1", "grid start 1e5000 has more than"),
+    ("1:1e10000000:1", "grid stop 1e10000000 has more than"),
+    ("1:2:1e-5000", "grid step 1e-5000 has more than"),
+    ("1:1e4299:1e-10", "grid points or their count would have more than"),
+])
+def test_bounds_refuses_grid_numbers_too_long_to_print(capsys, monkeypatch, grid, part):
+    # Refused from the text, before Fraction expands an exponent, and before
+    # a report would print a label longer than Python converts.
+    monkeypatch.setattr(bounds, "grid_size", None)  # never reached
+    started = time.monotonic()
+    code, err = _exit_code_and_err(capsys, ["bounds", "--grid", grid])
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert part in err and "Traceback" not in err
+
+
+def test_meta_peak_rss_counts_reaped_children(capsys, monkeypatch):
+    # The larger of this process's peak and its reaped children's, such as
+    # a split sweep's workers; ru_maxrss counts kilobytes on Linux.
+    monkeypatch.setattr(sys, "platform", "linux")
+    for own, children in ((2048, 10240), (10240, 2048)):
+        peaks = {cli.resource.RUSAGE_SELF: own, cli.resource.RUSAGE_CHILDREN: children}
+        monkeypatch.setattr(cli.resource, "getrusage",
+                            lambda who: types.SimpleNamespace(ru_maxrss=peaks[who]))
+        code, out, _ = run(capsys, "len", "--max-n", "5")
+        assert code == 0 and json.loads(out)["meta"]["peak_rss_mb"] == 10.0
 
 
 def test_bounds_refuses_max_n_0(capsys):
