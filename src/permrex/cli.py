@@ -170,6 +170,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
         expr = regex_ast.parse(text, args.n)
         source = {"kind": "regex-file", "path": args.regex_file}
     else:
+        if args.builder == "flat" and args.n >= 3:
+            # Each flat term's left factor is a word of length >= 2, never
+            # a split proof, so the walk's refusals come before the build.
+            construct.require_buildable(args.builder, args.n)
+            verify.require_walkable(args.n, args.verify_cap, lengths.flat_length(args.n))
         expr = _build(args)
         source = {"kind": "builder", "builder": args.builder}
     cert = verify.language_equals_permutations(expr, args.n, cap=args.verify_cap)

@@ -30,8 +30,13 @@ count is an independent cross-check of the fold's count.  A union's
 (nullable, first, last) value absorbs each term's as soon as that term is
 done, so the terms' masks are never held all at once.  State sets are
 Python ints used as bitmasks; stepping a set is an or-loop over its set
-bits, which keeps the hot path in C.  The walk combines three facts into
-an unconditional certificate for star-free inputs:
+bits, which keeps the hot path in C.  Each follow set is stored as a
+window, shifted down to its lowest member, so it costs the span of its
+members rather than a bit per earlier position: `flat` n=7's table of
+35 280 positions takes about 1 MB.  The table is still quadratic where
+follow windows are wide, as when a big union is concatenated with a big
+union.  The walk combines three facts into an unconditional certificate
+for star-free inputs:
 
   1. every word of length n over the alphabet is classified by running
      the automaton down the prefix tree (dead prefixes are pruned, with
@@ -52,7 +57,8 @@ from .errors import CapExceeded, InvalidArgs, SizeCap
 from .lengths import DEFAULT_VERIFY_CAP
 from .regex_ast import Concat, EmptySet, Epsilon, Regex, Star, Sym, Union, fold
 
-# The follow table is dense, about positions^2 / 8 bytes: 2 GB at this cap.
+# The worst-case guard on the follow table: with windows as wide as the
+# automaton, it takes about positions^2 / 8 bytes, 2 GB at this cap.
 MAX_POSITIONS = 1 << 17
 # The largest n the walk takes whatever the cap.  With every prefix live it
 # visits all n^n words: (1+2+...+8) repeated 8 times takes 40 s, so n = 9
@@ -67,6 +73,7 @@ class PositionNfa(NamedTuple):
     first: int
     last: int
     follow: tuple[int, ...]
+    follow_shift: tuple[int, ...]
     accepts_epsilon: bool
 
     @property
@@ -78,25 +85,51 @@ def glushkov(expr: Regex) -> PositionNfa:
     """Build the position automaton.  Position count = alphabetic length.
 
     Shared subtrees are expanded: each logical Sym occurrence gets its
-    own position, exactly as if the DAG were copied out to a tree.
+    own position, exactly as if the DAG were copied out to a tree, so a
+    subtree's positions are one run starting at its first position.  Its
+    first and last masks are held relative to that start.  The follow set
+    of position p is `follow[p] << follow_shift[p]`: the window is the set
+    shifted down to its lowest member, so it costs its span, not p bits.
     """
     symbols: list[int] = []
     follow: list[int] = []
-    values: list[tuple[bool, int, int]] = []  # (nullable, first mask, last mask)
+    shift: list[int] = []
+    # (nullable, start, first mask, last mask), masks relative to start
+    values: list[tuple[bool, int, int, int]] = []
     work: list[tuple[Regex, bool]] = [(expr, False)]
+
+    def add_follow(mask: int, base: int, target: int, target_base: int) -> None:
+        """Add the set `target << target_base` to the follow set of each
+        position `base + i` for bit i of `mask`."""
+        low = (target & -target).bit_length() - 1
+        target >>= low
+        target_base += low
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            p = base + bit.bit_length() - 1
+            window = follow[p]
+            if not window:
+                follow[p], shift[p] = target, target_base
+            elif target_base >= shift[p]:
+                follow[p] = window | target << (target_base - shift[p])
+            else:  # a star's edge back to an earlier position lowers the window
+                follow[p] = window << (shift[p] - target_base) | target
+                shift[p] = target_base
+
     while work:
         node, expanded = work.pop()
         kind = type(node)
         if not expanded:
             if kind is Sym:
-                bit = 1 << len(symbols)
+                values.append((False, len(symbols), 1, 1))
                 symbols.append(node.sym)
                 follow.append(0)
-                values.append((False, bit, bit))
+                shift.append(0)
             elif kind is Epsilon:
-                values.append((True, 0, 0))
+                values.append((True, len(symbols), 0, 0))
             elif kind is EmptySet:
-                values.append((False, 0, 0))
+                values.append((False, len(symbols), 0, 0))
             elif kind is Star:
                 work.append((node, True))
                 work.append((node.child, False))
@@ -105,41 +138,35 @@ def glushkov(expr: Regex) -> PositionNfa:
                 work.append((node.right, False))
                 work.append((node.left, False))
             else:  # Union: each term's value is merged as soon as it is done
-                values.append((False, 0, 0))
+                values.append((False, len(symbols), 0, 0))
                 for term in reversed(node.terms):
                     work += ((node, True), (term, False))
             continue
         if kind is Star:
-            nullable, first, last = values.pop()
-            mask = last
-            while mask:
-                low = mask & -mask
-                follow[low.bit_length() - 1] |= first
-                mask ^= low
-            values.append((True, first, last))
+            nullable, start, first, last = values.pop()
+            if first:
+                add_follow(last, start, first, start)
+            values.append((True, start, first, last))
         elif kind is Concat:
-            right_nullable, right_first, right_last = values.pop()
-            left_nullable, left_first, left_last = values.pop()
-            mask = left_last
-            while mask:
-                low = mask & -mask
-                follow[low.bit_length() - 1] |= right_first
-                mask ^= low
+            right_nullable, right_start, right_first, right_last = values.pop()
+            left_nullable, start, left_first, left_last = values.pop()
+            if right_first:
+                add_follow(left_last, start, right_first, right_start)
+            offset = right_start - start
             values.append((
                 left_nullable and right_nullable,
-                left_first | (right_first if left_nullable else 0),
-                right_last | (left_last if right_nullable else 0),
+                start,
+                left_first | (right_first << offset if left_nullable else 0),
+                right_last << offset | (left_last if right_nullable else 0),
             ))
         else:  # Union: merge one finished term into the union's running value
-            term_nullable, term_first, term_last = values.pop()
-            nullable, first, last = values[-1]
-            values[-1] = (nullable or term_nullable, first | term_first, last | term_last)
-            # Free the replaced masks now, not when these names are next bound:
-            # held while the next term's follow sets grow, they cost `flat`
-            # n=7 about 3 MB of peak RSS.
-            del first, last, term_first, term_last
-    nullable, first, last = values.pop()
-    return PositionNfa(tuple(symbols), first, last, tuple(follow), nullable)
+            term_nullable, term_start, term_first, term_last = values.pop()
+            nullable, start, first, last = values[-1]
+            offset = term_start - start
+            values[-1] = (nullable or term_nullable, start,
+                          first | term_first << offset, last | term_last << offset)
+    nullable, _, first, last = values.pop()
+    return PositionNfa(tuple(symbols), first, last, tuple(follow), tuple(shift), nullable)
 
 
 def naive_matches(expr: Regex, word: Sequence[int]) -> bool:
@@ -367,7 +394,7 @@ def language_equals_permutations(
     uniform-length property.  That walk refuses n beyond `cap`, or beyond
     MAX_WALK_N whatever the cap, because the enumeration is n^n, and
     expressions over MAX_POSITIONS symbol occurrences because the
-    automaton's follow table is quadratic in them.
+    automaton's follow table is quadratic in them at worst.
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
@@ -392,13 +419,10 @@ def language_equals_permutations(
     return _exhaustive_certificate(expr, n, cap, positions, star_free, foreign)
 
 
-def _exhaustive_certificate(
-    expr: Regex, n: int, cap: int, positions: int, star_free: bool,
-    foreign: frozenset[int] | None,
-) -> Certificate:
-    """The walk over all n^n length-n words, under `cap`, MAX_WALK_N and
-    MAX_POSITIONS.  `positions`, `star_free` and the live `foreign` symbols
-    are what the split fold read of `expr`."""
+def require_walkable(n: int, cap: int, positions: int) -> None:
+    """Raise what the walk refuses for n symbols under `cap` and an
+    expression of `positions` symbol occurrences: CapExceeded for n beyond
+    `cap` or MAX_WALK_N, then SizeCap beyond MAX_POSITIONS."""
     ceiling = min(cap, MAX_WALK_N)
     if n > ceiling:
         raise CapExceeded(
@@ -406,9 +430,18 @@ def _exhaustive_certificate(
     if positions > MAX_POSITIONS:
         raise SizeCap(positions, MAX_POSITIONS, what="automaton positions")
 
+
+def _exhaustive_certificate(
+    expr: Regex, n: int, cap: int, positions: int, star_free: bool,
+    foreign: frozenset[int] | None,
+) -> Certificate:
+    """The walk over all n^n length-n words, under `cap`, MAX_WALK_N and
+    MAX_POSITIONS.  `positions`, `star_free` and the live `foreign` symbols
+    are what the split fold read of `expr`."""
+    require_walkable(n, cap, positions)
     nfa = glushkov(expr)
     ulen = uniform_length(expr)
-    follow, last = nfa.follow, nfa.last
+    follow, follow_shift, last = nfa.follow, nfa.follow_shift, nfa.last
     # masks[c]: the positions that read c; no other symbol is stepped on.
     masks = [0] * (n + 1)
     for p, s in enumerate(nfa.symbols):
@@ -453,7 +486,8 @@ def _exhaustive_certificate(
         step = nfa.first if depth == 0 else 0
         while active:
             low = active & -active
-            step |= follow[low.bit_length() - 1]
+            q = low.bit_length() - 1
+            step |= follow[q] << follow_shift[q]
             active ^= low
         distinct_so_far = used.bit_count() == depth
         for c in range(1, n + 1):

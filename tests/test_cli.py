@@ -1007,11 +1007,20 @@ def test_verify_refuses_files_that_are_not_regex_text(tmp_path, capsys, content,
     assert err == f"error: {message}\n"
 
 
-def test_verify_refuses_oversized_automaton(capsys):
-    code, _, err = run(capsys, "verify", "--builder", "flat", "--n", "8",
-                       "--verify-cap", "8")
-    assert code == 2
-    assert "positions" in err
+def test_verify_refuses_oversized_automaton(capsys, monkeypatch):
+    # flat is never a split proof from n = 3 on, so both of the walk's
+    # refusals come from n * n! before the flat union is built.
+    def forbidden(*args):
+        raise AssertionError("the flat union was built")
+
+    monkeypatch.setattr(construct, "build_flat_union", forbidden)
+    code, out, err = run(capsys, "verify", "--builder", "flat", "--n", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: exhaustive verification capped at n = 7 (8^8 words is too many)\n"
+    code, out, err = run(capsys, "verify", "--builder", "flat", "--n", "8",
+                         "--verify-cap", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: refusing to build: 322560 automaton positions exceeds cap 131072\n"
 
 
 def test_estimate_json(capsys):

@@ -3,15 +3,16 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from permrex import construct, regex_ast, verify
 from permrex.errors import CapExceeded, InvalidArgs
 
-from conftest import any_regexes, union_terms
+from conftest import any_regexes, normal_form_regexes, union_terms
 
 
 def build(name, n):
@@ -35,6 +36,85 @@ def test_glushkov_counts_shared_subtrees_per_occurrence():
     shared = regex_ast.Union(regex_ast.Sym(1), regex_ast.Sym(2))
     expr = regex_ast.Concat(shared, shared)
     assert verify.glushkov(expr).n_positions == 4
+
+
+def dense_glushkov(expr):
+    """The textbook position automaton with absolute position sets:
+    (symbols, nullable, first, last, follow), follow[p] a set."""
+    symbols, follow = [], []
+
+    def build(node):
+        kind = type(node)
+        if kind is regex_ast.Sym:
+            symbols.append(node.sym)
+            follow.append(set())
+            return False, {len(follow) - 1}, {len(follow) - 1}
+        if kind is regex_ast.Epsilon:
+            return True, set(), set()
+        if kind is regex_ast.EmptySet:
+            return False, set(), set()
+        if kind is regex_ast.Star:
+            _, first, last = build(node.child)
+            for p in last:
+                follow[p] |= first
+            return True, first, last
+        if kind is regex_ast.Concat:
+            left_nullable, left_first, left_last = build(node.left)
+            right_nullable, right_first, right_last = build(node.right)
+            for p in left_last:
+                follow[p] |= right_first
+            return (left_nullable and right_nullable,
+                    left_first | right_first if left_nullable else left_first,
+                    right_last | left_last if right_nullable else right_last)
+        terms = [build(term) for term in node.terms]
+        return (any(term[0] for term in terms),
+                set().union(*(term[1] for term in terms)),
+                set().union(*(term[2] for term in terms)))
+
+    nullable, first, last = build(expr)
+    return symbols, nullable, first, last, follow
+
+
+def positions_of(mask):
+    return {p for p in range(mask.bit_length()) if mask >> p & 1}
+
+
+# (12)*3: position 1 (the 2) follows back to position 0 and on to 2.
+@example(regex_ast.parse("(12)*3", 3))
+@settings(max_examples=300, deadline=None)
+@given(normal_form_regexes(n=3))
+def test_glushkov_windows_decode_to_the_dense_construction(expr):
+    nfa = verify.glushkov(expr)
+    symbols, nullable, first, last, follow = dense_glushkov(expr)
+    assert list(nfa.symbols) == symbols
+    assert nfa.accepts_epsilon is nullable
+    assert positions_of(nfa.first) == first
+    assert positions_of(nfa.last) == last
+    assert len(nfa.follow) == len(nfa.follow_shift) == len(symbols)
+    for p, (window, shift) in enumerate(zip(nfa.follow, nfa.follow_shift)):
+        # A window starts at its lowest member.
+        assert window == 0 or window & 1
+        assert positions_of(window << shift) == follow[p]
+
+
+def test_glushkov_flat_seven_holds_no_quadratic_table():
+    expr = build("flat", 7)
+    tracemalloc.start()
+    try:
+        nfa = verify.glushkov(expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A table of absolute follow masks takes about 67 MB here.
+    assert peak < 8 * 2**20, peak
+    assert nfa.n_positions == 7 * math.factorial(7)
+
+
+def test_flat_seven_without_its_first_term_misses_one_permutation():
+    cert = verify.language_equals_permutations(drop_first_term(build("flat", 7)), 7)
+    assert cert.method == "exhaustive"
+    assert (cert.accepted, cert.passed) == (math.factorial(7) - 1, False)
+    assert cert.violations == ("rejected permutations with prefix 123456",)
 
 
 def walk(expr, n):
