@@ -46,7 +46,7 @@ import re
 from functools import reduce
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence, TypeVar
 
-from .errors import CompactOverflow, InvalidArgs, RegexSyntaxError, SymbolOutOfRange
+from .errors import CompactOverflow, InvalidArgs, RegexSyntaxError, SizeCap, SymbolOutOfRange
 
 RenderFormat = Literal["compact", "spaced"]
 T = TypeVar("T")
@@ -370,6 +370,11 @@ _GROUP_KEY = 48
 _GROUP_BUCKET = 16
 _GROUP_ROOM = 4
 
+# The most nodes one parse may add to the DAG; a chain of that many takes
+# about 100 MB.  The dnc DAG at the split proof's largest n, 16, has
+# 939 757 nodes.
+MAX_PARSE_NODES = 1 << 20
+
 
 # A group the parser closes with two or more alternatives, one of them a
 # union, is kept as the list of its alternatives (each a node or such a
@@ -429,7 +434,10 @@ def parse(text: str, n: int) -> Regex:
 
     A group is reused (see the module docstring) only once it has parsed
     cleanly, so every error comes from the token loop, with the message
-    and offset it has without the reuse.
+    and offset it has without the reuse.  SizeCap is raised at the first
+    token where the nodes the parse has added to the DAG, plus one for each
+    term of the concatenation run being read, pass MAX_PARSE_NODES, so a
+    long run is refused before its chain is built.
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
@@ -448,11 +456,15 @@ def parse(text: str, n: int) -> Regex:
     # Where tokenizing resumes after a reused group; None once the text
     # is consumed.
     resume: int | None = 0
+    base, cap = len(_INTERNED), MAX_PARSE_NODES
     while resume is not None:
         start, resume = resume, None
         for match in pattern.finditer(text, start):
             offset = match.start()
             alts, terms, _ = frames[-1]
+            nodes = len(_INTERNED) - base + len(terms)
+            if nodes > cap:
+                raise SizeCap(nodes, cap, what="parsed nodes")
             digits = match.group(1)
             if digits is not None:
                 # An id with more significant digits than n is out of range; it

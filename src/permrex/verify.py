@@ -1,7 +1,10 @@
 """Certification that an expression denotes exactly P_n.
 
 language_equals_permutations tries a proof first and falls back to an
-exhaustive walk.
+exhaustive walk, and both fill the one certificate.  A proof implies its
+counts: n! accepted words of length n, all of them permutations, no
+shorter word, length n throughout and no witness.  The walk counts them,
+and the certificate passes exactly when the counts are the implied ones.
 
 The proof follows the construction of the split builders.  Every
 permutation of S splits uniquely after its first k symbols, so a
@@ -10,33 +13,32 @@ concatenation of the permutations of A with those of a disjoint B is the
 of blocks over one support S is every permutation of S exactly when each
 maximal chain of subsets from the empty set to S meets the family of
 block prefixes, because the prefix sets of a permutation form such a
-chain.  Unions are n-ary and flat, so a union's descriptor lists its
-terms' blocks at once.  One fold over the distinct DAG nodes computes
-these descriptors and tests a family only where a concatenation consumes
-it, or at the root.  Anything else (stars, epsilon, the empty set,
-overlapping or differing supports) is unknown and sends the expression
-to the walk.
+chain.  One fold over the distinct DAG nodes gives each node it can a
+descriptor (S, prefixes): a symbol s is ({s}, {{s}}), the concatenation
+above is (A u B, {A}), and a union over one support merges its terms'
+prefixes.  A family is tested only where a concatenation consumes it, or
+at the root.  Anything else (stars, epsilon, the empty set, overlapping
+or differing supports) is unknown and sends the expression to the walk.
 
-The same fold counts the Sym leaves, proof or not, and that count is the
-position count the walk refuses on (MAX_POSITIONS) before it builds its
-automaton.  At nodes without a descriptor it also records what the
-length-n walk cannot see: whether a star occurs, and which symbols
-outside 1..n some word of the language reads.  A node with a descriptor
-needs neither, since it denotes a nonempty, star-free set of
-permutations over 1..n.
+The same fold counts the Sym leaves, proof or not.  That count is the
+certificate's `positions` and the one the walk refuses on
+(MAX_POSITIONS) before it builds its automaton.  At nodes without a
+descriptor the fold also records what the length-n walk cannot see:
+whether a star occurs, and which symbols outside 1..n some word of the
+language reads.  A node with a descriptor needs neither, since it
+denotes a nonempty, star-free set of permutations over 1..n.
 
-The position automaton keeps one NFA state per Sym leaf, so its state
-count is an independent cross-check of the fold's count.  A union's
-(nullable, first, last) value absorbs each term's as soon as that term is
-done, so the terms' masks are never held all at once.  State sets are
-Python ints used as bitmasks; stepping a set is an or-loop over its set
-bits, which keeps the hot path in C.  Each follow set is stored as a
-window, shifted down to its lowest member, so it costs the span of its
-members rather than a bit per earlier position: `flat` n=7's table of
-35 280 positions takes about 1 MB.  The table is still quadratic where
-follow windows are wide, as when a big union is concatenated with a big
-union.  The walk combines three facts into an unconditional certificate
-for star-free inputs:
+The position automaton keeps one NFA state per Sym leaf, as many as the
+fold counts.  A union's (nullable, first, last) value absorbs each
+term's as soon as that term is done, so the terms' masks are never held
+all at once.  State sets are Python ints used as bitmasks; stepping a
+set is an or-loop over its set bits, which keeps the hot path in C.
+Each follow set is stored as a window, shifted down to its lowest
+member, so it costs the span of its members rather than a bit per
+earlier position: `flat` n=7's table of 35 280 positions takes about
+1 MB.  The table is still quadratic where follow windows are wide, as
+when a big union is concatenated with a big union.  The walk combines
+three facts into an unconditional certificate for star-free inputs:
 
   1. every word of length n over the alphabet is classified by running
      the automaton down the prefix tree (dead prefixes are pruned, with
@@ -51,6 +53,7 @@ for star-free inputs:
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import CapExceeded, InvalidArgs, SizeCap
@@ -251,20 +254,17 @@ def uniform_length(expr: Regex) -> int | None:
 # builders' 10^7 symbols.
 MAX_SPLIT_N = 16
 
-# A split descriptor is (support, prefix) for the block of permutations of
-# `support` whose first |prefix| symbols are `prefix`, or (support, *blocks)
-# for the union of two or more blocks over one support.  A union's terms
-# are never unions, so its blocks are all blocks.  Symbol sets are bitmasks
-# (bit s for symbol s).  (S, S) is every permutation of S.
-Split = tuple
+# A split descriptor (support, prefixes) stands for the union of the blocks
+# of permutations of `support` whose first symbols are one of `prefixes`, a
+# frozenset of subsets of it.  Symbol sets are bitmasks (bit s for symbol
+# s), and a support among its own prefixes is every permutation of it.
+Split = tuple[int, frozenset[int]]
 
 
-def _covers(family: Split) -> bool:
-    """Whether the union of the blocks in `family` is every permutation of
-    its support: no maximal chain from the empty set to the support avoids
-    every block prefix."""
-    support = family[0]
-    prefixes = {block[1] for block in family[1:]}
+def _covers(support: int, prefixes: frozenset[int]) -> bool:
+    """Whether the blocks with these `prefixes` make up every permutation
+    of `support`: no maximal chain from the empty set to the support avoids
+    every prefix."""
     bits = [1 << s for s in range(support.bit_length()) if support >> s & 1]
     reached = {0}
     stack = [0]
@@ -293,18 +293,22 @@ def _split_proof(expr: Regex, n: int) -> tuple[bool, int, bool, frozenset[int] |
     descriptor, so the fold only counts and reads."""
     alphabet = n if n <= MAX_SPLIT_N else 0
     permutations_of: dict[Regex, int] = {}
+    # Nodes with the same lone prefix share its frozenset.
+    lone = cache(lambda prefix: frozenset((prefix,)))
 
     def perm_support(node: Regex, split: Split | None) -> int:
         """The support S if L(node) is certified to be every permutation of
         S, else 0.  Each consumed family is tested once."""
         if split is None:
             return 0
-        if len(split) == 2:
-            # One block covers its support only when its prefix is all of it:
-            # a chain that starts outside the prefix never meets it.
-            return split[0] if split[0] == split[1] else 0
+        support, prefixes = split
+        if support in prefixes:
+            return support
+        # A chain that starts outside a lone prefix never meets it.
+        if len(prefixes) == 1:
+            return 0
         if node not in permutations_of:
-            permutations_of[node] = split[0] if _covers(split) else 0
+            permutations_of[node] = support if _covers(support, prefixes) else 0
         return permutations_of[node]
 
     def describe(node: Regex, *kids: Split | None) -> Split | None:
@@ -312,19 +316,15 @@ def _split_proof(expr: Regex, n: int) -> tuple[bool, int, bool, frozenset[int] |
         if kind is Sym:
             # A symbol outside 1..n can never be part of a proof of P_n.
             bit = 1 << node.sym if 1 <= node.sym <= alphabet else 0
-            return (bit, bit) if bit else None
+            return (bit, lone(bit)) if bit else None
         if kind is Concat:
             first = perm_support(node.left, kids[0])
             rest = perm_support(node.right, kids[1]) if first else 0
-            return (first | rest, first) if rest and not first & rest else None
+            return (first | rest, lone(first)) if rest and not first & rest else None
         if kind is Union:
-            if None in kids or len({block[0] for block in kids}) > 1:
+            if None in kids or len({support for support, _ in kids}) > 1:
                 return None
-            support = kids[0][0]
-            for block in kids:
-                if block[1] == support:
-                    return block
-            return (support, *kids)
+            return kids[0][0], frozenset().union(*(prefixes for _, prefixes in kids))
         return None
 
     def read(node: Regex, *kids: tuple) -> tuple[bool, frozenset[int] | None]:
@@ -398,25 +398,25 @@ def language_equals_permutations(
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
-    proved, positions, star_free, foreign = _split_proof(expr, n)
-    if proved:
-        factorial = math.factorial(n)
-        return Certificate(
-            n=n,
-            positions=positions,
-            words_tested=n**n,
-            accepted=factorial,
-            expected_accepted=factorial,
-            permutations_accepted=factorial,
-            short_words_accepted=0,
-            accepts_empty_word=False,
-            uniform_length=n,
-            star_free=True,
-            passed=True,
-            violations=(),
-            method="structural",
-        )
-    return _exhaustive_certificate(expr, n, cap, positions, star_free, foreign)
+    return _certificate(expr, n, cap, *_split_proof(expr, n))
+
+
+def _certificate(
+    expr: Regex, n: int, cap: int, proved: bool, positions: int, star_free: bool,
+    foreign: frozenset[int] | None,
+) -> Certificate:
+    """The certificate with the counts a proof implies when `proved`, else
+    with the walk's; it passes exactly when they are the implied ones."""
+    factorial = math.factorial(n)
+    implied = (factorial, factorial, 0, False, n, ())
+    counts = implied if proved else _walk(expr, n, cap, positions, foreign)
+    accepted, permutations, short, empty, length, violations = counts
+    return Certificate(
+        n=n, positions=positions, words_tested=n**n, accepted=accepted,
+        expected_accepted=factorial, permutations_accepted=permutations,
+        short_words_accepted=short, accepts_empty_word=empty, uniform_length=length,
+        star_free=star_free, passed=counts == implied, violations=violations,
+        method="structural" if proved else "exhaustive")
 
 
 def require_walkable(n: int, cap: int, positions: int) -> None:
@@ -431,13 +431,14 @@ def require_walkable(n: int, cap: int, positions: int) -> None:
         raise SizeCap(positions, MAX_POSITIONS, what="automaton positions")
 
 
-def _exhaustive_certificate(
-    expr: Regex, n: int, cap: int, positions: int, star_free: bool,
-    foreign: frozenset[int] | None,
-) -> Certificate:
+def _walk(
+    expr: Regex, n: int, cap: int, positions: int, foreign: frozenset[int] | None,
+) -> tuple[int, int, int, bool, int | None, tuple[str, ...]]:
     """The walk over all n^n length-n words, under `cap`, MAX_WALK_N and
-    MAX_POSITIONS.  `positions`, `star_free` and the live `foreign` symbols
-    are what the split fold read of `expr`."""
+    MAX_POSITIONS: the words of length n accepted, the permutations among
+    them, the shorter nonempty words accepted, whether the empty word is,
+    the uniform length and the witnesses.  `positions` and the live
+    `foreign` symbols are what the split fold read of `expr`."""
     require_walkable(n, cap, positions)
     nfa = glushkov(expr)
     ulen = uniform_length(expr)
@@ -447,7 +448,6 @@ def _exhaustive_certificate(
     for p, s in enumerate(nfa.symbols):
         if 1 <= s <= n:
             masks[s] |= 1 << p
-    factorial = math.factorial(n)
     full_used = (1 << n) - 1
     violations: list[str] = []
 
@@ -507,26 +507,5 @@ def _exhaustive_certificate(
 
     walk(0, 0, 0)
 
-    passed = (
-        accepted == factorial
-        and perms_accepted == factorial
-        and short_accepted == 0
-        and not nfa.accepts_epsilon
-        and ulen == n
-        and not violations
-    )
-    return Certificate(
-        n=n,
-        positions=nfa.n_positions,
-        words_tested=n**n,
-        accepted=accepted,
-        expected_accepted=factorial,
-        permutations_accepted=perms_accepted,
-        short_words_accepted=short_accepted,
-        accepts_empty_word=nfa.accepts_epsilon,
-        uniform_length=ulen,
-        star_free=star_free,
-        passed=passed,
-        violations=tuple(violations),
-        method="exhaustive",
-    )
+    return (accepted, perms_accepted, short_accepted, nfa.accepts_epsilon, ulen,
+            tuple(violations))

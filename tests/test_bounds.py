@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -617,6 +618,36 @@ def test_split_sweep_raises_what_one_process_raises(monkeypatch):
         "demo", "300 points", _points_raising_at(-1), base_bits=200))
     assert (report.status, report.points_checked, report.worst_point) == (
         bounds.CERTIFIED, 300, "i=299")
+
+
+def _demo_sweep(bad):
+    return lambda: bounds._sweep("demo", "300 points", _points_raising_at(bad), base_bits=200)
+
+
+def test_split_sweep_error_in_the_parent_run_stops_every_worker(monkeypatch):
+    # The point at index 50 lies in the parent's own run, the first of
+    # three: it raises after both workers are forked, and both are killed
+    # and reaped before the error leaves the sweep.
+    with pytest.raises(DomainError) as info:
+        _split_reports(monkeypatch, 3, _demo_sweep(50))
+    assert str(info.value) == "no value at point 50"
+
+
+def test_split_sweep_judges_the_run_of_a_worker_that_cannot_fork(monkeypatch):
+    # The first fork fails, so the parent judges the second run itself; the
+    # third run's worker still forks and delivers.
+    serial, _ = _split_reports(monkeypatch, 1, _demo_sweep(-1))
+    real_fork = os.fork
+    failed = []
+
+    def fork_failing_once():
+        if not failed:
+            failed.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_failing_once)
+    assert _split_reports(monkeypatch, 3, _demo_sweep(-1)) == (serial, 2)
 
 
 def test_sweeps_split_only_into_runs_of_enough_points(monkeypatch):

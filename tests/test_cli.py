@@ -1023,6 +1023,15 @@ def test_verify_refuses_oversized_automaton(capsys, monkeypatch):
     assert err == "error: refusing to build: 322560 automaton positions exceeds cap 131072\n"
 
 
+def test_verify_refuses_a_file_past_the_parse_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(regex_ast, "MAX_PARSE_NODES", 100)
+    path = tmp_path / "run.rx"
+    path.write_text("1 2 " * 51)
+    code, out, err = run(capsys, "verify", "--regex-file", str(path), "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: refusing to build: 101 parsed nodes exceeds cap 100\n"
+
+
 def test_estimate_json(capsys):
     code, out, _ = run(capsys, "estimate", "--max-m", "4")
     assert code == 0

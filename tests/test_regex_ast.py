@@ -1,6 +1,7 @@
 import copy
 import functools
 import pickle
+import random
 import time
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from permrex import regex_ast as ra
-from permrex.errors import CompactOverflow, RegexSyntaxError, SymbolOutOfRange
+from permrex.errors import CompactOverflow, RegexSyntaxError, SizeCap, SymbolOutOfRange
 
 from conftest import any_regexes, normal_form_regexes
 
@@ -400,3 +401,32 @@ def test_parse_of_a_deep_union_nest_is_linear(nest, symbol):
         start = time.perf_counter()
         ra.parse(text, 2)
         assert time.perf_counter() - start < 2
+
+
+def test_parse_refuses_past_its_node_cap(monkeypatch):
+    cap = 3_000
+    monkeypatch.setattr(ra, "MAX_PARSE_NODES", cap)
+    rng = random.Random(23)
+    digits = [sym(s) for s in range(1, 10)]  # interned: the run adds no Sym
+    # Random groups, one per alternative: no run is long, but together
+    # they would add about 4 800 nodes.
+    groups = " + ".join("( " + " ".join(str(rng.randint(1, 9)) for _ in range(rng.randint(2, 8)))
+                        + " )" for _ in range(2_000))
+    with pytest.raises(SizeCap) as info:
+        ra.parse(groups, 9)
+    assert info.value.cap == cap
+    # A run of cap + 2 symbols would take cap + 1 concatenations.  It is
+    # refused before any of them exists: they and their intern keys would
+    # take about 300 KB.
+    run = [rng.choice(digits) for _ in range(cap + 2)]
+    text = " ".join(str(node.sym) for node in run)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap) as info:
+            ra.parse(text, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.predicted == cap + 1 and peak < 100_000
+    # One symbol fewer is cap concatenations, which the cap allows.
+    assert ra.parse(text[:-2], 9) is functools.reduce(ra.Concat, run[:-1])

@@ -119,7 +119,7 @@ def test_flat_seven_without_its_first_term_misses_one_permutation():
 
 def walk(expr, n):
     """The production walk at cap n, with what the split fold read."""
-    return verify._exhaustive_certificate(expr, n, n, *verify._split_proof(expr, n)[1:])
+    return verify._certificate(expr, n, n, False, *verify._split_proof(expr, n)[1:])
 
 
 def brute_force_counts(expr, n):
@@ -220,6 +220,16 @@ def test_certificate_flags_foreign_symbols():
     assert any("outside" in v for v in cert.violations)
 
 
+def test_a_foreign_witness_alone_fails_the_certificate():
+    # Every count is the one a proof implies: 33 is as long as 12 and 21,
+    # and the length-2 walk never steps on symbol 3.
+    cert = verify.language_equals_permutations(regex_ast.parse("12+21+33", 3), 2)
+    assert (cert.accepted, cert.permutations_accepted, cert.short_words_accepted,
+            cert.accepts_empty_word, cert.uniform_length) == (2, 2, 0, False, 2)
+    assert cert.violations == ("a reachable, accepting path reads symbol 3 outside 1..2",)
+    assert not cert.passed
+
+
 def test_certificate_flags_starred_expressions():
     expr = regex_ast.Star(regex_ast.parse("12+21", 2))
     cert = verify.language_equals_permutations(expr, 2)
@@ -298,8 +308,8 @@ def test_structure_refuses_foreign_and_differing_supports():
     huge = regex_ast.Sym(10**12)  # no 2^(10^12)-bit mask is built for it
     expr = regex_ast.Union(regex_ast.parse("12", 2), regex_ast.Concat(regex_ast.Sym(2), huge))
     assert verify._split_proof(expr, 2) == (False, 4, True, {10**12})
-    assert not verify._covers((0b110, (0b110, 0b10), (0b110, 0b10)))
-    assert verify._covers((0b110, (0b110, 0b10), (0b110, 0b100)))
+    assert not verify._covers(0b110, frozenset({0b10}))
+    assert verify._covers(0b110, frozenset({0b10, 0b100}))
 
 
 MUTATION_KINDS = ["drop", "dup", "swap", "relabel", "star"]
@@ -431,6 +441,7 @@ def test_walk_counts_match_brute_force_on_mutants(kind, data):
     cert = walk(expr, n)
     counts = brute_force_counts(expr, n)
     assert walk_counts(cert) == counts
+    assert cert.positions == verify.glushkov(expr).n_positions == regex_ast.alphabetic_length(expr)
     # Builder terms are all live, so a starred symbol also admits a shorter
     # word: the walk passes exactly when the words up to length n are P_n.
     factorial = math.factorial(n)
