@@ -21,7 +21,6 @@ import importlib
 # none of them.
 _EXPORTS = {
     "construct": (
-        "AlphabetSet",
         "build_divide_and_conquer",
         "build_flat_union",
         "build_tail_recursive",

@@ -75,9 +75,9 @@ verify = _load_on_first_use("permrex.verify")
 # Read at call time, so a caller may wrap the entries.  Each entry finds its
 # builder when called, so listing the names loads no `construct`.
 _BUILDERS = {
-    "dnc": lambda s: construct.build_divide_and_conquer(s),
-    "tail": lambda s: construct.build_tail_recursive(s),
-    "flat": lambda s: construct.build_flat_union(s),
+    "dnc": lambda n: construct.build_divide_and_conquer(n),
+    "tail": lambda n: construct.build_tail_recursive(n),
+    "flat": lambda n: construct.build_flat_union(n),
 }
 
 
@@ -96,8 +96,7 @@ def _csv(header: list[str], rows: list[dict]) -> str:
 
 
 def _build(args: argparse.Namespace) -> regex_ast.Regex:
-    construct.require_buildable(args.builder, args.n)  # before an n-tuple exists
-    return _BUILDERS[args.builder](construct.AlphabetSet.first_n(args.n))
+    return _BUILDERS[args.builder](args.n)
 
 
 def _int_digit_limit() -> int:
@@ -157,6 +156,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
     if args.regex_file is not None:
+        if args.n > verify.MAX_SPLIT_N:
+            # No proof is tried above MAX_SPLIT_N, and the walk refuses n
+            # this large whatever the cap, so the file is not read.
+            verify.require_walkable(args.n, args.verify_cap, 0)
         # newline="" keeps each "\r", a blank to parse, so an offset in the
         # text is the file's byte offset up to the first non-ASCII character,
         # which parse refuses.
@@ -173,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
         if args.builder == "flat" and args.n >= 3:
             # Each flat term's left factor is a word of length >= 2, never
             # a split proof, so the walk's refusals come before the build.
-            construct.require_buildable(args.builder, args.n)
+            construct.require_flat_fits(args.n)
             verify.require_walkable(args.n, args.verify_cap, lengths.flat_length(args.n))
         expr = _build(args)
         source = {"kind": "builder", "builder": args.builder}

@@ -1,15 +1,15 @@
 """Builders for the three permutation-language expressions.
 
-Each builder maps an alphabet set S to an expression whose language is
-exactly the permutations of S:
+Each builder maps n to an expression whose language is exactly the
+permutations of {1..n}:
 
   * build_flat_union          one union term per permutation; length n*n!
   * build_tail_recursive      peel one leading symbol at a time; length t(n)
-  * build_divide_and_conquer  split S into halves over all C(n, n//2)
+  * build_divide_and_conquer  split {1..n} into halves over all C(n, n//2)
                               choices; length f(n), the optimal one
 
 The tail and divide-and-conquer builders are one split construction that
-differs only in the size of the first part (1, or half of S).  Each
+differs only in the size of the first part (1, or half of the symbols).  Each
 union is built once, as one n-ary node over all of its terms.  The flat
 builder shares the chains of consecutive permutations' common prefixes,
 so every distinct prefix is one node built once.
@@ -17,61 +17,24 @@ so every distinct prefix is one node built once.
 Every builder refuses with SizeCap before it builds anything larger than
 MAX_SYMBOLS symbol occurrences, so a typo in n cannot allocate gigabytes:
 the split builders predict their length, and FLAT_CAP bounds the flat
-one.  Lengths grow with n, so past the first n over the cap a split
-builder refuses on n alone, without computing a length of millions of
-digits, and `first_n` materializes no alphabet of more than MAX_SYMBOLS
-symbols.  `require_buildable` makes the same refusals from n and a
-builder's name, before `first_n` builds an n-tuple that the builder would
-refuse.  Subset enumeration is colexicographic; that fixed order is
-what makes rendered output byte-stable.
+one.  Each refuses on n before it creates any node: first an alphabet of
+fewer than 1 or more than MAX_SYMBOLS symbols, then its own cap.
+Lengths grow with n, so past the first n over the cap a split builder
+refuses on n alone, without computing a length of millions of digits.
+`require_flat_fits` is the flat builder's refusal, for a caller that
+wants it before the build.  Subset enumeration is colexicographic; that
+fixed order is what makes rendered output byte-stable.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import lengths
 from .errors import InvalidArgs, SizeCap
 from .regex_ast import Concat, Regex, Sym, Union, union_of
-
-
-class _AlphabetFields(NamedTuple):
-    members: tuple[int, ...]
-
-
-class AlphabetSet(_AlphabetFields):
-    """A nonempty set of symbol ids, kept sorted and duplicate-free."""
-
-    __slots__ = ()
-
-    # A NamedTuple class body cannot define __new__, so the check lives in
-    # this subclass; _make, which _replace calls, goes through it too.
-    def __new__(cls, members: tuple[int, ...]) -> "AlphabetSet":
-        if not members:
-            raise InvalidArgs("alphabet must be nonempty")
-        previous = 0
-        for m in members:
-            if m <= previous:
-                raise InvalidArgs(
-                    f"alphabet members must be strictly increasing positive ints, got {members}")
-            previous = m
-        return super().__new__(cls, members)
-
-    @classmethod
-    def _make(cls, iterable) -> "AlphabetSet":
-        return cls(*iterable)
-
-    @classmethod
-    def first_n(cls, n: int) -> "AlphabetSet":
-        """The standard alphabet {1, ..., n}."""
-        _require_alphabet_size(n)
-        return cls(tuple(range(1, n + 1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.members)
 
 
 # Materialization caps: f(13) fits in MAX_SYMBOLS, f(14) does not, and the
@@ -89,6 +52,7 @@ def _require_alphabet_size(n: int) -> None:
 
 
 def _require_split_fits(n: int, length: Callable[[int], int]) -> None:
+    _require_alphabet_size(n)
     # `length` grows with n: once some m < n is over the cap, so is n.
     stop = next(m for m in itertools.count(1) if m == n or length(m) > MAX_SYMBOLS)
     if stop < n:
@@ -98,36 +62,21 @@ def _require_split_fits(n: int, length: Callable[[int], int]) -> None:
         raise SizeCap(predicted, MAX_SYMBOLS)
 
 
-def _require_flat_fits(n: int) -> None:
+def require_flat_fits(n: int) -> None:
+    """Raise what `build_flat_union(n)` raises before it builds anything."""
+    _require_alphabet_size(n)
     if n > FLAT_CAP:
         raise SizeCap(n, FLAT_CAP, what="alphabet symbols (flat union)")
 
 
-# The refusal on the alphabet size of each builder, by its name in the CLI.
-_SIZE_CHECKS: dict[str, Callable[[int], None]] = {
-    "dnc": lambda n: _require_split_fits(n, lengths.f),
-    "tail": lambda n: _require_split_fits(n, lengths.t),
-    "flat": _require_flat_fits,
-}
-
-
-def require_buildable(builder: str, n: int) -> None:
-    """Raise what `first_n(n)`, then the builder named `builder` ("dnc",
-    "tail" or "flat") would raise on n symbols, without building them."""
-    _require_alphabet_size(n)
-    _SIZE_CHECKS[builder](n)
-
-
-def _build_split(
-    s: AlphabetSet, length: Callable[[int], int], first_size: Callable[[int], int]
-) -> Regex:
-    """Union, over every first part A of s with |A| = first_size(|s|) in colex
-    order, of (permutations of A)(permutations of s minus A), recursively.
+def _build_split(n: int, length: Callable[[int], int], first_size: Callable[[int], int]) -> Regex:
+    """Union, over every first part A of {1..n} with |A| = first_size(n) in
+    colex order, of (permutations of A)(permutations of the rest), recursively.
 
     Sub-expressions for repeated subsets are built once and shared, so the
-    result is a DAG whose tree expansion has alphabetic length `length(|s|)`.
+    result is a DAG whose tree expansion has alphabetic length `length(n)`.
     """
-    _require_split_fits(s.n, length)
+    _require_split_fits(n, length)
 
     @cache
     def expr_for(members: tuple[int, ...]) -> Regex:
@@ -141,36 +90,36 @@ def _build_split(
             for chosen in firsts
         ))
 
-    return expr_for(s.members)
+    return expr_for(tuple(range(1, n + 1)))
 
 
-def build_divide_and_conquer(s: AlphabetSet) -> Regex:
-    """The optimal expression: split s into a floor(n/2) half and its complement.
+def build_divide_and_conquer(n: int) -> Regex:
+    """The optimal expression: split {1..n} into a floor(n/2) half and the rest.
 
     Union terms follow the colex order of the chosen halves; the tree
-    expansion has alphabetic length exactly f(|s|).
+    expansion has alphabetic length exactly f(n).
     """
-    return _build_split(s, lengths.f, lambda size: size // 2)
+    return _build_split(n, lengths.f, lambda size: size // 2)
 
 
-def build_tail_recursive(s: AlphabetSet) -> Regex:
+def build_tail_recursive(n: int) -> Regex:
     """Sum over the first symbol i of i followed by permutations of the rest:
-    the split whose first part has one symbol.  Length t(|s|)."""
-    return _build_split(s, lengths.t, lambda size: 1)
+    the split whose first part has one symbol.  Length t(n)."""
+    return _build_split(n, lengths.t, lambda size: 1)
 
 
-def build_flat_union(s: AlphabetSet) -> Regex:
+def build_flat_union(n: int) -> Regex:
     """One concatenation chain per permutation, in lexicographic order.
 
     Consecutive permutations share a prefix, so the chains of the previous
     one are kept, cut back to the shared prefix and extended from there:
     each distinct prefix is built once, each Sym once.
     """
-    _require_flat_fits(s.n)
+    require_flat_fits(n)
     words: list[Regex] = []
     chain: list[Regex] = []  # chain[k]: the current permutation's first k + 1 symbols
-    previous = (None,) * s.n
-    for perm in itertools.permutations(tuple(map(Sym, s.members))):
+    previous = (None,) * n
+    for perm in itertools.permutations(tuple(map(Sym, range(1, n + 1)))):
         shared = 0
         while perm[shared] is previous[shared]:
             shared += 1

@@ -437,10 +437,23 @@ def parse(text: str, n: int) -> Regex:
     and offset it has without the reuse.  SizeCap is raised at the first
     token where the nodes the parse has added to the DAG, plus one for each
     term of the concatenation run being read, pass MAX_PARSE_NODES, so a
-    long run is refused before its chain is built.
+    long run is refused before its chain is built.  A parse that raises
+    takes every node it added back out of the DAG.
     """
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
+    base = len(_INTERNED)
+    try:
+        return _parse(text, n)
+    except BaseException:
+        # A parse only adds to the table, and a dict pops its newest first.
+        while len(_INTERNED) > base:
+            _INTERNED.popitem()
+        raise
+
+
+def _parse(text: str, n: int) -> Regex:
+    """`parse`'s token loop."""
     pattern = _TOKEN_MULTI_DIGIT if n >= 10 else _TOKEN_SINGLE_DIGIT
     width = len(str(n))
     # One frame per open parenthesis: (completed alternatives, current concat

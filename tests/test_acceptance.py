@@ -66,7 +66,7 @@ def test_ac3_language_correctness(capsys):
         for n in range(1, 8):
             if name == "flat" and n > construct.FLAT_CAP:
                 continue
-            expr = build(construct.AlphabetSet.first_n(n))
+            expr = build(n)
             cert = verify.language_equals_permutations(expr, n)
             ok = ok and cert.passed
             ok = ok and cert.accepted == math.factorial(n)
@@ -154,7 +154,7 @@ class TestAC10:
                       construct.build_tail_recursive,
                       construct.build_flat_union):
             for n in range(1, 7):
-                expr = build(construct.AlphabetSet.first_n(n))
+                expr = build(n)
                 nfa = verify.glushkov(expr)
                 assert nfa.n_positions == regex_ast.alphabetic_length(expr)
 

@@ -52,7 +52,7 @@ def test_gen_writes_file(tmp_path, capsys):
 def test_gen_writes_a_text_of_several_slices_unchanged(tmp_path, capsys):
     # `run` writes its output in slices of cli._WRITE_SLICE characters; the
     # dnc n=11 text is over 1 MiB and ends in a partial slice.
-    expr = construct.build_divide_and_conquer(construct.AlphabetSet.first_n(11))
+    expr = construct.build_divide_and_conquer(11)
     text = regex_ast.render(expr, "spaced")
     assert len(text) > 2**20 and len(text) % cli._WRITE_SLICE
     expected = (text if text.endswith("\n") else text + "\n").encode()
@@ -209,7 +209,7 @@ def test_verify_missing_file(capsys):
 def test_verify_cap(tmp_path, capsys):
     # dnc n=8 with its first term dropped is not a split proof, so it needs
     # the n^n walk, which the default cap refuses.
-    terms = union_terms(construct.build_divide_and_conquer(construct.AlphabetSet.first_n(8)))
+    terms = union_terms(construct.build_divide_and_conquer(8))
     dropped = tmp_path / "dnc8-drop.rx"
     dropped.write_text(regex_ast.render(regex_ast.Union(*terms[1:])))
     code, _, err = run(capsys, "verify", "--regex-file", str(dropped), "--n", "8")
@@ -767,11 +767,11 @@ def test_out_of_range_inputs_refused_up_front(capsys, monkeypatch, argv, word):
 ])
 def test_builder_refuses_before_the_alphabet_exists(capsys, monkeypatch, argv, what, cap):
     # n just under MAX_SYMBOLS passes the alphabet's own cap; the builder's
-    # refusal on n comes before any n-tuple or AlphabetSet is made.
+    # refusal on n comes before any node is made.
     def built(cls, *args):
-        raise AssertionError("an AlphabetSet was built")
+        raise AssertionError("a Sym was built")
 
-    monkeypatch.setattr(construct.AlphabetSet, "__new__", built)
+    monkeypatch.setattr(regex_ast.Sym, "__new__", built)
     n = construct.MAX_SYMBOLS - 1
     code, err = _exit_code_and_err(capsys, [*argv, "--n", str(n)])
     assert code == 2
@@ -899,7 +899,7 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[], True, permrex.__version__]
-    assert len(permrex.__all__) == 41
+    assert len(permrex.__all__) == 40
 
 
 @pytest.mark.parametrize("name, attr", [("bounds", "MAX_SWEEP_N"), ("oracle", "ORACLE_CAP")])
@@ -922,12 +922,11 @@ def test_lazy_submodules_import_after_the_cli(name, attr, form):
 
 def _records():
     """One instance of each record type the package returns."""
-    expr = construct.build_divide_and_conquer(construct.AlphabetSet.first_n(3))
+    expr = construct.build_divide_and_conquer(3)
     universe = oracle.build_universe(2)
     return [
         bounds.check_lemma_gaS(Fraction(2)),
         bounds.estimate_power_of_two(1)[0],
-        construct.AlphabetSet.first_n(3),
         lengths.SplitViolation(3, 1, -1, "negative slack"),
         lengths.check_opt_choice(4),
         lengths.check_triple_growth(5),
@@ -942,7 +941,7 @@ def _records():
 
 def test_records_are_immutable():
     records = _records()
-    assert len({type(r) for r in records}) == 12
+    assert len({type(r) for r in records}) == 11
     for record in records:
         for field in record._fields:
             with pytest.raises(AttributeError):
@@ -1031,6 +1030,23 @@ def test_verify_refuses_a_file_past_the_parse_cap(tmp_path, capsys, monkeypatch)
     assert (code, out) == (2, "")
     assert err == "error: refusing to build: 101 parsed nodes exceeds cap 100\n"
 
+
+
+def test_verify_refuses_a_file_above_the_split_proof_before_reading_it(
+        tmp_path, capsys, monkeypatch):
+    # Above MAX_SPLIT_N only the walk could certify, and it refuses every
+    # such n, so the file is neither opened nor parsed.
+    def parsed(*args):
+        raise AssertionError("the file was parsed")
+
+    monkeypatch.setattr(regex_ast, "parse", parsed)
+    absent = tmp_path / "absent.rx"
+    code, out, err = run(capsys, "verify", "--regex-file", str(absent), "--n", "17")
+    assert (code, out) == (2, "")
+    assert err == "error: exhaustive verification capped at n = 7 (17^17 words is too many)\n"
+    absent.write_text("1")
+    with pytest.raises(AssertionError, match="parsed"):
+        cli.run(["verify", "--regex-file", str(absent), "--n", str(verify.MAX_SPLIT_N)])
 
 def test_estimate_json(capsys):
     code, out, _ = run(capsys, "estimate", "--max-m", "4")

@@ -1,5 +1,4 @@
 import collections
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -23,51 +22,25 @@ TAIL4_COMPACT = (
 )
 
 
-def first_n(n):
-    return construct.AlphabetSet.first_n(n)
-
-
-def test_alphabet_set_validation():
-    assert first_n(3).members == (1, 2, 3)
-    assert first_n(3).n == 3
-    with pytest.raises(InvalidArgs):
-        construct.AlphabetSet(())
-    with pytest.raises(InvalidArgs):
-        construct.AlphabetSet((2, 1))
-    with pytest.raises(InvalidArgs):
-        construct.AlphabetSet((1, 1))
-    with pytest.raises(InvalidArgs):
-        construct.AlphabetSet((0, 1))
-    with pytest.raises(InvalidArgs):
-        construct.AlphabetSet.first_n(0)
-
-
-def test_alphabet_set_replace_validates():
-    assert first_n(3)._replace(members=(2, 5)) == construct.AlphabetSet((2, 5))
-    for members in [(), (2, 1)]:
-        with pytest.raises(InvalidArgs):
-            first_n(3)._replace(members=members)
-
-
 def test_dnc_matches_published_display_for_n4():
-    expr = construct.build_divide_and_conquer(first_n(4))
+    expr = construct.build_divide_and_conquer(4)
     assert regex_ast.render(expr, "compact") == R4_COMPACT
 
 
 def test_tail_matches_published_display_for_n4():
-    expr = construct.build_tail_recursive(first_n(4))
+    expr = construct.build_tail_recursive(4)
     assert regex_ast.render(expr, "compact") == TAIL4_COMPACT
 
 
 def test_builders_tiny_cases():
     assert regex_ast.render(
-        construct.build_divide_and_conquer(first_n(1)), "compact") == "1"
+        construct.build_divide_and_conquer(1), "compact") == "1"
     assert regex_ast.render(
-        construct.build_divide_and_conquer(first_n(2)), "compact") == "12+21"
+        construct.build_divide_and_conquer(2), "compact") == "12+21"
     assert regex_ast.render(
-        construct.build_tail_recursive(first_n(2)), "compact") == "12+21"
+        construct.build_tail_recursive(2), "compact") == "12+21"
     assert regex_ast.render(
-        construct.build_flat_union(first_n(2)), "compact") == "12+21"
+        construct.build_flat_union(2), "compact") == "12+21"
 
 
 @settings(max_examples=30, deadline=None)
@@ -75,44 +48,26 @@ def test_builders_tiny_cases():
 def test_dnc_length_is_f(n):
     # n = 13 is the largest size under the default symbol cap; the cap is
     # doing real work, since the shared DAG grows with C(n, n/2).
-    expr = construct.build_divide_and_conquer(first_n(n))
+    expr = construct.build_divide_and_conquer(n)
     assert regex_ast.alphabetic_length(expr) == lengths.f(n)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 8))
 def test_tail_length_is_t(n):
-    expr = construct.build_tail_recursive(first_n(n))
+    expr = construct.build_tail_recursive(n)
     assert regex_ast.alphabetic_length(expr) == lengths.t(n)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(1, 7))
 def test_flat_length_is_n_factorial_n(n):
-    expr = construct.build_flat_union(first_n(n))
+    expr = construct.build_flat_union(n)
     assert regex_ast.alphabetic_length(expr) == lengths.flat_length(n)
 
 
-def test_builders_work_on_sparse_alphabets():
-    from permrex import verify
-
-    sparse = construct.AlphabetSet((2, 5, 9))
-    expected = set(itertools.permutations((2, 5, 9)))
-    for build in (construct.build_divide_and_conquer,
-                  construct.build_tail_recursive,
-                  construct.build_flat_union):
-        expr = build(sparse)
-        accepted = {
-            word
-            for length in range(0, 4)
-            for word in itertools.product((2, 5, 9), repeat=length)
-            if verify.naive_matches(expr, word)
-        }
-        assert accepted == expected
-
-
 def test_dnc_shares_subproblems_across_the_union():
-    expr = construct.build_divide_and_conquer(first_n(8))
+    expr = construct.build_divide_and_conquer(8)
     nodes = sum(1 for _ in regex_ast.postorder(expr))
     # Alphabetic length counts occurrences (6720 at n = 8); the shared
     # DAG must be far smaller than the fully expanded tree.
@@ -133,7 +88,7 @@ def test_flat_union_builds_each_prefix_once(monkeypatch):
             calls[build.__name__] += 1
             return build(*args)
         monkeypatch.setattr(construct, build.__name__, counted)
-    expr = construct.build_flat_union(first_n(5))
+    expr = construct.build_flat_union(5)
     assert kinds(expr) == {"Sym": 5, "Concat": 320, "Union": 1}
     assert calls == {"Sym": 5, "Concat": 320, "union_of": 1}
     assert len(expr.terms) == 120
@@ -142,9 +97,9 @@ def test_flat_union_builds_each_prefix_once(monkeypatch):
 def test_builder_dags_have_pinned_node_counts():
     # One n-ary union per subset of two or more symbols the halving reaches,
     # one Concat per union term, and one Sym per symbol.
-    assert kinds(construct.build_divide_and_conquer(first_n(12))) == {
+    assert kinds(construct.build_divide_and_conquer(12)) == {
         "Sym": 12, "Concat": 20_196, "Union": 1_211}
-    assert kinds(construct.build_flat_union(first_n(8))) == {
+    assert kinds(construct.build_flat_union(8)) == {
         "Sym": 8, "Concat": 109_592, "Union": 1}
 
 
@@ -158,14 +113,14 @@ BUILDERS = {
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_parse_of_rendering_is_the_built_dag(name):
     for n in range(1, 8):
-        expr = BUILDERS[name](first_n(n))
+        expr = BUILDERS[name](n)
         for fmt in ("compact", "spaced"):
             assert regex_ast.parse(regex_ast.render(expr, fmt), n) is expr
 
 
 @pytest.mark.parametrize("name", ["dnc", "tail"])
 def test_parse_of_wide_rendering_is_the_built_dag(name):
-    expr = BUILDERS[name](first_n(10))
+    expr = BUILDERS[name](10)
     assert regex_ast.parse(regex_ast.render(expr, "spaced"), 10) is expr
 
 
@@ -175,29 +130,31 @@ def test_size_caps_refuse_before_building():
     assert lengths.t(10) < construct.MAX_SYMBOLS < lengths.t(11)
     assert lengths.flat_length(construct.FLAT_CAP) < construct.MAX_SYMBOLS
     with pytest.raises(SizeCap) as info:
-        construct.build_divide_and_conquer(first_n(14))
+        construct.build_divide_and_conquer(14)
     assert info.value.predicted == lengths.f(14)
     with pytest.raises(SizeCap) as info:
-        construct.build_tail_recursive(first_n(11))
+        construct.build_tail_recursive(11)
     assert info.value.predicted == lengths.t(11)
     with pytest.raises(SizeCap) as info:
-        construct.build_flat_union(first_n(construct.FLAT_CAP + 1))
+        construct.build_flat_union(construct.FLAT_CAP + 1)
     assert info.value.cap == construct.FLAT_CAP
 
 
-@pytest.mark.parametrize("name, build, ns", [
-    ("dnc", construct.build_divide_and_conquer, [0, 14, 15, 100, 10**8]),
-    ("tail", construct.build_tail_recursive, [0, 11, 12, 100, 10**8]),
-    ("flat", construct.build_flat_union, [0, 9, 100, 10**8]),
-])
-def test_require_buildable_refuses_as_the_builder_does(name, build, ns):
-    for n in ns:
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_refuse_an_empty_alphabet(name):
+    with pytest.raises(InvalidArgs) as info:
+        BUILDERS[name](0)
+    assert str(info.value) == "alphabet size must be >= 1, got 0"
+
+
+def test_flat_refusal_is_the_builders():
+    for n in [0, 9, 100, 10**8]:
         with pytest.raises((InvalidArgs, SizeCap)) as early:
-            construct.require_buildable(name, n)
+            construct.require_flat_fits(n)
         with pytest.raises(type(early.value)) as late:
-            build(first_n(n))
+            construct.build_flat_union(n)
         assert str(early.value) == str(late.value)
-    construct.require_buildable(name, 1)  # fits
+    construct.require_flat_fits(construct.FLAT_CAP)  # fits
 
 
 def test_huge_alphabets_refused_on_their_size(monkeypatch):
@@ -216,9 +173,10 @@ def test_huge_alphabets_refused_on_their_size(monkeypatch):
                            (construct.build_tail_recursive, 12, 10),
                            (construct.build_tail_recursive, 2 * 10**5, 10)]:
         with pytest.raises(SizeCap) as info:
-            build(first_n(n))
+            build(n)
         assert (info.value.predicted, info.value.cap) == (n, fits)
         assert str(info.value) == f"refusing to build: {n} alphabet symbols exceeds cap {fits}"
-    with pytest.raises(SizeCap) as info:
-        first_n(10**8)
-    assert (info.value.predicted, info.value.cap) == (10**8, construct.MAX_SYMBOLS)
+    for build in BUILDERS.values():
+        with pytest.raises(SizeCap) as info:
+            build(10**8)
+        assert (info.value.predicted, info.value.cap) == (10**8, construct.MAX_SYMBOLS)

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from permrex import construct
 from permrex import regex_ast as ra
 from permrex.errors import CompactOverflow, RegexSyntaxError, SizeCap, SymbolOutOfRange
 
@@ -430,3 +431,23 @@ def test_parse_refuses_past_its_node_cap(monkeypatch):
     assert info.value.predicted == cap + 1 and peak < 100_000
     # One symbol fewer is cap concatenations, which the cap allows.
     assert ra.parse(text[:-2], 9) is functools.reduce(ra.Concat, run[:-1])
+
+
+def test_a_parse_that_raises_leaves_no_nodes(monkeypatch):
+    monkeypatch.setattr(ra, "MAX_PARSE_NODES", 3_000)
+    rng = random.Random(24)
+    groups = ["( " + " ".join(str(rng.randint(1, 9)) for _ in range(rng.randint(2, 8))) + " )"
+              for _ in range(2_000)]
+    prefix = " + ".join(groups[:200])
+    for text, error in [(" + ".join(groups), SizeCap), (prefix + " )", RegexSyntaxError),
+                        (prefix + " 0", SymbolOutOfRange)]:
+        before = len(ra._INTERNED)
+        with pytest.raises(error):
+            ra.parse(text, 9)
+        assert len(ra._INTERNED) == before
+    # Each failed parse built the prefix's groups and took them out again.
+    before = len(ra._INTERNED)
+    ra.parse(prefix, 9)
+    assert len(ra._INTERNED) > before
+    expr = construct.build_divide_and_conquer(6)
+    assert ra.parse(ra.render(expr, "spaced"), 6) is expr

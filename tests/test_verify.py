@@ -21,7 +21,7 @@ def build(name, n):
         "tail": construct.build_tail_recursive,
         "flat": construct.build_flat_union,
     }[name]
-    return builder(construct.AlphabetSet.first_n(n))
+    return builder(n)
 
 
 def test_glushkov_position_count_equals_alphabetic_length():
