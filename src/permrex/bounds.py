@@ -13,20 +13,21 @@ over.
 
 Every sweep runs through one ladder: `_sweep` feeds each (label, judge)
 point to `_climb`, which re-runs the judge one rung higher until it
-decides, and the report keeps the worst certified point.  One judge,
-`_le_judge`, certifies lhs <= rhs pairs for the sandwich, bracket and
-growth-bound sweeps; the bracket domain x >= 4^alpha climbs on
-`compare_le` alone, with no margin.
+decides, and the report keeps the worst certified point.  The sandwich,
+bracket and growth-bound checks state only their lhs <= rhs pairs, and
+`_n_sweep` or `_grid_sweep` makes each n or x a point of one judge,
+`_le_judge`.  The bracket domain x >= 4^alpha climbs on `compare_le`
+alone, with no margin.
 
 `_sweep` cuts its points into one contiguous run per CPU in the process's
-affinity mask, if each run gets at least `_MIN_RUN_POINTS` points.  It
-judges the first run itself and forks a worker for each other run.  A
-worker skips the points before its run in its own copy of the point
-stream, so an n-sweep holds one n! or f(n) per process, and sends back a
-summary of its run through a pipe as `marshal` data.  The summaries are
-merged in point order, so a report is the one a single process gives,
-`seconds` apart.  Where the platform has no affinity mask, as on macOS,
-and while other threads run, every sweep runs in one process.
+affinity mask, if each run gets at least `_MIN_RUN_POINTS` points, and
+`_judge_runs` judges the first run here and forks a worker for each other
+run, if any.  A worker skips the points before its run in its own copy of
+the point stream, so an n-sweep holds one n! or f(n) per process, and
+sends back a summary of its run through a pipe as `marshal` data.  The
+summaries are merged in point order, so a report is the one a single
+process gives, `seconds` apart.  Where the platform has no affinity mask,
+as on macOS, and while other threads run, every sweep is one run.
 
 A value here depends on its arguments and on the ambient precision
 `mpmath.iv.prec`, so one helper, `_per_precision`, memoizes on both, for
@@ -34,8 +35,8 @@ one of two lifetimes:
 
   * the process: the constants, which are ln 2 and ln 4, the rational
     constants, the integers 1 and 4, 2 pi, the alpha of a beta and
-    4^alpha, once per rung each.  A split sweep judges its first point
-    before it forks, so its workers inherit the constants that point read;
+    4^alpha, once per rung each in each process: a worker computes those
+    its run reads that no sweep before its fork did;
   * one run of one check call: everything else.  A Stirling bracket
     memoizes S, since a grid point's arguments are later points'
     arguments.  One `check_lemma_ga` call memoizes the alpha-free parts of
@@ -88,6 +89,7 @@ uses.  The CLI's parser prints `DEFAULT_PRECISION_BITS` and
 from __future__ import annotations
 
 import marshal
+import operator
 import os
 import signal
 import threading
@@ -95,7 +97,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import mpmath
@@ -331,6 +333,7 @@ def _timed(check: Callable[..., BoundReport]) -> Callable[..., BoundReport]:
 # endpoint is the worst, and its margin is the one the report prints.
 Judgement = tuple[str, "mpmath.iv.mpf"]
 Judge = Callable[[], Judgement]
+Pairs = list[tuple["mpmath.iv.mpf", "mpmath.iv.mpf"]]  # (lhs, rhs): lhs <= rhs
 
 
 def _climb(judge: Judge, ladder: Sequence[int]) -> tuple[Judgement, int]:
@@ -358,12 +361,7 @@ def _sweep(
     points, and the runs are merged in point order, so the report is the
     one a single process gives."""
     ladder = precision_ladder(base_bits)
-    runs = _runs(len(points) if count is None else count)
-    points = iter(points)
-    if len(runs) == 1:
-        judged = [_judge_run(points, ladder)]
-    else:
-        judged = _judge_split(points, runs, ladder)
+    judged = _judge_runs(iter(points), _runs(len(points) if count is None else count), ladder)
     worst = None
     for run in judged:
         if run.worst is not None and (
@@ -438,24 +436,20 @@ def _runs(count: int) -> list[range]:
     return [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
-def _judge_split(
+def _judge_runs(
     points: Iterator[tuple[str, Judge]], runs: list[range], ladder: Sequence[int]
 ) -> list[_Run]:
-    """Judge the first run here and each other run in a forked worker.
-
-    The first point is judged before any fork, so the memoized constants
-    every point reads (ln 2, 2 pi, the alphas, ...) are computed once.  Each
-    worker skips the points before its run in its own copy of the stream.
-    A run whose worker does not deliver is judged here, so an exception is
-    the one the serial sweep raises.  Every worker is reaped before this
-    returns or raises."""
-    judged = [_judge_run(islice(points, 1), ladder)]
+    """Judge the first run here and each other run in a forked worker.  A run
+    whose worker does not deliver is judged here, so an exception is the one
+    a single process raises.  Every worker is reaped before this returns or
+    raises."""
+    first, *others = runs
     workers: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
-        pids = [_fork_run(points, run, ladder, workers) for run in runs[1:]]
-        judged.append(_judge_run(islice(points, runs[0].stop - 1), ladder))
-        position = runs[0].stop  # of the stream here
-        for run, pid in zip(runs[1:], pids):
+        pids = [_fork_run(points, run, ladder, workers) for run in others]
+        judged = [_judge_run(islice(points, first.stop), ladder)]
+        position = first.stop  # of the stream here
+        for run, pid in zip(others, pids):
             summary = None if pid is None else _collect(pid, workers)
             if summary is None:
                 summary = _judge_run(
@@ -476,8 +470,10 @@ def _fork_run(
 ) -> int | None:
     """Fork a worker that judges `run` and writes its `_Run` to a pipe;
     register it in `workers` and return its pid, or None if it cannot
-    start.  The worker leaves by os._exit, so it runs no atexit handler and
-    flushes no buffer it inherited.  One point was judged before the fork."""
+    start.  The worker skips the points before `run` and computes every
+    memo no sweep filled before the fork, the per-rung constants too.  It
+    leaves by os._exit, so it runs no atexit handler and flushes no buffer
+    it inherited."""
     try:
         read_end, write_end = os.pipe()
     except OSError:
@@ -492,7 +488,7 @@ def _fork_run(
         code = 1
         try:
             os.close(read_end)
-            summary = _judge_run(islice(points, run.start - 1, run.stop - 1), ladder)
+            summary = _judge_run(islice(points, run.start, run.stop), ladder)
             with open(write_end, "wb") as pipe:
                 pipe.write(marshal.dumps(tuple(summary)))
             code = 0
@@ -516,7 +512,7 @@ def _collect(pid: int, workers: dict[int, int]) -> _Run | None:
     return _Run(*marshal.loads(data))
 
 
-def _le_judge(make: Callable[[], list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]]) -> Judge:
+def _le_judge(make: Callable[[], Pairs]) -> Judge:
     """Judge of a point where every (lhs, rhs) pair from make() must satisfy
     lhs <= rhs.  Its margin is the rhs - lhs with the lowest lower endpoint."""
 
@@ -531,6 +527,22 @@ def _le_judge(make: Callable[[], list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]]) -> 
     return judge
 
 
+def _n_sweep(inequality: str, max_n: int, values: Iterable[int],
+             pairs: Callable[[int, int], Pairs], base_bits: int) -> BoundReport:
+    """The sweep of n = 1, ..., max_n, each judged on pairs(n, v) for the
+    n-th value v of the stream `values`."""
+    points = ((f"n={n}", _le_judge(partial(pairs, n, value)))
+              for n, value in enumerate(values, 1))
+    return _sweep(inequality, f"n in [1, {max_n}]", points, base_bits, count=max_n)
+
+
+def _grid_sweep(inequality: str, xs: Sequence[Fraction],
+                pairs: Callable[[Fraction], Pairs], base_bits: int) -> BoundReport:
+    """The sweep of the grid points xs, in order, each judged on pairs(x)."""
+    points = [(f"x={x}", _le_judge(partial(pairs, x))) for x in xs]
+    return _sweep(inequality, _grid_domain(xs), points, base_bits)
+
+
 # -- certified sweeps -------------------------------------------------------
 
 @_timed
@@ -541,27 +553,16 @@ def check_stirling_sandwich(
     if max_n < 0:
         raise InvalidArgs(f"max_n must be >= 0, got {max_n}")
 
-    def pairs(n: int, factorial: int) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
+    def pairs(n: int, factorial: int) -> Pairs:
         s = stirling_S(mpmath.iv.mpf(n))
         fact = mpmath.iv.mpf(factorial)
         lower = mpmath.iv.exp(_integer(1) / mpmath.iv.mpf(12 * n + 1)) * s
         upper = mpmath.iv.exp(_integer(1) / mpmath.iv.mpf(12 * n)) * s
         return [(lower, fact), (fact, upper)]
 
-    def points() -> Iterator[tuple[str, Judge]]:
-        # n! is carried from n - 1, and only the point being judged holds it.
-        factorial = 1
-        for n in range(1, max_n + 1):
-            factorial *= n
-            yield f"n={n}", _le_judge(partial(pairs, n, factorial))
-
-    return _sweep(
-        inequality="factorial_sandwich",
-        domain=f"n in [1, {max_n}]",
-        points=points(),
-        base_bits=base_bits,
-        count=max_n,
-    )
+    # n! is carried from n - 1.
+    factorials = accumulate(range(1, max_n + 1), operator.mul)
+    return _n_sweep("factorial_sandwich", max_n, factorials, pairs, base_bits)
 
 
 @_timed
@@ -576,19 +577,14 @@ def check_lemma_sa(
 
     S = _per_precision(lambda x: stirling_S(rational(x)))
 
-    def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
+    def pairs(x: Fraction) -> Pairs:
         s_mid = S(x + Fraction(1, 2))
         mid_sq = s_mid * s_mid
         product = S(x) * S(x + 1)
         stretched = mpmath.iv.exp(rational(Fraction(1, 2) / x)) * mid_sq
         return [(mid_sq, product), (product, stretched)]
 
-    return _sweep(
-        inequality="stirling_midpoint_bracket",
-        domain=_grid_domain(xs),
-        points=[(f"x={x}", _le_judge(partial(pairs, x))) for x in xs],
-        base_bits=base_bits,
-    )
+    return _grid_sweep("stirling_midpoint_bracket", xs, pairs, base_bits)
 
 
 def check_lemma_ga(
@@ -615,18 +611,13 @@ def check_lemma_ga(
         xs = filter_ga_domain(grid, alpha, base_bits)
         g = _per_precision(lambda x: parts(x).at(alpha()))
 
-        def pairs(x: Fraction) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
+        def pairs(x: Fraction) -> Pairs:
             mid = _constant(Fraction(5, 2)) * g(x + Fraction(1, 2))
             total = g(x) + g(x + 1)
             shrink, stretch = wobble(x)
             return [(shrink * mid, total), (total, stretch * mid)]
 
-        return _sweep(
-            inequality="growth_template_bracket",
-            domain=_grid_domain(xs),
-            points=[(f"x={x}", _le_judge(partial(pairs, x))) for x in xs],
-            base_bits=base_bits,
-        )
+        return _grid_sweep("growth_template_bracket", xs, pairs, base_bits)
 
     return [bracket(alpha) for alpha in alphas]
 
@@ -691,7 +682,7 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
     if max_n < 1:
         raise InvalidArgs(f"max_n must be >= 1, got {max_n}")
 
-    def pairs(n: int, f_n: int) -> list[tuple[mpmath.iv.mpf, mpmath.iv.mpf]]:
+    def pairs(n: int, f_n: int) -> Pairs:
         parts = _template_parts(mpmath.iv.mpf(n))  # shared by both templates
         exact = mpmath.iv.mpf(f_n)
         quarter = _constant(Fraction(1, 4))
@@ -705,14 +696,7 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
 
     # f(n) comes from a stream that keeps f only up to ceil(max_n/2); a
     # larger one is held by the one point being judged.
-    return _sweep(
-        inequality="fn_growth_bounds",
-        domain=f"n in [1, {max_n}]",
-        points=((f"n={n}", _le_judge(partial(pairs, n, f_n)))
-                for n, f_n in enumerate(lengths.f_values(max_n), 1)),
-        base_bits=base_bits,
-        count=max_n,
-    )
+    return _n_sweep("fn_growth_bounds", max_n, lengths.f_values(max_n), pairs, base_bits)
 
 
 class EstimateRow(NamedTuple):

@@ -58,15 +58,15 @@ class Formal(dict):
         return self + -Formal.lift(other)
 
     def __mul__(self, other: Formal | Fraction | int) -> Formal:
-        product = Formal()
+        product: dict[frozenset, Fraction] = {}
         for left, a in self.items():
             for right, b in Formal.lift(other).items():
                 powers = dict(left)
                 for atom, power in right:
                     powers[atom] = powers.get(atom, 0) + power
                 monomial = frozenset((atom, p) for atom, p in powers.items() if p)
-                product += Formal({monomial: a * b})
-        return product
+                product[monomial] = product.get(monomial, 0) + a * b
+        return Formal({m: c for m, c in product.items() if c})
 
     __rmul__ = __mul__
 

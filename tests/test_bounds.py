@@ -218,6 +218,11 @@ def test_check_stirling_sandwich_refuses_a_negative_range():
         bounds.check_stirling_sandwich(-1)
 
 
+def test_check_fn_bounds_refuses_an_empty_range():
+    with pytest.raises(InvalidArgs):
+        bounds.check_fn_bounds(0)
+
+
 def test_check_lemma_sa_certifies():
     grid = bounds.default_grid(Fraction(1), Fraction(50), Fraction(1, 4))
     report = bounds.check_lemma_sa(grid)
@@ -624,30 +629,33 @@ def _demo_sweep(bad):
     return lambda: bounds._sweep("demo", "300 points", _points_raising_at(bad), base_bits=200)
 
 
-def test_split_sweep_error_in_the_parent_run_stops_every_worker(monkeypatch):
-    # The point at index 50 lies in the parent's own run, the first of
-    # three: it raises after both workers are forked, and both are killed
+@pytest.mark.parametrize("bad", [0, 50])
+def test_split_sweep_error_in_the_parent_run_stops_every_worker(monkeypatch, bad):
+    # The points at index 0 and 50 lie in the parent's own run, the first of
+    # three: each raises after both workers are forked, and both are killed
     # and reaped before the error leaves the sweep.
     with pytest.raises(DomainError) as info:
-        _split_reports(monkeypatch, 3, _demo_sweep(50))
-    assert str(info.value) == "no value at point 50"
+        _split_reports(monkeypatch, 3, _demo_sweep(bad))
+    assert str(info.value) == f"no value at point {bad}"
 
 
-def test_split_sweep_judges_the_run_of_a_worker_that_cannot_fork(monkeypatch):
-    # The first fork fails, so the parent judges the second run itself; the
-    # third run's worker still forks and delivers.
+@pytest.mark.parametrize("call, forks", [("fork", 2), ("pipe", 1)])
+def test_split_sweep_judges_the_run_of_a_worker_that_cannot_fork(monkeypatch, call, forks):
+    # The first os.fork, or the os.pipe before it, fails, so the parent
+    # judges the second run itself; the third run's worker still forks and
+    # delivers.  A failed pipe leaves its fork untried.
     serial, _ = _split_reports(monkeypatch, 1, _demo_sweep(-1))
-    real_fork = os.fork
+    real_call = getattr(os, call)
     failed = []
 
-    def fork_failing_once():
+    def failing_once():
         if not failed:
             failed.append(None)
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return real_fork()
+        return real_call()
 
-    monkeypatch.setattr(os, "fork", fork_failing_once)
-    assert _split_reports(monkeypatch, 3, _demo_sweep(-1)) == (serial, 2)
+    monkeypatch.setattr(os, call, failing_once)
+    assert _split_reports(monkeypatch, 3, _demo_sweep(-1)) == (serial, forks)
 
 
 def test_sweeps_split_only_into_runs_of_enough_points(monkeypatch):
