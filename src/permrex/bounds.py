@@ -8,8 +8,10 @@ rounds outward.  Rationals enter through `rational`, integers as
 comparisons on intervals are three-valued (True, False, or None when
 the intervals overlap), so a check can come back certified, violated,
 or undecided, and undecided answers are retried up the precision ladder
-(default 200 bits, doubling to a 2000-bit ceiling) rather than glossed
-over.
+`PRECISION_LADDER` (200 bits, doubling to a 2000-bit ceiling) rather than
+glossed over.  Every n of the n-sweeps the CLI accepts, and every point of
+the default grid, decides at the first rung; grid points past about 10^20
+climb.
 
 Every sweep runs through one ladder: `_sweep` feeds each (label, judge)
 point to `_climb`, which re-runs the judge one rung higher until it
@@ -82,8 +84,8 @@ and comparisons accept touching intervals for <=.
 
 The CLI registers this module to load on first use, so only its `bounds`
 and `estimate` commands run it; like every module, it imports what it
-uses.  The CLI's parser prints `DEFAULT_PRECISION_BITS` and
-`MAX_GRID_POINTS`, so both are defined in `lengths` and read from there.
+uses.  The CLI's parser prints `MAX_GRID_POINTS`, so it is defined in
+`lengths` and read from there.
 """
 
 from __future__ import annotations
@@ -104,10 +106,13 @@ import mpmath
 
 from . import doubling, lengths
 from .errors import DomainError, InvalidArgs
-from .lengths import DEFAULT_PRECISION_BITS, MAX_GRID_POINTS
+from .lengths import MAX_GRID_POINTS
 
 
-MAX_PRECISION_BITS = 2000
+# The rungs, in bits, that every sweep climbs; `estimate_power_of_two` works
+# at the first.  Read at call time.
+PRECISION_LADDER = (200, 400, 800, 1600, 2000)
+MAX_PRECISION_BITS = PRECISION_LADDER[-1]
 # The two n-sweeps take 6.2-8.3 s there on one CPU and 4.0-6.9 s split over
 # two (Python 3.11.7, pure-Python mpmath, a shared 2-CPU machine).
 MAX_SWEEP_N = 16_384
@@ -115,22 +120,6 @@ MAX_SWEEP_N = 16_384
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
 VIOLATED = "violated"
-
-
-def require_precision(bits: int) -> int:
-    """Return bits if it is a usable starting precision, else raise InvalidArgs."""
-    if not 16 <= bits <= MAX_PRECISION_BITS:
-        raise InvalidArgs(
-            f"precision must be in [16, {MAX_PRECISION_BITS}] bits, got {bits}")
-    return bits
-
-
-def precision_ladder(base_bits: int = DEFAULT_PRECISION_BITS) -> list[int]:
-    """Escalation schedule: base, then doubling, clamped at the ceiling."""
-    ladder = [require_precision(base_bits)]
-    while ladder[-1] < MAX_PRECISION_BITS:
-        ladder.append(min(ladder[-1] * 2, MAX_PRECISION_BITS))
-    return ladder
 
 
 @contextmanager
@@ -351,7 +340,6 @@ def _sweep(
     inequality: str,
     domain: str,
     points: Iterable[tuple[str, Judge]],
-    base_bits: int,
     count: int | None = None,
 ) -> BoundReport:
     """Decide every point, in order, up the ladder; violated outranks undecided.
@@ -360,8 +348,8 @@ def _sweep(
     into one contiguous run per CPU, each of at least `_MIN_RUN_POINTS`
     points, and the runs are merged in point order, so the report is the
     one a single process gives."""
-    ladder = precision_ladder(base_bits)
-    judged = _judge_runs(iter(points), _runs(len(points) if count is None else count), ladder)
+    count = len(points) if count is None else count
+    judged = _judge_runs(iter(points), _runs(count), PRECISION_LADDER)
     worst = None
     for run in judged:
         if run.worst is not None and (
@@ -528,27 +516,25 @@ def _le_judge(make: Callable[[], Pairs]) -> Judge:
 
 
 def _n_sweep(inequality: str, max_n: int, values: Iterable[int],
-             pairs: Callable[[int, int], Pairs], base_bits: int) -> BoundReport:
+             pairs: Callable[[int, int], Pairs]) -> BoundReport:
     """The sweep of n = 1, ..., max_n, each judged on pairs(n, v) for the
     n-th value v of the stream `values`."""
     points = ((f"n={n}", _le_judge(partial(pairs, n, value)))
               for n, value in enumerate(values, 1))
-    return _sweep(inequality, f"n in [1, {max_n}]", points, base_bits, count=max_n)
+    return _sweep(inequality, f"n in [1, {max_n}]", points, count=max_n)
 
 
 def _grid_sweep(inequality: str, xs: Sequence[Fraction],
-                pairs: Callable[[Fraction], Pairs], base_bits: int) -> BoundReport:
+                pairs: Callable[[Fraction], Pairs]) -> BoundReport:
     """The sweep of the grid points xs, in order, each judged on pairs(x)."""
     points = [(f"x={x}", _le_judge(partial(pairs, x))) for x in xs]
-    return _sweep(inequality, _grid_domain(xs), points, base_bits)
+    return _sweep(inequality, _grid_domain(xs), points)
 
 
 # -- certified sweeps -------------------------------------------------------
 
 @_timed
-def check_stirling_sandwich(
-    max_n: int, base_bits: int = DEFAULT_PRECISION_BITS
-) -> BoundReport:
+def check_stirling_sandwich(max_n: int) -> BoundReport:
     """Certify e^(1/(12n+1)) S(n) <= n! <= e^(1/12n) S(n) for 1 <= n <= max_n."""
     if max_n < 0:
         raise InvalidArgs(f"max_n must be >= 0, got {max_n}")
@@ -562,13 +548,11 @@ def check_stirling_sandwich(
 
     # n! is carried from n - 1.
     factorials = accumulate(range(1, max_n + 1), operator.mul)
-    return _n_sweep("factorial_sandwich", max_n, factorials, pairs, base_bits)
+    return _n_sweep("factorial_sandwich", max_n, factorials, pairs)
 
 
 @_timed
-def check_lemma_sa(
-    grid: Iterable[Fraction | int], base_bits: int = DEFAULT_PRECISION_BITS
-) -> BoundReport:
+def check_lemma_sa(grid: Iterable[Fraction | int]) -> BoundReport:
     """Certify S(x+1/2)^2 <= S(x)S(x+1) <= e^(1/2x) S(x+1/2)^2 on the grid."""
     xs = [Fraction(x) for x in grid]
     for x in xs:
@@ -584,13 +568,12 @@ def check_lemma_sa(
         stretched = mpmath.iv.exp(rational(Fraction(1, 2) / x)) * mid_sq
         return [(mid_sq, product), (product, stretched)]
 
-    return _grid_sweep("stirling_midpoint_bracket", xs, pairs, base_bits)
+    return _grid_sweep("stirling_midpoint_bracket", xs, pairs)
 
 
 def check_lemma_ga(
     grid: Iterable[Fraction | int],
     alphas: Iterable[Callable[[], mpmath.iv.mpf]],
-    base_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[BoundReport]:
     """Certify e^(-1/2 sqrt x) (5/2) g_a(x+1/2) <= g_a(x) + g_a(x+1)
     <= e^(1/2 sqrt x) (5/2) g_a(x+1/2), one report per alpha, in order; an
@@ -608,7 +591,7 @@ def check_lemma_ga(
 
     @_timed
     def bracket(alpha: Callable[[], mpmath.iv.mpf]) -> BoundReport:
-        xs = filter_ga_domain(grid, alpha, base_bits)
+        xs = filter_ga_domain(grid, alpha)
         g = _per_precision(lambda x: parts(x).at(alpha()))
 
         def pairs(x: Fraction) -> Pairs:
@@ -617,24 +600,22 @@ def check_lemma_ga(
             shrink, stretch = wobble(x)
             return [(shrink * mid, total), (total, stretch * mid)]
 
-        return _grid_sweep("growth_template_bracket", xs, pairs, base_bits)
+        return _grid_sweep("growth_template_bracket", xs, pairs)
 
     return [bracket(alpha) for alpha in alphas]
 
 
 def filter_ga_domain(
-    grid: Iterable[Fraction | int],
-    alpha: Callable[[], mpmath.iv.mpf],
-    base_bits: int = DEFAULT_PRECISION_BITS,
+    grid: Iterable[Fraction | int], alpha: Callable[[], mpmath.iv.mpf]
 ) -> list[Fraction]:
     """The grid points certifiably >= 4^alpha, in grid order: those that
     `check_lemma_ga` sweeps for alpha.  One undecided at the ceiling is out."""
-    ladder = precision_ladder(base_bits)
-    return [x for x in map(Fraction, grid) if _in_ga_domain(x, alpha, ladder)]
+    return [x for x in map(Fraction, grid) if _in_ga_domain(x, alpha)]
 
 
-def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf], ladder: Sequence[int]) -> bool:
-    (verdict, _), _ = _climb(lambda: (compare_le(_four_pow(alpha), rational(x)), None), ladder)
+def _in_ga_domain(x: Fraction, alpha: Callable[[], mpmath.iv.mpf]) -> bool:
+    (verdict, _), _ = _climb(
+        lambda: (compare_le(_four_pow(alpha), rational(x)), None), PRECISION_LADDER)
     return verdict == CERTIFIED
 
 
@@ -642,21 +623,17 @@ _four_pow = _per_precision(lambda alpha: enc_pow(mpmath.iv.mpf(4), alpha()))
 
 
 @_timed
-def check_lemma_gaS(
-    beta: Fraction | int, base_bits: int = DEFAULT_PRECISION_BITS
-) -> BoundReport:
+def check_lemma_gaS(beta: Fraction | int) -> BoundReport:
     """Prove the doubling identity beta S(2x)/S(x)^2 g_a(x) = g_a(2x) with
     a = lg(beta) + 1/4 - lg(pi)/2 for every x > 0, by exact cancellation of
     its formal log gap (see `permrex.doubling`)."""
-    return _identity_report(
-        f"doubling_identity_beta_{beta}", doubling.gap(beta, beta), base_bits)
+    return _identity_report(f"doubling_identity_beta_{beta}", doubling.gap(beta, beta))
 
 
-def _identity_report(inequality: str, gap: doubling.Formal, base_bits: int) -> BoundReport:
+def _identity_report(inequality: str, gap: doubling.Formal) -> BoundReport:
     """Certified for x > 0 when the formal log gap is zero.  Otherwise each
     coefficient of an (x, ln x) monomial climbs the ladder: violated once it
     certifiably excludes 0, undecided while it does not."""
-    require_precision(base_bits)
     if not gap:
         return BoundReport(inequality=inequality, domain="x > 0", status=CERTIFIED,
                            points_checked=0, worst_margin="0", worst_point="symbolic",
@@ -671,12 +648,11 @@ def _identity_report(inequality: str, gap: doubling.Formal, base_bits: int) -> B
         domain="x > 0",
         points=[(f"coefficient of {name}", partial(judge, c))
                 for name, c in gap.coefficients_in_x()],
-        base_bits=base_bits,
     )
 
 
 @_timed
-def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
+def check_fn_bounds(max_n: int) -> BoundReport:
     """Certify 0.195 g_al(n) <= f(n) <= (1/4) g_ah(n) for 1 <= n <= max_n,
     plus f(n) <= (1/4) g_al(n) whenever n is a power of two."""
     if max_n < 1:
@@ -696,7 +672,7 @@ def check_fn_bounds(max_n: int, base_bits: int = DEFAULT_PRECISION_BITS) -> Boun
 
     # f(n) comes from a stream that keeps f only up to ceil(max_n/2); a
     # larger one is held by the one point being judged.
-    return _n_sweep("fn_growth_bounds", max_n, lengths.f_values(max_n), pairs, base_bits)
+    return _n_sweep("fn_growth_bounds", max_n, lengths.f_values(max_n), pairs)
 
 
 class EstimateRow(NamedTuple):
@@ -711,22 +687,20 @@ class EstimateRow(NamedTuple):
     anomalous: bool
 
 
-def estimate_power_of_two(
-    m_max: int, base_bits: int = DEFAULT_PRECISION_BITS
-) -> list[EstimateRow]:
-    """Compare exact f(2^m) with 4^(2^m) e^-1 pi^((1-m)/2) 2^(-(m^2-5m+6)/4).
+def estimate_power_of_two(m_max: int) -> list[EstimateRow]:
+    """Compare exact f(2^m) with 4^(2^m) e^-1 pi^((1-m)/2) 2^(-(m^2-5m+6)/4),
+    at the ladder's first rung.
 
     The closed form is only an asymptotic sketch, so rows carry ratios and
-    log-ratios instead of a pass/fail.  A row is flagged anomalous when
-    |ln ratio| shrinks after having grown, which would be out of character
-    for a smooth drift.
+    log-ratios instead of a pass/fail.  A row is flagged anomalous when its
+    |ln ratio|, taken at the midpoint of its enclosure, is below the previous
+    row's.
     """
     if not 0 <= m_max <= 10:
         raise InvalidArgs(f"m_max must be in [0, 10], got {m_max}")
-    require_precision(base_bits)
     rows: list[EstimateRow] = []
     previous_abs = None
-    with precision(base_bits):
+    with precision(PRECISION_LADDER[0]):
         for m in range(1, m_max + 1):
             n = 2**m
             exact = lengths.f(n)

@@ -107,13 +107,14 @@ def _int_digit_limit() -> int:
 
 def _require_printable(max_n: int, largest) -> None:
     """Refuse, before any table is built, a `max_n` whose largest printed
-    value `largest(max_n)` has more decimal digits than Python converts.
+    value `largest(max_n)` has more decimal digits than Python converts, or
+    than its default limit where it has none.
 
     `largest` grows with n, so it is probed at n = 1, 2, 4, ... and never
     evaluated past twice the first n it cannot print."""
-    limit = _int_digit_limit()
-    if not limit or max_n < 1:
+    if max_n < 1:
         return
+    limit = _int_digit_limit() or 4300
     bound = 10**limit
     n = 1
     while n < max_n and largest(n) < bound:
@@ -121,7 +122,7 @@ def _require_printable(max_n: int, largest) -> None:
     if largest(n) >= bound:
         raise InvalidArgs(
             f"--max-n {max_n} would print integers of more than {limit} digits, "
-            "Python's limit for int-to-text conversion (sys.set_int_max_str_digits)"
+            "the most this command prints (sys.get_int_max_str_digits(), or 4300 where that is 0)"
         )
 
 
@@ -213,22 +214,21 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
     _require_max_n(args.max_n, bounds.MAX_SWEEP_N)
-    bits = bounds.require_precision(args.precision_bits)
     grid = bounds.default_grid(*args.grid)
 
     alphas = {"alpha_low": bounds.alpha_low, "alpha_high": bounds.alpha_high}
     reports = [
-        bounds.check_fn_bounds(args.max_n, base_bits=bits),
-        bounds.check_stirling_sandwich(args.max_n, base_bits=bits),
-        bounds.check_lemma_sa(grid, base_bits=bits),
+        bounds.check_fn_bounds(args.max_n),
+        bounds.check_stirling_sandwich(args.max_n),
+        bounds.check_lemma_sa(grid),
         *(report._replace(inequality=f"{report.inequality}[{name}]")
-          for name, report in zip(alphas, bounds.check_lemma_ga(grid, alphas.values(), bits))),
-        bounds.check_lemma_gaS(Fraction(2), base_bits=bits),
-        bounds.check_lemma_gaS(Fraction(5, 2), base_bits=bits),
+          for name, report in zip(alphas, bounds.check_lemma_ga(grid, alphas.values()))),
+        bounds.check_lemma_gaS(Fraction(2)),
+        bounds.check_lemma_gaS(Fraction(5, 2)),
     ]
     payload = {
         "max_n": args.max_n,
-        "precision_bits": bits,
+        "precision_bits": bounds.PRECISION_LADDER[0],
         "grid_points": len(grid),
         "reports": [report._asdict() for report in reports],
     }
@@ -236,7 +236,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[dict | str, int]:
-    rows = bounds.estimate_power_of_two(args.max_m, base_bits=args.precision_bits)
+    rows = bounds.estimate_power_of_two(args.max_m)
     row_dicts = [
         {
             "m": row.m,
@@ -334,7 +334,7 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     if 10 * (abs(start) + abs(stop)) * scale >= 10**limit:
         raise argparse.ArgumentTypeError(
             f"grid points or their count would have more than {limit} digits")
-    # Only counted here; the points are built once the precision is accepted.
+    # Only counted here; the points are built once `--max-n` is accepted.
     try:
         bounds.grid_size(start, stop, step)
     except InvalidArgs as exc:
@@ -381,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = command("bounds", _cmd_bounds, "certified interval checks for the growth bounds")
     bnd.add_argument("--max-n", type=int, default=1024)
-    bnd.add_argument("--precision-bits", type=int,
-                     default=lengths.DEFAULT_PRECISION_BITS)
     bnd.add_argument(
         "--grid",
         type=_parse_grid,
@@ -395,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     est = command("estimate", _cmd_estimate,
                   "closed-form f(2^m) approximation vs exact values")
     est.add_argument("--max-m", type=int, default=8)
-    est.add_argument("--precision-bits", type=int,
-                     default=lengths.DEFAULT_PRECISION_BITS)
     est.add_argument("--format", choices=["json", "csv"], default="json")
 
     orc = command("oracle", _cmd_oracle, "exhaustive minimal-length search at n <= 3")

@@ -36,10 +36,9 @@ DEFAULT_LEMMA_CAP = 512
 # (Python 3.11.7), and doubling n costs 6-10x: the sweep multiplies n^2/4
 # pairs of ~2n-bit numbers.
 MAX_LEMMA_N = 2048
-# Defaults and limits of the `bounds` interval sweeps and of `verify`'s
-# exhaustive walk, defined here so that building the CLI parser, which prints
-# them, loads neither `bounds` nor `verify`.
-DEFAULT_PRECISION_BITS = 200
+# The grid limit of the `bounds` bracket sweeps and the default cap of
+# `verify`'s exhaustive walk, defined here so that building the CLI parser,
+# which reads them, loads neither `bounds` nor `verify`.
 MAX_GRID_POINTS = 10_000
 DEFAULT_VERIFY_CAP = 7
 

@@ -3,7 +3,9 @@
 `any_regexes` yields arbitrarily nested ASTs for language-level checks.
 `normal_form_regexes` reassociates concatenation chains to the left, the
 shape the parser produces (unions are n-ary and flattened when built), so
-render -> parse is an exact AST round trip.
+render -> parse is an exact AST round trip.  `LADDER_16` and `LADDER_24` are
+precision ladders that start low enough for some sweep points to climb,
+for tests to put in place of `bounds.PRECISION_LADDER`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import hypothesis.strategies as st
 
 from permrex import regex_ast as ra
+
+LADDER_16 = (16, 32, 64, 128, 256, 512, 1024, 2000)
+LADDER_24 = (24, 48, 96, 192, 384, 768, 1536, 2000)
 
 
 def _leaves(n: int, with_specials: bool):

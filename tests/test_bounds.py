@@ -17,6 +17,8 @@ from mpmath import iv, mp
 from permrex import bounds, doubling, lengths
 from permrex.errors import DomainError, InvalidArgs
 
+from conftest import LADDER_16
+
 # Reference values computed once with plain high-precision floating point
 # (mpmath.mp at 300 bits), a separate code path from the interval module.
 S_1 = "0.9221370088957891168791517"
@@ -60,12 +62,8 @@ def overlap(lhs: iv.mpf, rhs: iv.mpf) -> bool:
 
 
 def test_precision_ladder():
-    assert bounds.precision_ladder(200) == [200, 400, 800, 1600, 2000]
-    assert bounds.precision_ladder(2000) == [2000]
-    with pytest.raises(InvalidArgs):
-        bounds.precision_ladder(8)
-    with pytest.raises(InvalidArgs):
-        bounds.precision_ladder(2001)
+    assert bounds.PRECISION_LADDER == (200, 400, 800, 1600, 2000)
+    assert bounds.MAX_PRECISION_BITS == 2000
 
 
 def test_precision_context_restores():
@@ -258,7 +256,7 @@ def test_check_lemma_ga_rejects_point_below_domain():
     assert high._replace(seconds=0.0) == bounds.BoundReport(
         inequality="growth_template_bracket", domain="empty grid",
         status=bounds.CERTIFIED, points_checked=0, worst_margin="", worst_point="",
-        max_precision_bits=bounds.DEFAULT_PRECISION_BITS)
+        max_precision_bits=bounds.PRECISION_LADDER[0])
 
 
 # 4^alpha_low is about 1.80 and 4^alpha_high about 2.81, so grids drawn from
@@ -301,11 +299,12 @@ def test_filter_ga_domain_drops_small_points():
     assert kept == [Fraction(2), Fraction(3)]
 
 
-def test_check_lemma_gaS_certifies_tightly():
+def test_check_lemma_gaS_certifies_tightly(monkeypatch):
     # Exactly: the log gap cancels, so the identity holds for every x > 0.
     for beta in (Fraction(2), Fraction(5, 2)):
-        for bits in (16, 200):
-            report = bounds.check_lemma_gaS(beta, base_bits=bits)
+        for ladder in (LADDER_16, bounds.PRECISION_LADDER):
+            monkeypatch.setattr(bounds, "PRECISION_LADDER", ladder)
+            report = bounds.check_lemma_gaS(beta)
             assert report.seconds >= 0
             assert report._replace(seconds=0.0) == bounds.BoundReport(
                 inequality=f"doubling_identity_beta_{beta}", domain="x > 0",
@@ -316,8 +315,6 @@ def test_check_lemma_gaS_certifies_tightly():
     for bad in (0, Fraction(-1, 2)):
         with pytest.raises(InvalidArgs):
             bounds.check_lemma_gaS(bad)
-    with pytest.raises(InvalidArgs):
-        bounds.check_lemma_gaS(2, base_bits=8)
 
 
 def test_check_lemma_gaS_detects_wrong_alpha():
@@ -326,7 +323,7 @@ def test_check_lemma_gaS_detects_wrong_alpha():
     for beta, alpha_beta in ((Fraction(3), Fraction(2)), (Fraction(5, 2), Fraction(2))):
         gap = doubling.gap(beta, alpha_beta)
         assert gap == doubling.ln(beta) - doubling.ln(2)
-        report = bounds._identity_report("mismatched", gap, bounds.DEFAULT_PRECISION_BITS)
+        report = bounds._identity_report("mismatched", gap)
         assert report.status == bounds.VIOLATED
         assert report.failures == ("coefficient of 1: violated",)
         assert report.domain == "x > 0"
@@ -340,12 +337,12 @@ def test_identity_report_names_every_nonzero_monomial():
     # precision separates it from 0.
     separable = (doubling.ln(3) - doubling.ln(2)) * x * ln_x
     inseparable = (doubling.ln(4) - 2 * doubling.ln(2)) * ln_x * ln_x
-    report = bounds._identity_report("demo", separable + inseparable, base_bits=200)
+    report = bounds._identity_report("demo", separable + inseparable)
     assert report.status == bounds.VIOLATED
     assert report.failures == ("coefficient of (ln x)^2: undecided",
                                "coefficient of x ln x: violated")
     assert report.max_precision_bits == bounds.MAX_PRECISION_BITS
-    report = bounds._identity_report("demo", inseparable, base_bits=200)
+    report = bounds._identity_report("demo", inseparable)
     assert report.status == bounds.UNDECIDED
 
 
@@ -475,9 +472,6 @@ def test_estimate_rows_match_reference():
         assert not row.anomalous
     with pytest.raises(InvalidArgs):
         bounds.estimate_power_of_two(11)
-    for bits in (2, 2001):
-        with pytest.raises(InvalidArgs):
-            bounds.estimate_power_of_two(1, base_bits=bits)
 
 
 def test_sweep_reports_violated_and_undecided_points():
@@ -497,25 +491,24 @@ def test_sweep_reports_violated_and_undecided_points():
     undecided = le_point("1 <= 1", wide_one, one)
     violated = le_point("2 <= 1", two, one)
     certified = le_point("1 <= 2", one, two)
-    report = bounds._sweep("demo", "three points",
-                           [undecided, violated, certified], base_bits=200)
+    report = bounds._sweep("demo", "three points", [undecided, violated, certified])
     assert report.status == bounds.VIOLATED  # violated wins over undecided
     assert report.failures == ("1 <= 1: undecided", "2 <= 1: violated")
     assert report.max_precision_bits == bounds.MAX_PRECISION_BITS
     assert report.points_checked == 3
     assert report.worst_point == "1 <= 2"
     assert report.worst_margin == "[1.0, 1.0]"
-    report = bounds._sweep("demo", "two points", [certified, undecided],
-                           base_bits=200)
+    report = bounds._sweep("demo", "two points", [certified, undecided])
     assert report.status == bounds.UNDECIDED
     assert report.failures == ("1 <= 1: undecided",)
     assert report.max_precision_bits == bounds.MAX_PRECISION_BITS
 
 
-def test_sweep_escalates_precision_when_needed():
+def test_sweep_escalates_precision_when_needed(monkeypatch):
     # At 16 bits the sandwich margins near n = 100 are thinner than the
     # rounding noise, so the ladder must escalate yet still certify.
-    report = bounds.check_stirling_sandwich(100, base_bits=16)
+    monkeypatch.setattr(bounds, "PRECISION_LADDER", LADDER_16)
+    report = bounds.check_stirling_sandwich(100)
     assert report.status == bounds.CERTIFIED
     assert report.max_precision_bits > 16
 
@@ -615,18 +608,18 @@ def test_split_sweep_raises_what_one_process_raises(monkeypatch):
     for workers in (1, 2, 3):
         with pytest.raises(DomainError) as info:
             _split_reports(monkeypatch, workers, lambda: bounds._sweep(
-                "demo", "300 points", _points_raising_at(200), base_bits=200))
+                "demo", "300 points", _points_raising_at(200)))
         raised.append((type(info.value), str(info.value)))
     assert raised == [(DomainError, "no value at point 200")] * 3
     # Without the bad point, the last point is the worst.
     [report], _ = _split_reports(monkeypatch, 2, lambda: bounds._sweep(
-        "demo", "300 points", _points_raising_at(-1), base_bits=200))
+        "demo", "300 points", _points_raising_at(-1)))
     assert (report.status, report.points_checked, report.worst_point) == (
         bounds.CERTIFIED, 300, "i=299")
 
 
 def _demo_sweep(bad):
-    return lambda: bounds._sweep("demo", "300 points", _points_raising_at(bad), base_bits=200)
+    return lambda: bounds._sweep("demo", "300 points", _points_raising_at(bad))
 
 
 @pytest.mark.parametrize("bad", [0, 50])

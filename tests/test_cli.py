@@ -20,7 +20,7 @@ import pytest
 import permrex
 from permrex import bounds, cli, construct, lengths, oracle, regex_ast, verify
 
-from conftest import union_terms
+from conftest import LADDER_16, LADDER_24, union_terms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -81,7 +81,7 @@ def test_gen_compact_wide_alphabet_is_input_error(capsys):
     pytest.param(["table", "--max-n", "1750"], "digits", id="table"),
     pytest.param(["verify", "--regex-file", "{tmp}/huge-id.rx", "--n", "10"], "5000 digits",
                  id="verify"),
-    pytest.param(["bounds", "--precision-bits", "4001"], "precision", id="bounds"),
+    pytest.param(["bounds", "--max-n", str(bounds.MAX_SWEEP_N + 1)], "at most", id="bounds"),
 ])
 def test_refusal_leaves_existing_output_unchanged(tmp_path, capsys, argv, word):
     (tmp_path / "huge-id.rx").write_text("1 " + "9" * 5000 + "\n")
@@ -166,6 +166,22 @@ def test_max_n_refused_exactly_past_the_int_digit_limit(
     code, out, err = run(capsys, command, "--max-n", str(last + 1))
     assert (code, out) == (2, "")
     assert f"more than {limit} digits" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["len", "--max-n", "7161"], 2),
+    (["table", "--max-n", "1557"], 0),
+    (["table", "--max-n", "1558"], 2),
+])
+def test_max_n_refused_past_the_default_limit_where_python_has_none(
+        capsys, monkeypatch, argv, code):
+    # With no digit limit (PYTHONINTMAXSTRDIGITS=0, or Python before 3.10.7)
+    # the tables are still refused past the default 4300 digits, not built.
+    monkeypatch.setattr(cli, "_int_digit_limit", lambda: 0)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert out == "" and "more than 4300 digits" in err
 
 
 def test_benchmark_table_sizes_print_at_the_default_digit_limit(capsys, set_int_digit_limit):
@@ -359,7 +375,7 @@ def test_bounds_builds_domains_and_constants_once(capsys, monkeypatch):
     assert decisions == {"filter": 2 * report["grid_points"]}
     # Four distinct constants (1/4, 195/1000, 5/2, 1/2), one per rung used.
     constants = bounds._constant.cache_info()
-    assert constants.misses <= 4 * len(bounds.precision_ladder())
+    assert constants.misses <= 4 * len(bounds.PRECISION_LADDER)
 
 
 def _module_memo_sizes():
@@ -428,7 +444,7 @@ def test_bounds_takes_ln_2_once_per_rung(capsys, monkeypatch):
                         counted("parts", bounds._template_parts))
     code, _, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4")
     assert code == 0
-    bits = bounds.DEFAULT_PRECISION_BITS
+    bits = bounds.PRECISION_LADDER[0]
     assert logs == {bits: 2 + 4}
     # S(2) in the factorial sandwich and the Stirling bracket; the parts at 2
     # once for both growth templates of f(2), and once in the alpha_low
@@ -436,8 +452,9 @@ def test_bounds_takes_ln_2_once_per_rung(capsys, monkeypatch):
     assert at_two == {("S", bits): 2, ("parts", bits): 2}
 
 
-@pytest.mark.parametrize("bits", [200, 16])
-def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch, bits):
+@pytest.mark.parametrize("ladder", [bounds.PRECISION_LADDER, LADDER_16],
+                         ids=lambda ladder: str(ladder[0]))
+def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch, ladder):
     # Count each evaluation, inside a bracket sweep, of S, of the alpha-free
     # parts of g_a, and of the square root in the bracket's e^(-/+1/(2 sqrt x))
     # wobble, and tag each grid point with the highest rung its climb reached.
@@ -494,11 +511,11 @@ def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch
     monkeypatch.setattr(bounds, "check_lemma_sa", tagged("sa", bounds.check_lemma_sa))
     monkeypatch.setattr(bounds, "check_lemma_ga", tagged("ga", bounds.check_lemma_ga))
     monkeypatch.setattr(bounds, "filter_ga_domain", filter_tagging)
-    code, _, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:0.25",
-                     "--precision-bits", str(bits))
+    monkeypatch.setattr(bounds, "PRECISION_LADDER", ladder)
+    code, _, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:0.25")
     assert code == 0
     assert set(reached) == {"sa", "ga[alpha_low]", "ga[alpha_high]"}
-    ladder = bounds.precision_ladder(bits)
+    bits = ladder[0]
     expected = collections.Counter()
     whole, grid_only = (0, Fraction(1, 2), 1), (0,)
     for name, tags, offsets in [("S", ["sa"], whole),
@@ -539,8 +556,9 @@ GOLDEN_BOUNDS_200 = [
     ("doubling_identity_beta_2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
     ("doubling_identity_beta_5/2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
 ]
-# The same at --precision-bits 16, where the printed margins are as wide as
-# the 16-bit enclosures (of alpha_for_beta(2) and (5/2) too) make them.
+# The same on LADDER_16, whose first rung is 16 bits, where the printed margins
+# are as wide as the 16-bit enclosures (of alpha_for_beta(2) and (5/2) too)
+# make them.
 GOLDEN_BOUNDS_16 = [
     ("fn_growth_bounds", "n in [1, 16]", "certified", 16, "[0.0, 0.0]", "n=1", 16, []),
     ("factorial_sandwich", "n in [1, 16]", "certified", 16,
@@ -554,9 +572,9 @@ GOLDEN_BOUNDS_16 = [
     ("doubling_identity_beta_2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
     ("doubling_identity_beta_5/2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
 ]
-# Every field but `seconds` of `bounds --max-n 300 --grid 1:40:0.125
-# --precision-bits 24`, whose factorial sandwich climbs to 48 bits: the
-# report's header, then its reports as above.
+# Every field but `seconds` of `bounds --max-n 300 --grid 1:40:0.125` on
+# LADDER_24, whose factorial sandwich climbs to 48 bits: the report's header,
+# then its reports as above.
 GOLDEN_BOUNDS_24 = ({"max_n": 300, "precision_bits": 24, "grid_points": 313}, [
     ("fn_growth_bounds", "n in [1, 300]", "certified", 300, "[0.0, 0.0]", "n=1", 24, []),
     ("factorial_sandwich", "n in [1, 300]", "certified", 300, "[0.0, 12.25]", "n=10", 48,
@@ -574,25 +592,27 @@ GOLDEN_FIELDS = ("inequality", "domain", "status", "points_checked", "worst_marg
                  "worst_point", "max_precision_bits", "failures")
 
 
+# `extra` holds the ladder each run climbs, in order.
 @pytest.mark.parametrize("extra, golden", [
-    ([()], [GOLDEN_BOUNDS_200]),
-    ([("--precision-bits", "16")], [GOLDEN_BOUNDS_16]),
+    ([bounds.PRECISION_LADDER], [GOLDEN_BOUNDS_200]),
+    ([LADDER_16], [GOLDEN_BOUNDS_16]),
     # One process, cold memos: nothing memoized at 16 bits is read at 200.
-    ([("--precision-bits", "16"), ()], [GOLDEN_BOUNDS_16, GOLDEN_BOUNDS_200]),
+    ([LADDER_16, bounds.PRECISION_LADDER], [GOLDEN_BOUNDS_16, GOLDEN_BOUNDS_200]),
 ])
-def test_bounds_golden_reports(capsys, extra, golden):
+def test_bounds_golden_reports(capsys, monkeypatch, extra, golden):
     _clear_bounds_memos()
-    for flags, expected in zip(extra, golden, strict=True):
-        code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4", *flags)
+    for ladder, expected in zip(extra, golden, strict=True):
+        monkeypatch.setattr(bounds, "PRECISION_LADDER", ladder)
+        code, out, _ = run(capsys, "bounds", "--max-n", "16", "--grid", "2:30:4")
         assert code == 0
         reports = json.loads(out)["report"]["reports"]
         assert [tuple(r[f] for f in GOLDEN_FIELDS) for r in reports] == expected
 
 
-def test_bounds_golden_report_up_the_ladder(capsys):
+def test_bounds_golden_report_up_the_ladder(capsys, monkeypatch):
     _clear_bounds_memos()
-    code, out, _ = run(capsys, "bounds", "--max-n", "300", "--grid", "1:40:0.125",
-                       "--precision-bits", "24")
+    monkeypatch.setattr(bounds, "PRECISION_LADDER", LADDER_24)
+    code, out, _ = run(capsys, "bounds", "--max-n", "300", "--grid", "1:40:0.125")
     assert code == 0
     report = json.loads(out)["report"]
     reports = report.pop("reports")
@@ -639,7 +659,7 @@ def test_sweep_memos_die_with_their_sweep(monkeypatch):
 
     sweep_round()
     sweep_round()
-    bits = bounds.DEFAULT_PRECISION_BITS
+    bits = bounds.PRECISION_LADDER[0]
     # g_a once per argument per alpha, on parts evaluated once per argument.
     assert rounds[0] == {("S", bits): 5, ("g_a", bits): 10, ("parts", bits): 5,
                          ("ln 2", bits): 2}
@@ -707,8 +727,9 @@ def _exit_code_and_err(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, word", [
-    (["estimate", "--precision-bits", "4001"], "precision"),
-    (["bounds", "--precision-bits", "4001"], "precision"),
+    # The start precision is no option: the flag is refused at any value.
+    (["estimate", "--precision-bits", "200"], "precision"),
+    (["bounds", "--precision-bits", "200"], "precision"),
     (["bounds", "--grid", "1:100:1e-7"], "grid"),
     (["len", "--max-n", "7500"], "digits"),
     (["table", "--max-n", "1750"], "digits"),
@@ -1066,8 +1087,8 @@ def test_estimate_csv(capsys):
     assert rows[2]["f"] == "6720"
 
 
-# Every byte of `estimate --format csv`, at the default precision and at
-# --precision-bits 16; the f column is pinned by the length tests.
+# Every byte of `estimate --format csv`, at the first rung of the ladder and
+# of LADDER_16; the f column is pinned by the length tests.
 GOLDEN_ESTIMATE_200 = (
     "m,n,f,estimate,ratio,ln_ratio,anomalous\n"
     f'1,2,{lengths.f(2)},"[4.16208076018, 4.16208076018]",'
@@ -1109,12 +1130,14 @@ GOLDEN_ESTIMATE_16 = (
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+# `extra` is the ladder whose first rung `estimate` works at.
 @pytest.mark.parametrize("extra, golden", [
-    ((), GOLDEN_ESTIMATE_200),
-    (("--precision-bits", "16"), GOLDEN_ESTIMATE_16),
+    (bounds.PRECISION_LADDER, GOLDEN_ESTIMATE_200),
+    (LADDER_16, GOLDEN_ESTIMATE_16),
 ])
-def test_estimate_golden_reports(capsys, extra, golden, fmt):
-    code, out, _ = run(capsys, "estimate", "--format", fmt, *extra)
+def test_estimate_golden_reports(capsys, monkeypatch, extra, golden, fmt):
+    monkeypatch.setattr(bounds, "PRECISION_LADDER", extra)
+    code, out, _ = run(capsys, "estimate", "--format", fmt)
     assert code == 0
     if fmt == "csv":
         assert out == golden
