@@ -116,6 +116,12 @@ MAX_PRECISION_BITS = PRECISION_LADDER[-1]
 # The two n-sweeps take 6.2-8.3 s there on one CPU and 4.0-6.9 s split over
 # two (Python 3.11.7, pure-Python mpmath, a shared 2-CPU machine).
 MAX_SWEEP_N = 16_384
+# The largest grid point the CLI accepts: the largest power of ten at which
+# the three grid brackets all certify at PRECISION_LADDER[-2] bits or less,
+# so the last rung is to spare.  The Stirling bracket's relative margin
+# shrinks like 1/(4x) while its enclosures widen with x: it takes 800 bits
+# at 10**100, 2000 at 10**239, and no rung decides it at 10**300.
+MAX_GRID_X = 10**238
 
 CERTIFIED = "certified"
 UNDECIDED = "undecided"

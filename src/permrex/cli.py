@@ -41,7 +41,7 @@ import time
 from fractions import Fraction
 
 from . import lengths
-from .errors import InvalidArgs, PermrexError, RegexSyntaxError
+from .errors import CompactOverflow, InvalidArgs, PermrexError, RegexSyntaxError
 
 
 def _load_on_first_use(name: str):
@@ -133,6 +133,10 @@ def _require_max_n(max_n: int, limit: int) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[dict | str, int]:
+    if args.format == "compact" and args.n >= 10:
+        # Symbol 10 is in every expression for P_n, so render would refuse
+        # it; refused before the build.
+        raise CompactOverflow(10)
     return regex_ast.render(_build(args), args.format), 0
 
 
@@ -334,6 +338,10 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     if 10 * (abs(start) + abs(stop)) * scale >= 10**limit:
         raise argparse.ArgumentTypeError(
             f"grid points or their count would have more than {limit} digits")
+    if stop > bounds.MAX_GRID_X:
+        raise argparse.ArgumentTypeError(
+            f"grid stop must be at most {bounds.MAX_GRID_X:.0e}, the largest power "
+            "of ten at which the grid brackets are decided with a rung to spare")
     # Only counted here; the points are built once `--max-n` is accepted.
     try:
         bounds.grid_size(start, stop, step)

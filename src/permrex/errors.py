@@ -28,6 +28,13 @@ class RegexSyntaxError(PermrexError, ValueError):
 class CompactOverflow(PermrexError, ValueError):
     """Compact rendering requested for an alphabet with symbol ids > 9."""
 
+    def __init__(self, sym: int):
+        super().__init__(sym)
+        self.sym = sym
+
+    def __str__(self) -> str:
+        return f"symbol {self.sym} has no single-digit form; use the spaced format"
+
 
 class SizeCap(PermrexError, RuntimeError):
     """Predicted output size exceeds the configured materialization cap."""

@@ -30,6 +30,12 @@ has 40320), so nothing here recurses:
 computes bottom-up values on top of it, and rendering and parsing keep
 their own stacks.
 
+Rendering keeps no table over the DAG.  A parenthesized group met a
+second time has its text kept and reused from then on: the spaced `dnc`
+n=13 text walks its 4 511 groups 5 590 times, none more than twice.
+Everything else, such as `flat`'s shared prefix chains, is walked again
+at each occurrence, at a cost in proportion to the text it writes.
+
 Parsing costs what the distinct groups cost, not what the text costs.
 With n fixed, the text of a parenthesized group always parses to the
 same node, so `parse` keeps a per-call memo of the groups it has closed,
@@ -258,88 +264,90 @@ def metrics(expr: Regex) -> RegexMetrics:
     return RegexMetrics(*fold(expr, measure))
 
 
-# Operator precedence, loosest first.  A child is parenthesized exactly
-# when its operator binds looser than its parent's.
-_PREC_UNION = 1
-_PREC_CONCAT = 2
-_PREC_STAR = 3
-_PREC_LEAF = 4
+# Union binds loosest, then concatenation, then star.  A child is
+# parenthesized exactly when its operator binds looser than its parent's:
+# a union under a concatenation or a star, or a concatenation under a star.
+# Those children are the groups `render_to` keeps.
 
-_PREC = {Union: _PREC_UNION, Concat: _PREC_CONCAT, Star: _PREC_STAR,
-         Sym: _PREC_LEAF, Epsilon: _PREC_LEAF, EmptySet: _PREC_LEAF}
+_END = object()
 
 
 def render_to(expr: Regex, write: Callable[[str], None], fmt: RenderFormat = "spaced") -> None:
     """Write the textual form of `expr` to `write`, in a single call.
 
-    The text of a node with two or more parents is built once and reused
-    at each occurrence; it excludes the parentheses a parent may put
-    around it.  Nothing is written when CompactOverflow is raised.
+    Only a parenthesized group (a union under a concatenation or a star, or
+    a concatenation under a star) has its text kept, parentheses included,
+    and only from its second occurrence on, as `parse` keeps the groups it
+    has closed.  No group's text is kept while another's is being built,
+    so the kept texts are disjoint pieces of the output and hold no more
+    than it does, however deep the groups nest.  Everything else is walked
+    again at each occurrence.  Nothing is written when CompactOverflow is
+    raised.
     """
     if fmt not in ("compact", "spaced"):
         raise InvalidArgs(f"unknown render format {fmt!r}")
     compact = fmt == "compact"
     sep = "" if compact else " "
-    # Parent edges per node, counted in one pass over the distinct nodes.
-    parents: dict[Regex, int] = {expr: 0}
-    stack: list = [expr]
-    while stack:
-        for child in _children(stack.pop()):
-            if child in parents:
-                parents[child] += 1
-            else:
-                parents[child] = 1
-                stack.append(child)
-    # Only the shared nodes are kept while the text is built.
-    shared = {node for node, count in parents.items() if count > 1}
-    del parents
-    texts: dict[Regex, str] = {}
+    names: dict[Regex, str] = {}  # one str per Sym
+    seen: set[Regex] = set()  # groups met at least once
+    texts: dict[Regex, str] = {}  # groups met twice, as text
     parts: list[str] = []
-    # A token to append, a node to render, or (node, start): the shared
-    # node's text is parts[start:], to be joined and kept.
-    stack = [expr]
-
-    def push(child: Regex, prec: int) -> None:
-        if _PREC[type(child)] < prec:
-            stack.extend((")", child, "("))
-        else:
-            stack.append(child)
-
+    # The group whose text is parts[start:] once _END is reached, or None.
+    keeping: Regex | None = None
+    start = 0
+    # A token to append, a node to render, (group,) to render in
+    # parentheses, or _END.
+    stack: list = [expr]
     while stack:
         item = stack.pop()
         kind = type(item)
-        if kind is str:
+        if kind is Sym:
+            name = names.get(item)
+            if name is None:
+                if compact and item.sym > 9:
+                    raise CompactOverflow(item.sym)
+                name = names[item] = str(item.sym)
+            parts.append(name)
+        elif kind is str:
             parts.append(item)
+        elif kind is Concat:
+            # The left spine in one loop; only a union factor is a group.
+            while kind is Concat:
+                right = item.right
+                stack.append((right,) if type(right) is Union else right)
+                item = item.left
+                kind = type(item)
+            stack.append((item,) if kind is Union else item)
         elif kind is tuple:
-            node, start = item
-            texts[node] = text = sep.join(parts[start:])
+            group = item[0]
+            text = texts.get(group)
+            if text is not None:
+                parts.append(text)
+                continue
+            if group not in seen:
+                seen.add(group)
+            elif keeping is None:
+                keeping, start = group, len(parts)
+                stack.append(_END)
+            parts.append("(")
+            stack += (")", group)
+        elif kind is Union:
+            # No term is parenthesized: none binds looser than a union.
+            for term in reversed(item.terms):
+                stack += (term, "+")
+            stack.pop()
+        elif kind is Star:
+            child = item.child
+            stack += ("*", (child,) if type(child) in (Union, Concat) else child)
+        elif item is _END:
+            texts[keeping] = text = sep.join(parts[start:])
             del parts[start:]
             parts.append(text)
-        elif kind is Sym:
-            if compact and item.sym > 9:
-                raise CompactOverflow(
-                    f"symbol {item.sym} has no single-digit form; use the spaced format")
-            parts.append(str(item.sym))
+            keeping = None
         elif kind is Epsilon:
             parts.append("e")
-        elif kind is EmptySet:
+        else:  # EmptySet
             parts.append("&")
-        elif item in texts:
-            parts.append(texts[item])
-        else:
-            if item in shared:
-                stack.append((item, len(parts)))
-            if kind is Star:
-                stack.append("*")
-                push(item.child, _PREC_STAR)
-            elif kind is Union:
-                # No term is parenthesized: none binds looser than a union.
-                for term in reversed(item.terms):
-                    stack += (term, "+")
-                stack.pop()
-            else:  # Concat
-                push(item.right, _PREC_CONCAT)
-                push(item.left, _PREC_CONCAT)
     write(sep.join(parts))
 
 

@@ -69,10 +69,20 @@ def test_gen_cap_exit_code(capsys):
     assert "cap" in err
 
 
-def test_gen_compact_wide_alphabet_is_input_error(capsys):
-    code, _, err = run(capsys, "gen", "dnc", "--n", "10", "--format", "compact")
-    assert code == 2
-    assert "spaced" in err
+def test_gen_compact_wide_alphabet_is_input_error(capsys, monkeypatch):
+    # Refused before the build, at any n >= 10.
+    def refuse(n):
+        raise AssertionError(f"built n={n}")
+
+    for name in sorted(cli._BUILDERS):
+        monkeypatch.setitem(cli._BUILDERS, name, refuse)
+        for n in ("10", "13", "100"):
+            assert run(capsys, "gen", name, "--n", n, "--format", "compact") == (
+                2, "", "error: symbol 10 has no single-digit form; use the spaced format\n")
+    # Below n = 10 the builder runs, and the spaced format builds at any n.
+    for argv in (["--n", "9", "--format", "compact"], ["--n", "10"]):
+        with pytest.raises(AssertionError, match="built n="):
+            cli.run(["gen", "dnc", *argv])
 
 
 # One refusal per command kind; each comes after argument parsing.
@@ -698,6 +708,22 @@ def test_bounds_refuses_grid_numbers_too_long_to_print(capsys, monkeypatch, grid
     assert time.monotonic() - started < 1
     assert code == 2
     assert part in err and "Traceback" not in err
+
+
+def test_bounds_grid_stops_at_the_largest_power_of_ten_it_decides(capsys):
+    # The ceiling certifies a rung below the top of the ladder; ten times
+    # the ceiling, the Stirling bracket needs the top rung, and it is refused.
+    top = bounds.MAX_GRID_X
+    assert top == 10 ** (len(str(top)) - 1)
+    reports = [bounds.check_lemma_sa([top]),
+               *bounds.check_lemma_ga([top], (bounds.alpha_low, bounds.alpha_high))]
+    assert [(r.status, r.points_checked) for r in reports] == [(bounds.CERTIFIED, 1)] * 3
+    assert max(r.max_precision_bits for r in reports) <= bounds.PRECISION_LADDER[-2]
+    assert bounds.check_lemma_sa([10 * top]).max_precision_bits > bounds.PRECISION_LADDER[-2]
+    assert run(capsys, "bounds", "--max-n", "4", "--grid", f"{top}:{top}:1")[0] == 0
+    for grid in (f"{10 * top}:{10 * top}:1", f"1:{10 * top}:{top}", "1e300:1e300:1"):
+        code, err = _exit_code_and_err(capsys, ["bounds", "--max-n", "4", "--grid", grid])
+        assert code == 2 and "grid stop must be at most 1e+238" in err
 
 
 def test_meta_peak_rss_counts_reaped_children(capsys, monkeypatch):

@@ -162,13 +162,108 @@ def test_render_shared_node_under_different_parentheses():
 
 
 def test_render_compact_rejects_wide_symbols():
-    with pytest.raises(CompactOverflow):
+    with pytest.raises(CompactOverflow) as info:
         ra.render(ra.Sym(10), "compact")
+    assert info.value.sym == 10
+    assert str(info.value) == "symbol 10 has no single-digit form; use the spaced format"
+    assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
 
 def test_render_spaced_handles_wide_symbols():
     expr = ra.Concat(ra.Sym(10), ra.Sym(11))
     assert ra.render(expr, "spaced") == "10 11"
+
+
+# Union binds loosest, then concatenation, then star; a leaf binds tightest.
+_BINDING = {ra.Union: 1, ra.Concat: 2, ra.Star: 3}
+
+
+def reference_tokens(expr):
+    """The tokens of `expr`, straight from the precedence rules: a child is
+    parenthesized exactly when it binds looser than its parent."""
+    kind = type(expr)
+    if kind is ra.Sym:
+        return [str(expr.sym)]
+    if kind is ra.Epsilon:
+        return ["e"]
+    if kind is ra.EmptySet:
+        return ["&"]
+
+    def operand(child):
+        tokens = reference_tokens(child)
+        return ["(", *tokens, ")"] if _BINDING.get(type(child), 4) < _BINDING[kind] else tokens
+
+    if kind is ra.Star:
+        return operand(expr.child) + ["*"]
+    if kind is ra.Concat:
+        return operand(expr.left) + operand(expr.right)
+    tokens = operand(expr.terms[0])
+    for term in expr.terms[1:]:
+        tokens += ["+", *operand(term)]
+    return tokens
+
+
+@settings(max_examples=300)
+@given(any_regexes(n=10), any_regexes(n=10), any_regexes(n=10))
+def test_render_matches_the_precedence_rules_on_shared_groups(e, a, b):
+    # Each group occurs several times, in and out of parentheses.
+    u = ra.Union(a, b)
+    c = ra.Concat(a, b)
+    shapes = [e, ra.Union(ra.Concat(e, ra.Star(e)), e), ra.Concat(ra.Star(u), u),
+              ra.Union(ra.Concat(ra.Star(c), ra.Concat(u, ra.Star(ra.Concat(u, c)))), c, u),
+              ra.Concat(ra.Concat(u, u), ra.Star(ra.Concat(ra.Star(u), e)))]
+    for expr in shapes:
+        tokens = reference_tokens(expr)
+        assert ra.render(expr, "spaced") == " ".join(tokens)
+        calls = []
+        if any(len(token) > 1 for token in tokens):  # a symbol of two digits
+            with pytest.raises(CompactOverflow):
+                ra.render_to(expr, calls.append, "compact")
+            assert calls == []
+        else:
+            ra.render_to(expr, calls.append, "compact")
+            assert calls == ["".join(tokens)]
+
+
+def test_render_of_the_largest_flat_union_keeps_no_table_of_its_nodes():
+    # 109 601 distinct nodes, no group among them.  A parent count per
+    # node, with a str per symbol occurrence, took 11 MB for the spaced text.
+    expr = construct.build_flat_union(8)
+    calls = []
+    tracemalloc.start()
+    try:
+        ra.render_to(expr, calls.append)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1 and len(calls[0]) == 725_757
+    assert peak < 5e6
+
+
+@pytest.mark.parametrize("twice", [False, True], ids=["once", "twice"])
+def test_render_of_a_deep_group_nest_is_linear(twice):
+    # Each level is a distinct union under a concatenation: ((3 1 + 2) 1 + 2) ...
+    # Keeping each group's text from its first occurrence, or keeping the
+    # nested groups' texts while the outer group's is built (their second
+    # occurrence when the nest occurs twice), would hold about depth / 2
+    # times the text.  The token slots, the stack and the set of groups
+    # take about 17 times the spaced text here.  The shallow nest goes
+    # first, so such a renderer fails on it before it can fill the memory.
+    for depth in (2_000, 20_000):
+        nest = ra.Sym(3)
+        for _ in range(depth):
+            nest = ra.Union(ra.Concat(nest, sym(1)), sym(2))
+        expr = ra.Concat(nest, nest) if twice else nest
+        calls = []
+        tracemalloc.start()
+        try:
+            ra.render_to(expr, calls.append)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = calls[0]
+        assert text.count("(") == (2 * depth if twice else depth - 1)
+        assert peak < 20 * len(text)
 
 
 def test_parse_compact_splits_digit_runs_for_small_alphabets():
