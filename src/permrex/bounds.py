@@ -63,12 +63,16 @@ The doubling identity is not sampled but proved: `permrex.doubling`
 builds its log gap as a formal polynomial, which cancels to exactly zero
 and so holds for every x > 0.  A gap that does not cancel goes up the
 ladder one coefficient at a time, and is violated or undecided, never
-certified.
+certified.  The factorial sandwich is proved too, for every n >= 1, by
+Robbins's two rational inequalities in n on three named premises
+(`SANDWICH_PREMISES`), which `doubling.nonnegative_from` decides exactly;
+its n-sweep is only a cross-check, which the CLI runs on
+`SANDWICH_CROSS_CHECK_N` points.
 
 The checks certify, against exact integer f(n):
 
   * the factorial sandwich  e^(1/(12n+1)) S(n) <= n! <= e^(1/12n) S(n)
-    for the Stirling term S(x) = sqrt(2 pi x) (x/e)^x;
+    for the Stirling term S(x) = sqrt(2 pi x) (x/e)^x, at every n >= 1;
   * bracketing of S(x)S(x+1) by S(x+1/2)^2;
   * bracketing of g_a(x) + g_a(x+1) by (5/2) g_a(x+1/2), where
     g_a(x) = 4^x x^(a - lg(x)/4) is the growth template;
@@ -113,8 +117,10 @@ from .lengths import MAX_GRID_POINTS
 # at the first.  Read at call time.
 PRECISION_LADDER = (200, 400, 800, 1600, 2000)
 MAX_PRECISION_BITS = PRECISION_LADDER[-1]
-# The two n-sweeps take 6.2-8.3 s there on one CPU and 4.0-6.9 s split over
-# two (Python 3.11.7, pure-Python mpmath, a shared 2-CPU machine).
+# The largest --max-n the CLI accepts.  It bounds the one long n-sweep,
+# f(n)'s, which takes 3.3-3.8 s at this n on one CPU and 2.2-3.1 s split over
+# two (Python 3.11.7, pure-Python mpmath, a shared 2-CPU machine); the
+# factorial sandwich is proved for every n.
 MAX_SWEEP_N = 16_384
 # The largest grid point the CLI accepts: the largest power of ten at which
 # the three grid brackets all certify at PRECISION_LADDER[-2] bits or less,
@@ -298,7 +304,8 @@ def alpha_high() -> mpmath.iv.mpf:
 # -- report plumbing --------------------------------------------------------
 
 class BoundReport(NamedTuple):
-    """Outcome of one certified sweep, and the seconds its check took."""
+    """Outcome of one certified check, the seconds it took, and the named
+    facts it assumes where it proves a claim for every n or x."""
 
     inequality: str
     domain: str
@@ -309,6 +316,7 @@ class BoundReport(NamedTuple):
     max_precision_bits: int
     failures: tuple[str, ...] = ()
     seconds: float = 0.0
+    premises: tuple[str, ...] = ()
 
 
 def _timed(check: Callable[..., BoundReport]) -> Callable[..., BoundReport]:
@@ -539,22 +547,95 @@ def _grid_sweep(inequality: str, xs: Sequence[Fraction],
 
 # -- certified sweeps -------------------------------------------------------
 
+# The exponent denominators of the factorial sandwich
+# e^(1/sandwich_lower(n)) S(n) <= n! <= e^(1/sandwich_upper(n)) S(n): read at
+# each integer n by the cross-check's interval pairs, and at the formal n,
+# `doubling.Formal.atom("n")`, by the proof.
+def sandwich_lower(n: int | doubling.Formal) -> int | doubling.Formal:
+    return 12 * n + 1
+
+
+def sandwich_upper(n: int | doubling.Formal) -> int | doubling.Formal:
+    return 12 * n
+
+
+# What Robbins's proof of the sandwich ("A remark on Stirling's formula",
+# Amer. Math. Monthly 62, 1955) takes as known; `_sandwich_proof` checks the
+# rest exactly.
+SANDWICH_PREMISES = (
+    "artanh series: d_n - d_(n+1) = sum over k >= 1 of t^(2k)/(2k+1), "
+    "where d_n = ln n! - (n + 1/2) ln n + n and t = 1/(2n+1)",
+    "3 <= 2k+1 <= 3^k for every k >= 1",
+    "Stirling's limit: d_n -> ln sqrt(2 pi)",
+)
+# The n-range the CLI cross-checks the proved sandwich on: below the two
+# `_MIN_RUN_POINTS` runs a sweep needs to fork, so it runs in one process.
+SANDWICH_CROSS_CHECK_N = 64
+
+
+def _sandwich_proof() -> list[str]:
+    """The steps of Robbins's proof that the exact kernel does not certify
+    for every n >= 1: none, when the sandwich holds for every n >= 1 on
+    `SANDWICH_PREMISES`.
+
+    Bound the series' terms t^(2k)/(2k+1) by t^(2k)/3^k below and t^(2k)/3
+    above and sum: d_n - d_(n+1) lies between 1/(3(2n+1)^2 - 1) =
+    1/(12n^2+12n+2) and 1/(3(2n+1)^2 - 3) = 1/(12n(n+1)).  So if, with
+    U = sandwich_upper and L = sandwich_lower,
+      (i)  1/(12n(n+1)) <= 1/U(n) - 1/U(n+1) and
+      (ii) 1/(12n^2+12n+2) >= 1/L(n) - 1/L(n+1),
+    then d_n - 1/U(n) increases and d_n - 1/L(n) decreases in n.  Where U
+    and L are >= 1 from n = 1 on and of degree >= 1, 1/U(n) and 1/L(n) tend
+    to 0, so both tend to ln sqrt(2 pi) and d_n - 1/U(n) <= ln sqrt(2 pi) <=
+    d_n - 1/L(n); as n!/S(n) = e^(d_n - ln sqrt(2 pi)), that is the
+    sandwich.  Each step is cross-multiplied over its positive denominators
+    into p(n) >= 0 and decided by `doubling.nonnegative_from`."""
+    n = doubling.Formal.atom("n")
+    odd_sq = (2 * n + 1) * (2 * n + 1)
+    low_sum, high_sum = 3 * odd_sq - 1, 3 * odd_sq - 3
+    upper, upper_next, lower, lower_next = map(doubling.Formal.lift, (
+        sandwich_upper(n), sandwich_upper(n + 1), sandwich_lower(n), sandwich_lower(n + 1)))
+    steps = [
+        ("(i) 1/(12n(n+1)) <= 1/sandwich_upper(n) - 1/sandwich_upper(n+1)",
+         upper, high_sum * (upper_next - upper) - upper * upper_next),
+        ("(ii) 1/(12n^2+12n+2) >= 1/sandwich_lower(n) - 1/sandwich_lower(n+1)",
+         lower, lower * lower_next - low_sum * (lower_next - lower)),
+    ]
+    return [
+        f"step {step}: not proved for every n >= 1" for step, denominator, p in steps
+        if not (max(doubling.in_n(denominator), default=0) >= 1
+                and doubling.nonnegative_from(denominator - 1, 1)
+                and doubling.nonnegative_from(p, 1))
+    ]
+
+
 @_timed
 def check_stirling_sandwich(max_n: int) -> BoundReport:
-    """Certify e^(1/(12n+1)) S(n) <= n! <= e^(1/12n) S(n) for 1 <= n <= max_n."""
+    """Prove e^(1/(12n+1)) S(n) <= n! <= e^(1/12n) S(n) for every n >= 1 on
+    `SANDWICH_PREMISES` (`_sandwich_proof`), and cross-check it by interval
+    sweep at 1 <= n <= max_n.  Certified only when both proof steps and every
+    swept point are; a step not proved makes it undecided and a violated
+    point violated."""
     if max_n < 0:
         raise InvalidArgs(f"max_n must be >= 0, got {max_n}")
+    unproved = _sandwich_proof()
 
     def pairs(n: int, factorial: int) -> Pairs:
         s = stirling_S(mpmath.iv.mpf(n))
         fact = mpmath.iv.mpf(factorial)
-        lower = mpmath.iv.exp(_integer(1) / mpmath.iv.mpf(12 * n + 1)) * s
-        upper = mpmath.iv.exp(_integer(1) / mpmath.iv.mpf(12 * n)) * s
+        lower = mpmath.iv.exp(_integer(1) / mpmath.iv.mpf(sandwich_lower(n))) * s
+        upper = mpmath.iv.exp(_integer(1) / mpmath.iv.mpf(sandwich_upper(n))) * s
         return [(lower, fact), (fact, upper)]
 
     # n! is carried from n - 1.
     factorials = accumulate(range(1, max_n + 1), operator.mul)
-    return _n_sweep("factorial_sandwich", max_n, factorials, pairs)
+    swept = _n_sweep("factorial_sandwich", max_n, factorials, pairs)
+    return swept._replace(
+        domain="n >= 1",
+        status=UNDECIDED if unproved and swept.status == CERTIFIED else swept.status,
+        failures=(*unproved, *swept.failures),
+        premises=SANDWICH_PREMISES,
+    )
 
 
 @_timed

@@ -12,8 +12,15 @@ independent functions on x > 0, so any coefficient that is nonzero as a
 real number makes the identity fail somewhere; `bounds` decides that on
 intervals.
 
-`bounds.check_lemma_gaS` is the entry point.  `bounds` and this module
-import each other at the top; neither reads the other until a call.
+`bounds.check_lemma_gaS` is the entry point.
+
+The same `Formal`, over the one atom "n", is the exact kernel for claims
+about every integer n >= n0: `nonnegative_from` decides p(n) >= 0 there
+for a polynomial p with rational coefficients by a sufficient test, and
+`bounds.check_stirling_sandwich` proves the factorial sandwich with it.
+
+`bounds` and this module import each other at the top; neither reads the
+other until a call.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ class Formal(dict):
     """A Laurent polynomial with Fraction coefficients: a dict from monomials,
     frozensets of (atom, nonzero power) pairs, to nonzero coefficients.
     Atoms are free indeterminates named "x", "ln x", "ln pi" or "ln q" for a
-    rational q; only ln 2 takes negative powers, and it is nonzero."""
+    rational q, or "n" for an integer variable; only ln 2 takes negative
+    powers, and it is nonzero."""
 
     @classmethod
     def atom(cls, name: str, power: int = 1) -> Formal:
@@ -136,3 +144,27 @@ def gap(beta: Fraction | int, alpha_beta: Fraction | int) -> Formal:
     a = alpha(alpha_beta)
     return (ln(beta) + ln_S(two_x, ln_2x) - 2 * ln_S(x, ln_x)
             + ln_g(x, ln_x, a) - ln_g(two_x, ln_2x, a))
+
+
+def in_n(p: Formal | Fraction | int) -> dict[int, Fraction]:
+    """The coefficients of p by power of the atom "n"; refuses a p that is
+    not a polynomial in n alone."""
+    coefficients = {}
+    for monomial, coefficient in Formal.lift(p).items():
+        power = dict(monomial).get("n", 0)
+        if monomial != ({("n", power)} if power else set()) or power < 0:
+            raise InvalidArgs(f"not a polynomial in n: a term in {sorted(monomial)}")
+        coefficients[power] = coefficient
+    return coefficients
+
+
+def nonnegative_from(p: Formal | Fraction | int, n0: int) -> bool:
+    """Whether p(n) >= 0 is certain for every integer n >= n0, by a test that
+    is sufficient only: p(n0 + m), expanded in m, has no negative
+    coefficient, so it is >= 0 at every m >= 0.  False proves nothing."""
+    coefficients = in_n(p)
+    step = Formal.atom("n") + n0
+    shifted = Formal()
+    for power in range(max(coefficients, default=0), -1, -1):  # Horner
+        shifted = shifted * step + coefficients.get(power, 0)
+    return all(coefficient >= 0 for coefficient in shifted.values())

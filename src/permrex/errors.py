@@ -21,8 +21,12 @@ class RegexSyntaxError(PermrexError, ValueError):
     """Malformed regex text.  Carries the byte offset of the failure."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+        super().__init__(message, offset)
+        self.message = message
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.message} (at offset {self.offset})"
 
 
 class CompactOverflow(PermrexError, ValueError):
@@ -40,9 +44,13 @@ class SizeCap(PermrexError, RuntimeError):
     """Predicted output size exceeds the configured materialization cap."""
 
     def __init__(self, predicted: int, cap: int, what: str = "symbols"):
-        super().__init__(f"refusing to build: {predicted} {what} exceeds cap {cap}")
+        super().__init__(predicted, cap, what)
         self.predicted = predicted
         self.cap = cap
+        self.what = what
+
+    def __str__(self) -> str:
+        return f"refusing to build: {self.predicted} {self.what} exceeds cap {self.cap}"
 
 
 class CapExceeded(PermrexError, RuntimeError):

@@ -190,8 +190,78 @@ def test_enclosures_nest_as_precision_grows(n, which):
 def test_check_stirling_sandwich_certifies():
     report = bounds.check_stirling_sandwich(100)
     assert report.status == bounds.CERTIFIED
+    assert report.domain == "n >= 1"
     assert report.points_checked == 100
     assert report.failures == ()
+    assert report.premises == bounds.SANDWICH_PREMISES
+    assert len(report.premises) == 3
+
+
+# A denominator patched to one that makes the sandwich false is refused by
+# the proof and by the cross-check; 12n + 2 below is true but weaker, and
+# still proved.  A constant 1000 below passes every cross-check point to 64
+# (ln(n!/S(n)) > 1/(12n+1) >= 1/769 there) but does not tend to infinity, so
+# only the proof refuses it.  12n - 30 meets step (i)'s inequality but is
+# negative at n = 1 and 2, where the cross-multiplication does not hold.
+@pytest.mark.parametrize("name, denominator, status, step", [
+    ("sandwich_lower", lambda n: 12 * n, bounds.VIOLATED, "(ii)"),
+    ("sandwich_upper", lambda n: 12 * n + 2, bounds.VIOLATED, "(i)"),
+    ("sandwich_lower", lambda n: 12 * n + 2, bounds.CERTIFIED, None),
+    ("sandwich_lower", lambda n: 1000, bounds.UNDECIDED, "(ii)"),
+    ("sandwich_upper", lambda n: 12 * n - 30, bounds.VIOLATED, "(i)"),
+], ids=["lower 12n", "upper 12n+2", "lower 12n+2", "lower 1000", "upper 12n-30"])
+def test_check_stirling_sandwich_proof_reads_the_denominators(
+        monkeypatch, name, denominator, status, step):
+    monkeypatch.setattr(bounds, name, denominator)
+    report = bounds.check_stirling_sandwich(bounds.SANDWICH_CROSS_CHECK_N)
+    assert report.status == status
+    unproved = [f.split()[1] for f in report.failures if f.startswith("step ")]
+    assert unproved == ([] if step is None else [step])
+
+
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients=st.lists(_small_fractions, max_size=5), n0=st.integers(1, 5))
+def test_nonnegative_from_certifies_only_nonnegative_polynomials(coefficients, n0):
+    n = doubling.Formal.atom("n")
+    p = doubling.Formal()
+    for power, c in enumerate(coefficients):
+        term = doubling.Formal.lift(c)
+        for _ in range(power):
+            term = term * n
+        p = p + term
+    assert doubling.in_n(p) == {k: c for k, c in enumerate(coefficients) if c}
+    values = [sum(c * m**k for k, c in enumerate(coefficients)) for m in range(n0, n0 + 201)]
+    if doubling.nonnegative_from(p, n0):
+        assert min(values, default=0) >= 0
+    if any(value < 0 for value in values):
+        assert not doubling.nonnegative_from(p, n0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficients=st.lists(st.fractions(min_value=0, max_value=3, max_denominator=6),
+                             max_size=5),
+       n0=st.integers(1, 5))
+def test_nonnegative_from_certifies_nonnegative_coefficients_at_n0(coefficients, n0):
+    # The test is exactly "no negative coefficient in powers of n - n0".
+    shift = doubling.Formal.atom("n") - n0
+    p, power = doubling.Formal(), doubling.Formal.lift(1)
+    for c in coefficients:
+        p, power = p + c * power, power * shift
+    assert doubling.nonnegative_from(p, n0)
+    if any(coefficients):
+        assert not doubling.nonnegative_from(-p, n0)
+
+
+def test_nonnegative_from_refuses_what_is_no_polynomial_in_n():
+    for p in (doubling.Formal.atom("x"), doubling.Formal.atom("n", -1),
+              doubling.Formal.atom("n") * doubling.Formal.atom("ln 2")):
+        with pytest.raises(InvalidArgs):
+            doubling.nonnegative_from(p, 1)
+    assert doubling.nonnegative_from(0, 1)
+    assert not doubling.nonnegative_from(-1, 1)
 
 
 def test_check_stirling_sandwich_carries_the_factorial(monkeypatch):
@@ -206,9 +276,10 @@ def test_check_stirling_sandwich_carries_the_factorial(monkeypatch):
 
 
 def test_check_stirling_sandwich_empty_range():
+    # The proof alone, with nothing swept.
     report = bounds.check_stirling_sandwich(0)
     assert report.status == bounds.CERTIFIED
-    assert report.points_checked == 0
+    assert (report.domain, report.points_checked) == ("n >= 1", 0)
 
 
 def test_check_stirling_sandwich_refuses_a_negative_range():

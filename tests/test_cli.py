@@ -330,6 +330,39 @@ def test_bounds_small(capsys):
     assert all(r["seconds"] >= 0 for r in report["reports"])
 
 
+def test_bounds_cross_checks_the_proved_sandwich_on_64_points(capsys, monkeypatch):
+    # The sandwich is proved for every n >= 1 and swept only to 64, in one
+    # process whatever the CPU count; the growth bounds still sweep --max-n.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_sweep, real_fork = bounds._n_sweep, os.fork
+    sweeps, forks, current = {}, [], [None]
+
+    def fork():
+        forks.append(current[0])
+        return real_fork()
+
+    def n_sweep(inequality, max_n, *args):
+        sweeps[inequality], current[0] = max_n, inequality
+        try:
+            return real_sweep(inequality, max_n, *args)
+        finally:
+            current[0] = None
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(bounds, "_n_sweep", n_sweep)
+    code, out, _ = run(capsys, "bounds", "--max-n", "200", "--grid", "2:8:2")
+    assert code == 0
+    assert sweeps == {"fn_growth_bounds": 200, "factorial_sandwich": 64}
+    assert forks == ["fn_growth_bounds"]
+    reports = {r["inequality"]: r for r in json.loads(out)["report"]["reports"]}
+    assert len(reports) == 7
+    sandwich = reports.pop("factorial_sandwich")
+    assert (sandwich["domain"], sandwich["points_checked"], sandwich["status"]) == (
+        "n >= 1", 64, "certified")
+    assert sandwich["premises"] == list(bounds.SANDWICH_PREMISES)
+    assert all(r["premises"] == [] for r in reports.values())
+
+
 def test_bounds_reports_carry_their_checks_seconds(capsys, monkeypatch):
     # Each check times itself, and the command prints each record's own
     # `seconds`.  A clock that moves half a second at every reading gives
@@ -551,11 +584,12 @@ def test_bracket_sweeps_evaluate_each_argument_once_per_rung(capsys, monkeypatch
 
 # Every field but `seconds` of each `bounds --max-n 16 --grid 2:30:4` report:
 # (inequality, domain, status, points_checked, worst_margin, worst_point,
-#  max_precision_bits, failures).  The doubling identity is proved
+#  max_precision_bits, failures).  The factorial sandwich is proved for every
+#  n >= 1 and cross-checked at n <= 16; the doubling identity is proved
 #  symbolically for every x > 0, at no precision.
 GOLDEN_BOUNDS_200 = [
     ("fn_growth_bounds", "n in [1, 16]", "certified", 16, "[0.0, 0.0]", "n=1", 200, []),
-    ("factorial_sandwich", "n in [1, 16]", "certified", 16,
+    ("factorial_sandwich", "n >= 1", "certified", 16,
      "[0.000599142468994, 0.000599142468994]", "n=3", 200, []),
     ("stirling_midpoint_bracket", "x in [2, 30], 8 points", "certified", 8,
      "[0.863830355606, 0.863830355606]", "x=2", 200, []),
@@ -571,7 +605,7 @@ GOLDEN_BOUNDS_200 = [
 # make them.
 GOLDEN_BOUNDS_16 = [
     ("fn_growth_bounds", "n in [1, 16]", "certified", 16, "[0.0, 0.0]", "n=1", 16, []),
-    ("factorial_sandwich", "n in [1, 16]", "certified", 16,
+    ("factorial_sandwich", "n >= 1", "certified", 16,
      "[0.0001220703125, 0.001220703125]", "n=3", 32, []),
     ("stirling_midpoint_bracket", "x in [2, 30], 8 points", "certified", 8,
      "[0.861083984375, 0.866455078125]", "x=2", 32, []),
@@ -583,12 +617,11 @@ GOLDEN_BOUNDS_16 = [
     ("doubling_identity_beta_5/2", "x > 0", "certified", 0, "0", "symbolic", 0, []),
 ]
 # Every field but `seconds` of `bounds --max-n 300 --grid 1:40:0.125` on
-# LADDER_24, whose factorial sandwich climbs to 48 bits: the report's header,
-# then its reports as above.
+# LADDER_24, whose factorial sandwich climbs to 48 bits in its 64-point
+# cross-check: the report's header, then its reports as above.
 GOLDEN_BOUNDS_24 = ({"max_n": 300, "precision_bits": 24, "grid_points": 313}, [
     ("fn_growth_bounds", "n in [1, 300]", "certified", 300, "[0.0, 0.0]", "n=1", 24, []),
-    ("factorial_sandwich", "n in [1, 300]", "certified", 300, "[0.0, 12.25]", "n=10", 48,
-     []),
+    ("factorial_sandwich", "n >= 1", "certified", 64, "[0.0, 12.25]", "n=10", 48, []),
     ("stirling_midpoint_bracket", "x in [1, 40], 313 points", "certified", 313,
      "[0.185925126076, 0.185928106308]", "x=1", 24, []),
     ("growth_template_bracket[alpha_low]", "x in [15/8, 40], 306 points", "certified",
@@ -742,6 +775,28 @@ def test_bounds_refuses_max_n_0(capsys):
     code, out, err = run(capsys, "bounds", "--max-n", "0")
     assert (code, out) == (2, "")
     assert err == "error: max_n must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["len", "--max-n", "5"], 0),
+    (["lemmas", "--max-n", "9"], 1),
+])
+def test_main_freezes_after_the_output_is_written(tmp_path, monkeypatch, argv, code):
+    # `main` exits with run's code, and freezes the heap only once --output
+    # holds the whole report.  A wrong f(8) makes `lemmas` exit 1.
+    real_f = lengths.f
+    monkeypatch.setattr(lengths, "f", lambda n: 6614 if n == 8 else real_f(n))
+    target = tmp_path / "out.json"
+    frozen = []
+
+    def freeze():
+        frozen.append(json.loads(target.read_text())["report"]["max_n"])
+
+    monkeypatch.setattr(cli.gc, "freeze", freeze)
+    monkeypatch.setattr(sys, "argv", ["permrex", *argv, "--output", str(target)])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert (info.value.code, frozen) == (code, [int(argv[-1])])
 
 
 def _exit_code_and_err(capsys, argv):
@@ -1009,7 +1064,7 @@ def test_record_fields_are_the_json_keys(capsys, monkeypatch):
     for entry in json.loads(out)["report"]["reports"]:
         assert list(entry) == [
             "inequality", "domain", "status", "points_checked", "worst_margin",
-            "worst_point", "max_precision_bits", "failures", "seconds"]
+            "worst_point", "max_precision_bits", "failures", "seconds", "premises"]
         assert list(bounds.BoundReport._fields) == list(entry)
 
     violation = lengths.SplitViolation(3, 1, -1, "negative slack")

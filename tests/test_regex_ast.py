@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from permrex import construct
+from permrex import construct, errors
 from permrex import regex_ast as ra
 from permrex.errors import CompactOverflow, RegexSyntaxError, SizeCap, SymbolOutOfRange
 
@@ -167,6 +167,33 @@ def test_render_compact_rejects_wide_symbols():
     assert info.value.sym == 10
     assert str(info.value) == "symbol 10 has no single-digit form; use the spaced format"
     assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
+
+
+# One instance of every PermrexError subclass, with the attributes it keeps.
+_ERRORS = [
+    (errors.InvalidArgs("bad"), {}),
+    (SymbolOutOfRange("symbol 5 out of range"), {}),
+    (RegexSyntaxError("unclosed '('", 7), {"offset": 7}),
+    (CompactOverflow(12), {"sym": 12}),
+    (SizeCap(20, 13, what="alphabet symbols"), {"predicted": 20, "cap": 13}),
+    (SizeCap(11, 10), {"predicted": 11, "cap": 10}),
+    (errors.CapExceeded("n = 8 is too large"), {}),
+    (errors.DomainError("log needs x > 0"), {}),
+]
+
+
+def test_error_instances_cover_every_subclass():
+    assert {type(e) for e, _ in _ERRORS} == set(errors.PermrexError.__subclasses__())
+
+
+@pytest.mark.parametrize("error, attributes", _ERRORS,
+                         ids=[type(e).__name__ for e, _ in _ERRORS])
+def test_errors_survive_pickling(error, attributes):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    for name, value in attributes.items():
+        assert getattr(back, name) == getattr(error, name) == value
 
 
 def test_render_spaced_handles_wide_symbols():
