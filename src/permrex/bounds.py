@@ -19,17 +19,7 @@ decides, and the report keeps the worst certified point.  The sandwich,
 bracket and growth-bound checks state only their lhs <= rhs pairs, and
 `_n_sweep` or `_grid_sweep` makes each n or x a point of one judge,
 `_le_judge`.  The bracket domain x >= 4^alpha climbs on `compare_le`
-alone, with no margin.
-
-`_sweep` cuts its points into one contiguous run per CPU in the process's
-affinity mask, if each run gets at least `_MIN_RUN_POINTS` points, and
-`_judge_runs` judges the first run here and forks a worker for each other
-run, if any.  A worker skips the points before its run in its own copy of
-the point stream, so an n-sweep holds one n! or f(n) per process, and
-sends back a summary of its run through a pipe as `marshal` data.  The
-summaries are merged in point order, so a report is the one a single
-process gives, `seconds` apart.  Where the platform has no affinity mask,
-as on macOS, and while other threads run, every sweep is one run.
+alone, with no margin.  Every sweep runs in the calling process.
 
 A value here depends on its arguments and on the ambient precision
 `mpmath.iv.prec`, so one helper, `_per_precision`, memoizes on both, for
@@ -37,17 +27,13 @@ one of two lifetimes:
 
   * the process: the constants, which are ln 2 and ln 4, the rational
     constants, the integers 1 and 4, 2 pi, the alpha of a beta and
-    4^alpha, once per rung each in each process: a worker computes those
-    its run reads that no sweep before its fork did;
-  * one run of one check call: everything else.  A Stirling bracket
-    memoizes S, since a grid point's arguments are later points'
-    arguments.  One `check_lemma_ga` call memoizes the alpha-free parts of
-    g_a (x, 4^x, ln x and lg(x)/4) at the arguments x, x + 1/2, x + 1 of
-    its grid points and the wobble factors e^(-/+ 1/(2 sqrt x)), which all
-    its alphas share, and g_a for each alpha's sweep.  A worker's memo
-    lives for its run: an argument at a run boundary is evaluated by both
-    neighbouring workers, and an alpha's worker evaluates again the parts
-    that the previous alpha's worker evaluated for the same points.
+    4^alpha, once per rung each;
+  * one check call: everything else.  A Stirling bracket memoizes S,
+    since a grid point's arguments are later points' arguments.  One
+    `check_lemma_ga` call memoizes the alpha-free parts of g_a (x, 4^x,
+    ln x and lg(x)/4) at the arguments x, x + 1/2, x + 1 of its grid
+    points and the wobble factors e^(-/+ 1/(2 sqrt x)), which all its
+    alphas share, and g_a for each alpha's sweep.
 
 A memoized interval is the one a fresh evaluation at that precision
 gives, so no verdict, margin or worst point moves.  The n-sweeps keep no
@@ -94,16 +80,12 @@ uses.  The CLI's parser prints `MAX_GRID_POINTS`, so it is defined in
 
 from __future__ import annotations
 
-import marshal
 import operator
-import os
-import signal
-import threading
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import mpmath
@@ -118,9 +100,9 @@ from .lengths import MAX_GRID_POINTS
 PRECISION_LADDER = (200, 400, 800, 1600, 2000)
 MAX_PRECISION_BITS = PRECISION_LADDER[-1]
 # The largest --max-n the CLI accepts.  It bounds the one long n-sweep,
-# f(n)'s, which takes 3.3-3.8 s at this n on one CPU and 2.2-3.1 s split over
-# two (Python 3.11.7, pure-Python mpmath, a shared 2-CPU machine); the
-# factorial sandwich is proved for every n.
+# f(n)'s, which takes 3.9-4.6 s at this n, and the whole command 4.2-4.9 s
+# (Python 3.11.7, pure-Python mpmath, a shared 2-CPU machine); the factorial
+# sandwich is proved for every n.
 MAX_SWEEP_N = 16_384
 # The largest grid point the CLI accepts: the largest power of ten at which
 # the three grid brackets all certify at PRECISION_LADDER[-2] bits or less,
@@ -350,61 +332,15 @@ def _climb(judge: Judge, ladder: Sequence[int]) -> tuple[Judgement, int]:
     return judgement, bits
 
 
-def _sweep(
-    inequality: str,
-    domain: str,
-    points: Iterable[tuple[str, Judge]],
-    count: int | None = None,
-) -> BoundReport:
-    """Decide every point, in order, up the ladder; violated outranks undecided.
-
-    `count` is the number of points, if `points` has no len.  They are cut
-    into one contiguous run per CPU, each of at least `_MIN_RUN_POINTS`
-    points, and the runs are merged in point order, so the report is the
-    one a single process gives."""
-    count = len(points) if count is None else count
-    judged = _judge_runs(iter(points), _runs(count), PRECISION_LADDER)
-    worst = None
-    for run in judged:
-        if run.worst is not None and (
-                worst is None or mpmath.libmp.mpf_lt(run.worst[0], worst[0])):
-            worst = run.worst
-    statuses = {run.status for run in judged}
-    return BoundReport(
-        inequality=inequality,
-        domain=domain,
-        status=next(s for s in (VIOLATED, UNDECIDED, CERTIFIED) if s in statuses),
-        points_checked=sum(run.checked for run in judged),
-        worst_margin="" if worst is None else worst[2],
-        worst_point="" if worst is None else worst[1],
-        max_precision_bits=max(run.max_bits for run in judged),
-        failures=tuple(failure for run in judged for failure in run.failures),
-    )
-
-
-class _Run(NamedTuple):
-    """One contiguous run of a sweep's points, judged.  Its fields are plain
-    ints, strs, lists and tuples, so a worker sends it back with marshal.
-    `worst` is the certified point whose margin has the lowest lower
-    endpoint, the first such in the run: that endpoint as its raw mpf tuple,
-    the point's label and the margin as the report prints it."""
-
-    checked: int
-    max_bits: int
-    status: str
-    failures: list[str]
-    worst: tuple[tuple[int, int, int, int], str, str] | None
-
-
-def _judge_run(points: Iterable[tuple[str, Judge]], ladder: Sequence[int]) -> _Run:
-    """Decide every point, in order, up the ladder."""
+def _sweep(inequality: str, domain: str, points: Iterable[tuple[str, Judge]]) -> BoundReport:
+    """Decide every point, in order, up the ladder; violated outranks undecided."""
     status = CERTIFIED
     failures: list[str] = []
-    worst: tuple[mpmath.mpf, str, mpmath.iv.mpf] | None = None
-    max_bits = ladder[0]
+    worst: tuple[mpmath.mpf, str, mpmath.iv.mpf] | None = None  # (low, label, margin)
+    max_bits = PRECISION_LADDER[0]
     checked = 0
     for checked, (label, judge) in enumerate(points, 1):
-        (verdict, margin), bits = _climb(judge, ladder)
+        (verdict, margin), bits = _climb(judge, PRECISION_LADDER)
         max_bits = max(max_bits, bits)
         if verdict == CERTIFIED:
             low = endpoints(margin)[0]
@@ -414,104 +350,16 @@ def _judge_run(points: Iterable[tuple[str, Judge]], ladder: Sequence[int]) -> _R
         failures.append(f"{label}: {verdict}")
         if status != VIOLATED:
             status = verdict
-    if worst is not None:
-        sign, man, exp, bc = worst[0]._mpf_
-        worst = ((sign, int(man), exp, bc), worst[1], format_interval(worst[2]))
-    return _Run(checked, max_bits, status, failures, worst)
-
-
-# A sweep forks a worker only if each run gets at least this many points: a
-# fork and its reap cost a few milliseconds, a point about a tenth of one.
-_MIN_RUN_POINTS = 64
-
-
-def _runs(count: int) -> list[range]:
-    """The sweep's point indices cut into contiguous runs of nearly equal
-    length, one per CPU in this process's affinity mask, each of at least
-    `_MIN_RUN_POINTS` points.  One run where the platform has no mask, and
-    while other threads run, as a fork copies only the thread that calls it."""
-    cpus = 1
-    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        cpus = len(os.sched_getaffinity(0))
-    parts = max(1, min(cpus, count // _MIN_RUN_POINTS))
-    cuts = [count * k // parts for k in range(parts + 1)]
-    return [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
-
-
-def _judge_runs(
-    points: Iterator[tuple[str, Judge]], runs: list[range], ladder: Sequence[int]
-) -> list[_Run]:
-    """Judge the first run here and each other run in a forked worker.  A run
-    whose worker does not deliver is judged here, so an exception is the one
-    a single process raises.  Every worker is reaped before this returns or
-    raises."""
-    first, *others = runs
-    workers: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        pids = [_fork_run(points, run, ladder, workers) for run in others]
-        judged = [_judge_run(islice(points, first.stop), ladder)]
-        position = first.stop  # of the stream here
-        for run, pid in zip(others, pids):
-            summary = None if pid is None else _collect(pid, workers)
-            if summary is None:
-                summary = _judge_run(
-                    islice(points, run.start - position, run.stop - position), ladder)
-                position = run.stop
-            judged.append(summary)
-    finally:
-        for pid, read_end in workers.items():
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return judged
-
-
-def _fork_run(
-    points: Iterator[tuple[str, Judge]], run: range, ladder: Sequence[int],
-    workers: dict[int, int],
-) -> int | None:
-    """Fork a worker that judges `run` and writes its `_Run` to a pipe;
-    register it in `workers` and return its pid, or None if it cannot
-    start.  The worker skips the points before `run` and computes every
-    memo no sweep filled before the fork, the per-rung constants too.  It
-    leaves by os._exit, so it runs no atexit handler and flushes no buffer
-    it inherited."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            summary = _judge_run(islice(points, run.start, run.stop), ladder)
-            with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(tuple(summary)))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    workers[pid] = read_end
-    return pid
-
-
-def _collect(pid: int, workers: dict[int, int]) -> _Run | None:
-    """The `_Run` the worker `pid` sent, once it is reaped; None if it
-    failed."""
-    try:
-        with open(workers.pop(pid), "rb") as pipe:
-            data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        return None
-    return _Run(*marshal.loads(data))
+    return BoundReport(
+        inequality=inequality,
+        domain=domain,
+        status=status,
+        points_checked=checked,
+        worst_margin="" if worst is None else format_interval(worst[2]),
+        worst_point="" if worst is None else worst[1],
+        max_precision_bits=max_bits,
+        failures=tuple(failures),
+    )
 
 
 def _le_judge(make: Callable[[], Pairs]) -> Judge:
@@ -535,7 +383,7 @@ def _n_sweep(inequality: str, max_n: int, values: Iterable[int],
     n-th value v of the stream `values`."""
     points = ((f"n={n}", _le_judge(partial(pairs, n, value)))
               for n, value in enumerate(values, 1))
-    return _sweep(inequality, f"n in [1, {max_n}]", points, count=max_n)
+    return _sweep(inequality, f"n in [1, {max_n}]", points)
 
 
 def _grid_sweep(inequality: str, xs: Sequence[Fraction],
@@ -568,8 +416,9 @@ SANDWICH_PREMISES = (
     "3 <= 2k+1 <= 3^k for every k >= 1",
     "Stirling's limit: d_n -> ln sqrt(2 pi)",
 )
-# The n-range the CLI cross-checks the proved sandwich on: below the two
-# `_MIN_RUN_POINTS` runs a sweep needs to fork, so it runs in one process.
+# The n-range the CLI cross-checks the proved sandwich on.  The proof covers
+# every n, so the sweep only confirms that the interval pairs and the proof
+# read the same denominators, and 64 points do that in about 10 ms.
 SANDWICH_CROSS_CHECK_N = 64
 
 
@@ -593,8 +442,8 @@ def _sandwich_proof() -> list[str]:
     n = doubling.Formal.atom("n")
     odd_sq = (2 * n + 1) * (2 * n + 1)
     low_sum, high_sum = 3 * odd_sq - 1, 3 * odd_sq - 3
-    upper, upper_next, lower, lower_next = map(doubling.Formal.lift, (
-        sandwich_upper(n), sandwich_upper(n + 1), sandwich_lower(n), sandwich_lower(n + 1)))
+    upper, upper_next = sandwich_upper(n), sandwich_upper(n + 1)
+    lower, lower_next = sandwich_lower(n), sandwich_lower(n + 1)
     steps = [
         ("(i) 1/(12n(n+1)) <= 1/sandwich_upper(n) - 1/sandwich_upper(n+1)",
          upper, high_sum * (upper_next - upper) - upper * upper_next),

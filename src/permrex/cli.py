@@ -421,10 +421,8 @@ _WRITE_SLICE = 2**16
 
 
 def _peak_rss_mb() -> float:
-    """The peak resident set size so far of this process or of any child it
-    reaped, such as a `bounds` sweep's workers, whichever is larger, in MB."""
-    peak = max(resource.getrusage(who).ru_maxrss
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    """The peak resident set size of this process so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss counts kilobytes on Linux and bytes on macOS.
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 

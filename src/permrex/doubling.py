@@ -59,11 +59,16 @@ class Formal(dict):
             total[monomial] = total.get(monomial, 0) + coefficient
         return Formal({m: c for m, c in total.items() if c})
 
+    __radd__ = __add__
+
     def __neg__(self) -> Formal:
         return Formal({m: -c for m, c in self.items()})
 
     def __sub__(self, other: Formal | Fraction | int) -> Formal:
         return self + -Formal.lift(other)
+
+    def __rsub__(self, other: Fraction | int) -> Formal:
+        return -self + other
 
     def __mul__(self, other: Formal | Fraction | int) -> Formal:
         product: dict[frozenset, Fraction] = {}

@@ -1,9 +1,7 @@
-import errno
 import math
 import os
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -217,6 +215,15 @@ def test_check_stirling_sandwich_proof_reads_the_denominators(
     assert report.status == status
     unproved = [f.split()[1] for f in report.failures if f.startswith("step ")]
     assert unproved == ([] if step is None else [step])
+
+
+def test_formal_takes_a_constant_on_the_left():
+    n, lift = doubling.Formal.atom("n"), doubling.Formal.lift
+    assert 1 + n == lift(1) + n
+    assert 1 - n == lift(1) - n
+    assert Fraction(1, 2) - n == lift(Fraction(1, 2)) - n
+    assert doubling.in_n(Fraction(1, 2) - n) == {0: Fraction(1, 2), 1: -1}
+    assert all(type(p) is doubling.Formal for p in (1 + n, 1 - n, Fraction(1, 2) - n))
 
 
 _small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -599,53 +606,11 @@ def test_default_grid():
         bounds.grid_size(Fraction(0), Fraction(10_000), Fraction(1))
 
 
-# -- sweeps split across forked workers -------------------------------------
+# -- sweep order and errors -------------------------------------------------
 
-def _split_reports(monkeypatch, workers, check):
-    """check()'s reports with `seconds` stripped, swept by `workers`
-    processes, and the forks that took; no worker may outlive the sweep."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    monkeypatch.setattr(os, "fork", fork)
-    try:
-        reports = check()
-    finally:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    reports = reports if isinstance(reports, list) else [reports]
-    return [report._replace(seconds=0.0) for report in reports], len(forks)
-
-
-_GRID_300 = bounds.default_grid(Fraction(1), Fraction(303, 4), Fraction(1, 4))
-_SPLIT_CHECKS = {
-    "fn_bounds": lambda: bounds.check_fn_bounds(300),
-    "stirling": lambda: bounds.check_stirling_sandwich(300),
-    "lemma_sa": lambda: bounds.check_lemma_sa(_GRID_300),
-    "lemma_ga": lambda: bounds.check_lemma_ga(_GRID_300, (bounds.alpha_low, bounds.alpha_high)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_SPLIT_CHECKS))
-def test_split_sweeps_report_what_one_process_does(monkeypatch, name):
-    assert len(_GRID_300) == 300
-    check = _SPLIT_CHECKS[name]
-    serial, forks = _split_reports(monkeypatch, 1, check)
-    assert forks == 0 and all(r.status == bounds.CERTIFIED for r in serial)
-    for workers in (2, 3):
-        reports, forks = _split_reports(monkeypatch, workers, check)
-        assert reports == serial, workers
-        assert forks == (workers - 1) * len(serial)  # one sweep per report
-
-
-def test_split_sweep_merges_failures_from_two_runs(monkeypatch):
-    # f is wrong at n = 50 (run 0) and at n = 250 and 260 (the last run): too
-    # large for the upper bound, then too small for the lower one.
+def test_sweep_reports_failures_in_point_order(monkeypatch):
+    # f is wrong at n = 50, 250 and 260: too large for the upper bound, then
+    # too small for the lower one.
     real_f_values = lengths.f_values
 
     def wrong_f_values(max_n):
@@ -653,14 +618,10 @@ def test_split_sweep_merges_failures_from_two_runs(monkeypatch):
             yield value * 10**6 if n in (50, 250) else value // 10**6 if n == 260 else value
 
     monkeypatch.setattr(lengths, "f_values", wrong_f_values)
-    check = _SPLIT_CHECKS["fn_bounds"]
-    [serial], _ = _split_reports(monkeypatch, 1, check)
-    assert serial.status == bounds.VIOLATED
-    assert serial.failures == ("n=50: violated", "n=250: violated", "n=260: violated")
-    assert serial.points_checked == 300 and serial.worst_point == "n=1"
-    for workers in (2, 3):
-        reports, forks = _split_reports(monkeypatch, workers, check)
-        assert (reports, forks) == ([serial], workers - 1)
+    report = bounds.check_fn_bounds(300)
+    assert report.status == bounds.VIOLATED
+    assert report.failures == ("n=50: violated", "n=250: violated", "n=260: violated")
+    assert report.points_checked == 300 and report.worst_point == "n=1"
 
 
 def _points_raising_at(bad: int):
@@ -672,87 +633,11 @@ def _points_raising_at(bad: int):
     return [(f"i={i}", partial(judge, i)) for i in range(300)]
 
 
-def test_split_sweep_raises_what_one_process_raises(monkeypatch):
-    # The point at index 200 lies in the second of two runs, and in the third
-    # of three: its worker fails, and the parent judges that run itself.
-    raised = []
-    for workers in (1, 2, 3):
-        with pytest.raises(DomainError) as info:
-            _split_reports(monkeypatch, workers, lambda: bounds._sweep(
-                "demo", "300 points", _points_raising_at(200)))
-        raised.append((type(info.value), str(info.value)))
-    assert raised == [(DomainError, "no value at point 200")] * 3
+def test_sweep_raises_a_points_domain_error_unchanged():
+    with pytest.raises(DomainError) as info:
+        bounds._sweep("demo", "300 points", _points_raising_at(200))
+    assert str(info.value) == "no value at point 200"
     # Without the bad point, the last point is the worst.
-    [report], _ = _split_reports(monkeypatch, 2, lambda: bounds._sweep(
-        "demo", "300 points", _points_raising_at(-1)))
+    report = bounds._sweep("demo", "300 points", _points_raising_at(-1))
     assert (report.status, report.points_checked, report.worst_point) == (
         bounds.CERTIFIED, 300, "i=299")
-
-
-def _demo_sweep(bad):
-    return lambda: bounds._sweep("demo", "300 points", _points_raising_at(bad))
-
-
-@pytest.mark.parametrize("bad", [0, 50])
-def test_split_sweep_error_in_the_parent_run_stops_every_worker(monkeypatch, bad):
-    # The points at index 0 and 50 lie in the parent's own run, the first of
-    # three: each raises after both workers are forked, and both are killed
-    # and reaped before the error leaves the sweep.
-    with pytest.raises(DomainError) as info:
-        _split_reports(monkeypatch, 3, _demo_sweep(bad))
-    assert str(info.value) == f"no value at point {bad}"
-
-
-@pytest.mark.parametrize("call, forks", [("fork", 2), ("pipe", 1)])
-def test_split_sweep_judges_the_run_of_a_worker_that_cannot_fork(monkeypatch, call, forks):
-    # The first os.fork, or the os.pipe before it, fails, so the parent
-    # judges the second run itself; the third run's worker still forks and
-    # delivers.  A failed pipe leaves its fork untried.
-    serial, _ = _split_reports(monkeypatch, 1, _demo_sweep(-1))
-    real_call = getattr(os, call)
-    failed = []
-
-    def failing_once():
-        if not failed:
-            failed.append(None)
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return real_call()
-
-    monkeypatch.setattr(os, call, failing_once)
-    assert _split_reports(monkeypatch, 3, _demo_sweep(-1)) == (serial, forks)
-
-
-def test_sweeps_split_only_into_runs_of_enough_points(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    least = bounds._MIN_RUN_POINTS
-    assert bounds._runs(2 * least - 1) == [range(0, 2 * least - 1)]
-    assert bounds._runs(2 * least) == [range(0, least), range(least, 2 * least)]
-    count = 10 * least
-    cuts = [0, count // 3, 2 * count // 3, count]
-    assert bounds._runs(count) == [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    assert bounds._runs(0) == [range(0, 0)]
-    # Another thread would not live on in a forked worker.
-    cut_in_a_thread = []
-    thread = threading.Thread(target=lambda: cut_in_a_thread.append(bounds._runs(count)))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and cut_in_a_thread == [[range(0, count)]]
-    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
-    assert bounds._runs(count) == [range(0, count)]
-
-
-def test_split_sweep_workers_run_no_exit_handler():
-    # A worker leaves by os._exit: the handler runs once, in the parent, and
-    # the line buffered before the fork is written once.
-    probe = ("import atexit, os\n"
-             "from permrex import bounds\n"
-             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
-             "atexit.register(print, 'exit handler')\n"
-             "print('before the sweep')\n"
-             "print(bounds.check_fn_bounds(300).status)\n")
-    src = Path(bounds.__file__).resolve().parent.parent
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(env, PYTHONPATH=str(src)), timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["before the sweep", "certified", "exit handler"]

@@ -331,29 +331,27 @@ def test_bounds_small(capsys):
 
 
 def test_bounds_cross_checks_the_proved_sandwich_on_64_points(capsys, monkeypatch):
-    # The sandwich is proved for every n >= 1 and swept only to 64, in one
-    # process whatever the CPU count; the growth bounds still sweep --max-n.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    real_sweep, real_fork = bounds._n_sweep, os.fork
-    sweeps, forks, current = {}, [], [None]
-
-    def fork():
-        forks.append(current[0])
-        return real_fork()
+    # The sandwich is proved for every n >= 1 and swept only to 64; the
+    # growth bounds still sweep --max-n.  Every sweep runs in this process,
+    # however many CPUs it may use.
+    real_sweep = bounds._n_sweep
+    sweeps, forks = {}, []
 
     def n_sweep(inequality, max_n, *args):
-        sweeps[inequality], current[0] = max_n, inequality
-        try:
-            return real_sweep(inequality, max_n, *args)
-        finally:
-            current[0] = None
+        sweeps[inequality] = max_n
+        return real_sweep(inequality, max_n, *args)
 
+    def fork():
+        forks.append(None)
+        raise OSError("no process may be forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(bounds, "_n_sweep", n_sweep)
     code, out, _ = run(capsys, "bounds", "--max-n", "200", "--grid", "2:8:2")
     assert code == 0
     assert sweeps == {"fn_growth_bounds": 200, "factorial_sandwich": 64}
-    assert forks == ["fn_growth_bounds"]
+    assert forks == []
     reports = {r["inequality"]: r for r in json.loads(out)["report"]["reports"]}
     assert len(reports) == 7
     sandwich = reports.pop("factorial_sandwich")
@@ -757,18 +755,6 @@ def test_bounds_grid_stops_at_the_largest_power_of_ten_it_decides(capsys):
     for grid in (f"{10 * top}:{10 * top}:1", f"1:{10 * top}:{top}", "1e300:1e300:1"):
         code, err = _exit_code_and_err(capsys, ["bounds", "--max-n", "4", "--grid", grid])
         assert code == 2 and "grid stop must be at most 1e+238" in err
-
-
-def test_meta_peak_rss_counts_reaped_children(capsys, monkeypatch):
-    # The larger of this process's peak and its reaped children's, such as
-    # a split sweep's workers; ru_maxrss counts kilobytes on Linux.
-    monkeypatch.setattr(sys, "platform", "linux")
-    for own, children in ((2048, 10240), (10240, 2048)):
-        peaks = {cli.resource.RUSAGE_SELF: own, cli.resource.RUSAGE_CHILDREN: children}
-        monkeypatch.setattr(cli.resource, "getrusage",
-                            lambda who: types.SimpleNamespace(ru_maxrss=peaks[who]))
-        code, out, _ = run(capsys, "len", "--max-n", "5")
-        assert code == 0 and json.loads(out)["meta"]["peak_rss_mb"] == 10.0
 
 
 def test_bounds_refuses_max_n_0(capsys):
