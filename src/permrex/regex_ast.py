@@ -13,9 +13,16 @@ Every node is interned when it is built: constructing a node whose kind
 and children (by identity) already exist returns the existing object.
 Structurally equal expressions are therefore the same object, equality
 and hashing are plain identity, and the builders and the parser share
-one DAG.  Each kind has its own constructor, which looks its key up once
-and sets its slots only on a miss.  The intern table holds every node
-ever built and lives as long as the process.
+one DAG.  Each kind has its own table, indexed by the node's own fields,
+so no key object is made beside the node: a Sym by its id, a Star by its
+child, a Union by its tuple of terms (the key is the node's `terms`), and
+a Concat by its right operand, then its left.  EmptySet and Epsilon have
+one node each.  Each constructor looks its fields up once and sets its
+slots only on a miss.  The tables hold every node ever built and live as
+long as the process, except that a parse that raises takes out the nodes
+it created: while `parse` runs, and only then, each new node is also
+appended to a journal, which gives the parse its node count and its undo
+list.
 
 Two textual formats are supported.  The compact format writes symbols
 as bare digits with juxtaposition for concatenation ("(12+21)(34+43)")
@@ -57,24 +64,22 @@ from .errors import CompactOverflow, InvalidArgs, RegexSyntaxError, SizeCap, Sym
 RenderFormat = Literal["compact", "spaced"]
 T = TypeVar("T")
 
-# (kind, *fields) -> the one node with that kind and those fields.  A
-# union's one field is its tuple of terms.
-_INTERNED: dict[tuple, "Regex"] = {}
+# The intern tables, one per kind with fields (see the module docstring).
+# An inner Concat table is removed when a failed parse empties it.
+_SYMS: dict[int, "Sym"] = {}
+_STARS: dict["Regex", "Star"] = {}
+_UNIONS: dict[tuple["Regex", ...], "Union"] = {}
+_CONCATS: dict["Regex", dict["Regex", "Concat"]] = {}
+
+# The nodes created while `parse` runs, oldest first; None otherwise.
+_journal: list["Regex"] | None = None
 
 
 class Regex:
-    """Base class for all expression nodes.  Immutable and interned, so
-    equality is identity."""
+    """Base class for all expression nodes.  Immutable and interned in
+    its kind's table, so equality is identity."""
 
     __slots__ = ()
-
-    def __new__(cls):
-        # The kinds without fields, EmptySet and Epsilon: one node each.
-        key = (cls,)
-        node = _INTERNED.get(key)
-        if node is None:
-            node = _INTERNED[key] = object.__new__(cls)
-        return node
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -83,7 +88,7 @@ class Regex:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __reduce__(self):
-        # Copies and unpickled nodes go back through the intern table.
+        # Copies and unpickled nodes go back through the intern tables.
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
@@ -98,11 +103,17 @@ class EmptySet(Regex):
 
     __slots__ = ()
 
+    def __new__(cls) -> "EmptySet":
+        return _EMPTY_SET
+
 
 class Epsilon(Regex):
     """The empty word.  Never emitted by the builders; parsed as 'e'."""
 
     __slots__ = ()
+
+    def __new__(cls) -> "Epsilon":
+        return _EPSILON
 
 
 class Sym(Regex):
@@ -112,11 +123,12 @@ class Sym(Regex):
     sym: int
 
     def __new__(cls, sym: int) -> "Sym":
-        key = (cls, sym)
-        node = _INTERNED.get(key)
+        node = _SYMS.get(sym)
         if node is None:
-            node = _INTERNED[key] = object.__new__(cls)
+            node = _SYMS[sym] = object.__new__(cls)
             _set_sym(node, sym)
+            if _journal is not None:
+                _journal.append(node)
         return node
 
 
@@ -137,11 +149,12 @@ class Union(Regex):
         if Union in map(type, terms):
             terms = tuple(part for term in terms
                           for part in (term.terms if type(term) is Union else (term,)))
-        key = (cls, terms)
-        node = _INTERNED.get(key)
+        node = _UNIONS.get(terms)
         if node is None:
-            node = _INTERNED[key] = object.__new__(cls)
+            node = _UNIONS[terms] = object.__new__(cls)
             _set_terms(node, terms)
+            if _journal is not None:
+                _journal.append(node)
         return node
 
     def __reduce__(self):
@@ -159,12 +172,18 @@ class Concat(Regex):
     right: Regex
 
     def __new__(cls, left: Regex, right: Regex) -> "Concat":
-        key = (cls, left, right)
-        node = _INTERNED.get(key)
-        if node is None:
-            node = _INTERNED[key] = object.__new__(cls)
-            _set_left(node, left)
-            _set_right(node, right)
+        lefts = _CONCATS.get(right)
+        if lefts is None:
+            lefts = _CONCATS[right] = {}
+        else:
+            node = lefts.get(left)
+            if node is not None:
+                return node
+        node = lefts[left] = object.__new__(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        if _journal is not None:
+            _journal.append(node)
         return node
 
 
@@ -173,13 +192,17 @@ class Star(Regex):
     child: Regex
 
     def __new__(cls, child: Regex) -> "Star":
-        key = (cls, child)
-        node = _INTERNED.get(key)
+        node = _STARS.get(child)
         if node is None:
-            node = _INTERNED[key] = object.__new__(cls)
+            node = _STARS[child] = object.__new__(cls)
             _set_child(node, child)
+            if _journal is not None:
+                _journal.append(node)
         return node
 
+
+_EMPTY_SET = object.__new__(EmptySet)
+_EPSILON = object.__new__(Epsilon)
 
 # The slot setters the constructors call; Regex.__setattr__ refuses.
 _set_sym = Sym.sym.__set__
@@ -187,6 +210,22 @@ _set_terms = Union.terms.__set__
 _set_left = Concat.left.__set__
 _set_right = Concat.right.__set__
 _set_child = Star.child.__set__
+
+
+def _forget(node: Regex) -> None:
+    """Take `node` out of its kind's table."""
+    kind = type(node)
+    if kind is Concat:
+        lefts = _CONCATS[node.right]
+        del lefts[node.left]
+        if not lefts:
+            del _CONCATS[node.right]
+    elif kind is Union:
+        del _UNIONS[node.terms]
+    elif kind is Star:
+        del _STARS[node.child]
+    else:
+        del _SYMS[node.sym]
 
 
 def _children(node: Regex) -> tuple[Regex, ...]:
@@ -448,20 +487,22 @@ def parse(text: str, n: int) -> Regex:
     long run is refused before its chain is built.  A parse that raises
     takes every node it added back out of the DAG.
     """
+    global _journal
     if n < 1:
         raise InvalidArgs(f"alphabet size must be >= 1, got {n}")
-    base = len(_INTERNED)
+    _journal = journal = []
     try:
-        return _parse(text, n)
+        return _parse(text, n, journal)
     except BaseException:
-        # A parse only adds to the table, and a dict pops its newest first.
-        while len(_INTERNED) > base:
-            _INTERNED.popitem()
+        for node in journal:
+            _forget(node)
         raise
+    finally:
+        _journal = None
 
 
-def _parse(text: str, n: int) -> Regex:
-    """`parse`'s token loop."""
+def _parse(text: str, n: int, journal: list[Regex]) -> Regex:
+    """`parse`'s token loop; `journal` holds the nodes it has created."""
     pattern = _TOKEN_MULTI_DIGIT if n >= 10 else _TOKEN_SINGLE_DIGIT
     width = len(str(n))
     # One frame per open parenthesis: (completed alternatives, current concat
@@ -477,13 +518,13 @@ def _parse(text: str, n: int) -> Regex:
     # Where tokenizing resumes after a reused group; None once the text
     # is consumed.
     resume: int | None = 0
-    base, cap = len(_INTERNED), MAX_PARSE_NODES
+    cap = MAX_PARSE_NODES
     while resume is not None:
         start, resume = resume, None
         for match in pattern.finditer(text, start):
             offset = match.start()
             alts, terms, _ = frames[-1]
-            nodes = len(_INTERNED) - base + len(terms)
+            nodes = len(journal) + len(terms)
             if nodes > cap:
                 raise SizeCap(nodes, cap, what="parsed nodes")
             digits = match.group(1)

@@ -1,9 +1,13 @@
 import copy
 import functools
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -55,15 +59,47 @@ def test_structural_equality_and_hash():
     assert ra.EmptySet() != ra.Epsilon()
 
 
-def test_construction_interns_nodes():
-    assert ra.Union(sym(1), sym(2)) is ra.Union(sym(1), sym(2))
-    assert ra.Epsilon() is ra.Epsilon()
+def _fields(node):
+    """The constructor arguments that rebuild `node`."""
+    kind = type(node)
+    if kind is ra.Union:
+        return node.terms
+    if kind is ra.Concat:
+        return node.left, node.right
+    if kind is ra.Star:
+        return (node.child,)
+    return (node.sym,) if kind is ra.Sym else ()
+
+
+@settings(max_examples=200)
+@given(any_regexes(n=4))
+def test_construction_interns_nodes(expr):
+    for node in ra.postorder(expr):
+        assert type(node)(*_fields(node)) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    assert ra.Epsilon() is ra.Epsilon() is not ra.EmptySet()
     assert ra.Concat(sym(1), sym(2)) is not ra.Union(sym(1), sym(2))
     with pytest.raises(AttributeError):
         sym(1).sym = 2
-    expr = ra.Concat(ra.Star(ra.Union(sym(1), sym(2))), ra.EmptySet())
-    assert copy.deepcopy(expr) is expr
-    assert pickle.loads(pickle.dumps(expr)) is expr
+
+
+def test_flat_8_allocates_no_key_beside_its_nodes():
+    # A fresh interpreter, so no earlier test has interned these nodes.  The
+    # 109 601 nodes and their tables take about 10 MB; a (kind, *fields)
+    # key tuple per node took 7 MB more.
+    probe = (
+        "import tracemalloc\n"
+        "from permrex import construct\n"
+        "tracemalloc.start()\n"
+        "expr = construct.build_flat_union(8)\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    src = Path(ra.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 12e6
 
 
 def bracketed_unions(draw, terms):
@@ -555,21 +591,39 @@ def test_parse_refuses_past_its_node_cap(monkeypatch):
     assert ra.parse(text[:-2], 9) is functools.reduce(ra.Concat, run[:-1])
 
 
+def _tables():
+    """A copy of every intern table, the inner Concat tables included."""
+    return (dict(ra._SYMS), dict(ra._STARS), dict(ra._UNIONS),
+            {right: dict(lefts) for right, lefts in ra._CONCATS.items()})
+
+
 def test_a_parse_that_raises_leaves_no_nodes(monkeypatch):
     monkeypatch.setattr(ra, "MAX_PARSE_NODES", 3_000)
     rng = random.Random(24)
-    groups = ["( " + " ".join(str(rng.randint(1, 9)) for _ in range(rng.randint(2, 8))) + " )"
-              for _ in range(2_000)]
-    prefix = " + ".join(groups[:200])
-    for text, error in [(" + ".join(groups), SizeCap), (prefix + " )", RegexSyntaxError),
+    n = 10**6
+
+    def run():
+        # Symbols no other test builds, so the parse creates them too.
+        return " ".join(str(rng.randint(n - 50, n)) for _ in range(rng.randint(2, 6)))
+
+    # Each alternative is Concat(Union, Star): a node of every kind with
+    # fields, and a Concat whose right operand, and so its inner table, is
+    # new.  Together they would add about 30 000 nodes.
+    alternatives = [f"( {run()} + {run()} ) ( {run()} )*" for _ in range(2_000)]
+    prefix = " + ".join(alternatives[:100])
+    for text, error in [(" + ".join(alternatives), SizeCap), (prefix + " )", RegexSyntaxError),
                         (prefix + " 0", SymbolOutOfRange)]:
-        before = len(ra._INTERNED)
+        before = _tables()
         with pytest.raises(error):
-            ra.parse(text, 9)
-        assert len(ra._INTERNED) == before
-    # Each failed parse built the prefix's groups and took them out again.
-    before = len(ra._INTERNED)
-    ra.parse(prefix, 9)
-    assert len(ra._INTERNED) > before
+            ra.parse(text, n)
+        assert _tables() == before
+        assert all(ra._CONCATS.values())
+    # Each failed parse built the prefix's nodes and took them out again,
+    # the inner tables it created included.
+    before = _tables()
+    ra.parse(prefix, n)
+    after = _tables()
+    for old, new in zip(before, after):
+        assert set(old) < set(new)
     expr = construct.build_divide_and_conquer(6)
     assert ra.parse(ra.render(expr, "spaced"), 6) is expr
