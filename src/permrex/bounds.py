@@ -104,6 +104,8 @@ MAX_PRECISION_BITS = PRECISION_LADDER[-1]
 # (Python 3.11.7, pure-Python mpmath, a shared 2-CPU machine); the factorial
 # sandwich is proved for every n.
 MAX_SWEEP_N = 16_384
+# The largest m of estimate_power_of_two, and the CLI's largest --max-m.
+MAX_ESTIMATE_M = 10
 # The largest grid point the CLI accepts: the largest power of ten at which
 # the three grid brackets all certify at PRECISION_LADDER[-2] bits or less,
 # so the last rung is to spare.  The Stirling bracket's relative margin
@@ -616,7 +618,7 @@ class EstimateRow(NamedTuple):
 
     m: int
     n: int
-    f_exact: int
+    f: int
     estimate: mpmath.iv.mpf
     ratio: mpmath.iv.mpf
     ln_ratio: mpmath.iv.mpf
@@ -632,8 +634,8 @@ def estimate_power_of_two(m_max: int) -> list[EstimateRow]:
     |ln ratio|, taken at the midpoint of its enclosure, is below the previous
     row's.
     """
-    if not 0 <= m_max <= 10:
-        raise InvalidArgs(f"m_max must be in [0, 10], got {m_max}")
+    if not 0 <= m_max <= MAX_ESTIMATE_M:
+        raise InvalidArgs(f"m_max must be in [0, {MAX_ESTIMATE_M}], got {m_max}")
     rows: list[EstimateRow] = []
     previous_abs = None
     with precision(PRECISION_LADDER[0]):
@@ -655,7 +657,7 @@ def estimate_power_of_two(m_max: int) -> list[EstimateRow]:
             rows.append(EstimateRow(
                 m=m,
                 n=n,
-                f_exact=exact,
+                f=exact,
                 estimate=estimate,
                 ratio=ratio,
                 ln_ratio=ln_ratio,

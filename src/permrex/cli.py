@@ -6,12 +6,16 @@ recurrences, `verify` certifies language equality (by the split proof,
 or exhaustively at small n), `lemmas` runs the exact combinatorial
 sweeps, `bounds` runs the certified interval sweeps, `estimate` prints
 the closed-form approximation against exact values, and `oracle` runs
-the exhaustive minimality search.  Exit status: 0 success, 1 a check ran and failed, 2 usage or
-input errors.
+the exhaustive minimality search.
 
-Each command returns its whole output, a report dict or finished text,
-with its exit status; `run` times it, wraps a report with `meta` and only
-then opens `--output`, so a refused command leaves no partial file.
+Each command returns its whole output: finished text, or a report of
+records and plain values.  `run` alone writes a report as JSON: a record
+becomes an object whose keys are its fields, a Fraction "p/q" and an
+interval `bounds.format_interval`'s string.  It alone picks the exit
+status: 1 when some object in the written report has `passed` false or a
+`status` other than "certified", else 0, and 0 for text; 2 for usage or
+input errors.  It wraps a report with `meta` and only then opens
+`--output`, so a refused command leaves no partial file.
 
 This module alone decides what loads when: it registers what a command
 may need with `_load_on_first_use`, and every module imports what it uses.
@@ -82,11 +86,7 @@ _BUILDERS = {
 }
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _csv(header: list[str], rows: list[dict]) -> str:
+def _csv(header: tuple[str, ...], rows: list[dict]) -> str:
     import csv
 
     sink = io.StringIO()
@@ -113,8 +113,6 @@ def _require_printable(max_n: int, largest) -> None:
 
     `largest` grows with n, so it is probed at n = 1, 2, 4, ... and never
     evaluated past twice the first n it cannot print."""
-    if max_n < 1:
-        return
     limit = _int_digit_limit() or 4300
     bound = 10**limit
     n = 1
@@ -127,27 +125,31 @@ def _require_printable(max_n: int, largest) -> None:
         )
 
 
-def _require_max_n(max_n: int, limit: int) -> None:
-    """Refuse, before any sweep, a `--max-n` above the command's limit."""
-    if max_n > limit:
-        raise InvalidArgs(f"--max-n must be at most {limit}, got {max_n}")
+def _require_range(flag: str, value: int, low: int, high: int | None = None) -> None:
+    """Refuse, before any work, a `flag` value below `low` or above `high`."""
+    if value < low:
+        raise InvalidArgs(f"{flag} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise InvalidArgs(f"{flag} must be at most {high}, got {value}")
 
 
-def _cmd_gen(args: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_gen(args: argparse.Namespace) -> dict | str:
     if args.format == "compact" and args.n >= 10:
         # Symbol 10 is in every expression for P_n, so render would refuse
         # it; refused before the build.
         raise CompactOverflow(10)
-    return regex_ast.render(_build(args), args.format), 0
+    return regex_ast.render(_build(args), args.format)
 
 
-def _cmd_len(args: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_len(args: argparse.Namespace) -> dict | str:
+    _require_range("--max-n", args.max_n, 1)
     _require_printable(args.max_n, lengths.f)
     f = [{"n": i + 1, "value": v} for i, v in enumerate(lengths.f_table(args.max_n))]
-    return {"max_n": args.max_n, "f": f}, 0
+    return {"max_n": args.max_n, "f": f}
 
 
-def _cmd_table(args: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_table(args: argparse.Namespace) -> dict | str:
+    _require_range("--max-n", args.max_n, 1)
     # n * n! bounds t(n) and f(n) from above.
     _require_printable(args.max_n, lengths.flat_length)
     f_values = lengths.f_table(args.max_n)
@@ -156,11 +158,11 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict | str, int]:
         for n in range(1, args.max_n + 1)
     ]
     if args.format == "json":
-        return {"max_n": args.max_n, "rows": rows}, 0
-    return _csv(["n", "f", "t", "flat"], rows), 0
+        return {"max_n": args.max_n, "rows": rows}
+    return _csv(("n", "f", "t", "flat"), rows)
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_verify(args: argparse.Namespace) -> dict | str:
     if args.regex_file is not None:
         if args.n > verify.MAX_SPLIT_N:
             # No proof is tried above MAX_SPLIT_N, and the walk refuses n
@@ -187,38 +189,22 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
         expr = _build(args)
         source = {"kind": "builder", "builder": args.builder}
     cert = verify.language_equals_permutations(expr, args.n, cap=args.verify_cap)
-    report = {"source": source, "certificate": cert._asdict()}
-    return report, 0 if cert.passed else 1
+    return {"source": source, "certificate": cert}
 
 
-def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict | str, int]:
-    _require_max_n(args.max_n, lengths.MAX_LEMMA_N)
-    choice_failures = []
-    for n in range(2, args.max_n + 1):
-        result = lengths.check_opt_choice(n)
-        if not result.passed:
-            violations = [v._asdict() for v in result.violations]
-            choice_failures.append({"n": n, "violations": violations})
-    growth = lengths.check_triple_growth(args.max_n)
-    report = {
+def _cmd_lemmas(args: argparse.Namespace) -> dict | str:
+    _require_range("--max-n", args.max_n, 1, lengths.MAX_LEMMA_N)
+    choices = (lengths.check_opt_choice(n) for n in range(2, args.max_n + 1))
+    failures = [{"n": c.n, "violations": c.violations} for c in choices if not c.passed]
+    return {
         "max_n": args.max_n,
-        "split_choice": {"passed": not choice_failures, "failures": choice_failures},
-        "triple_growth": {
-            "passed": growth.passed,
-            "min_ratio": None
-            if growth.min_ratio is None
-            else _fraction_str(growth.min_ratio),
-            "min_ratio_at": growth.min_ratio_at,
-            "violations": [
-                {"n": n, "ratio": _fraction_str(ratio)} for n, ratio in growth.violations
-            ],
-        },
+        "split_choice": {"passed": not failures, "failures": failures},
+        "triple_growth": lengths.check_triple_growth(args.max_n),
     }
-    return report, 0 if not choice_failures and growth.passed else 1
 
 
-def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
-    _require_max_n(args.max_n, bounds.MAX_SWEEP_N)
+def _cmd_bounds(args: argparse.Namespace) -> dict | str:
+    _require_range("--max-n", args.max_n, 1, bounds.MAX_SWEEP_N)
     grid = bounds.default_grid(*args.grid)
 
     alphas = {"alpha_low": bounds.alpha_low, "alpha_high": bounds.alpha_high}
@@ -231,62 +217,37 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
         bounds.check_lemma_gaS(Fraction(2)),
         bounds.check_lemma_gaS(Fraction(5, 2)),
     ]
-    payload = {
+    return {
         "max_n": args.max_n,
         "precision_bits": bounds.PRECISION_LADDER[0],
         "grid_points": len(grid),
-        "reports": [report._asdict() for report in reports],
+        "reports": reports,
     }
-    return payload, 0 if all(r.status == bounds.CERTIFIED for r in reports) else 1
 
 
-def _cmd_estimate(args: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_estimate(args: argparse.Namespace) -> dict | str:
+    _require_range("--max-m", args.max_m, 0, bounds.MAX_ESTIMATE_M)
     rows = bounds.estimate_power_of_two(args.max_m)
-    row_dicts = [
-        {
-            "m": row.m,
-            "n": row.n,
-            "f": row.f_exact,
-            "estimate": bounds.format_interval(row.estimate),
-            "ratio": bounds.format_interval(row.ratio),
-            "ln_ratio": bounds.format_interval(row.ln_ratio),
-            "anomalous": row.anomalous,
-        }
-        for row in rows
-    ]
     if args.format == "csv":
-        header = ["m", "n", "f", "estimate", "ratio", "ln_ratio", "anomalous"]
-        return _csv(header, row_dicts), 0
-    return {"max_m": args.max_m, "rows": row_dicts}, 0
+        return _csv(bounds.EstimateRow._fields, _encode(rows))
+    return {"max_m": args.max_m, "rows": rows}
 
 
-def _cmd_oracle(args: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_oracle(args: argparse.Namespace) -> dict | str:
     if args.k is not None:
-        ell = oracle.ell(args.n, args.k)
-        return {"n": args.n, "k": args.k, "ell": ell,
-                "semantics": oracle.STAR_FREE_SEMANTICS}, 0
+        return {"n": args.n, "k": args.k, "ell": oracle.ell(args.n, args.k),
+                "semantics": oracle.STAR_FREE_SEMANTICS}
     opt = oracle.check_main_opt(args.n)
-    report = {
+    return {
         "n": args.n,
-        "cost_of_permutations": opt.rows[-1][1],
+        "cost_of_permutations": opt.rows[-1].ell,
         "f": lengths.f(args.n),
         "matches_f": opt.matches_f,
-        "per_permutation_cost": {
-            "passed": opt.passed,
-            "base_ratio": _fraction_str(opt.base_ratio),
-            "tightest_k": opt.tightest_k,
-            "rows": [
-                {"k": k, "ell": value, "ratio": _fraction_str(ratio)}
-                for k, value, ratio in opt.rows
-            ],
-        },
-        "languages_by_cost": [
-            {"cost": cost, "languages": count}
-            for cost, count in oracle.languages_by_cost(args.n)
-        ],
+        "per_permutation_cost": {"passed": opt.passed, "base_ratio": opt.base_ratio,
+                                 "tightest_k": opt.tightest_k, "rows": opt.rows},
+        "languages_by_cost": oracle.languages_by_cost(args.n),
         "semantics": opt.semantics,
     }
-    return report, 0 if opt.passed else 1
 
 
 # A number as Fraction reads it, loosely: digits with a decimal point and an
@@ -427,15 +388,47 @@ def _peak_rss_mb() -> float:
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
+def _encode(value):
+    """`value` as JSON data: a record as an object of its fields, a Fraction
+    as "p/q" and an interval as `bounds.format_interval`'s string."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if hasattr(value, "_fields"):
+        return {key: _encode(item) for key, item in zip(value._fields, value)}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    # Only `bounds` and `estimate` build intervals, and they loaded `bounds`.
+    return bounds.format_interval(value)
+
+
+def _exit_code(data) -> int:
+    """1 when some object in the encoded `data` has `passed` false or a
+    `status` other than bounds.CERTIFIED, written out so as not to load
+    `bounds`; else 0."""
+    if isinstance(data, dict):
+        if data.get("passed") is False or data.get("status", "certified") != "certified":
+            return 1
+        data = data.values()
+    elif not isinstance(data, list):
+        return 0
+    return int(any(map(_exit_code, data)))
+
+
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        output, code = args.func(args)
-        if isinstance(output, dict):
+        output, code = args.func(args), 0
+        if not isinstance(output, str):
+            report = _encode(output)
+            code = _exit_code(report)
             meta = {"elapsed_seconds": round(time.monotonic() - started, 3),
                     "peak_rss_mb": _peak_rss_mb()}
-            output = json.dumps({"report": output, "meta": meta}, indent=2)
+            output = json.dumps({"report": report, "meta": meta}, indent=2)
         with (
             contextlib.nullcontext(sys.stdout)
             if args.output in (None, "-")

@@ -159,14 +159,18 @@ def check_opt_choice(n: int) -> OptChoiceReport:
     )
 
 
+class GrowthViolation(NamedTuple):
+    n: int
+    ratio: Fraction  # f(n+1)/f(n), below 3
+
+
 class TripleGrowthReport(NamedTuple):
     """Outcome of checking f(n+1) >= 3 f(n) for all 1 <= n < max_n."""
 
-    max_n: int
     passed: bool
     min_ratio: Fraction | None
     min_ratio_at: int | None
-    violations: tuple[tuple[int, Fraction], ...] = ()
+    violations: tuple[GrowthViolation, ...] = ()
 
 
 def check_triple_growth(max_n: int) -> TripleGrowthReport:
@@ -175,16 +179,15 @@ def check_triple_growth(max_n: int) -> TripleGrowthReport:
         raise InvalidArgs(f"check_triple_growth needs max_n >= 1, got {max_n}")
     min_ratio: Fraction | None = None
     min_at: int | None = None
-    violations: list[tuple[int, Fraction]] = []
+    violations: list[GrowthViolation] = []
     for n in range(1, max_n):
         ratio = Fraction(f(n + 1), f(n))
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio
             min_at = n
         if ratio < 3:
-            violations.append((n, ratio))
+            violations.append(GrowthViolation(n, ratio))
     return TripleGrowthReport(
-        max_n=max_n,
         passed=not violations,
         min_ratio=min_ratio,
         min_ratio_at=min_at,

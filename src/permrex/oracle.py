@@ -182,9 +182,20 @@ def ell(n: int, k: int) -> int:
                for bits in range(1, 1 << total) if bits.bit_count() >= k)
 
 
-def languages_by_cost(n: int) -> list[tuple[int, int]]:
-    """(cost, number of nonempty languages whose minimal cost it is), by cost."""
-    return sorted(Counter(_table_for(n).costs[1:]).items())
+class LanguageCount(NamedTuple):
+    cost: int
+    languages: int  # nonempty languages whose minimal cost is `cost`
+
+
+def languages_by_cost(n: int) -> list[LanguageCount]:
+    """The number of nonempty languages of each minimal cost, by cost."""
+    return list(map(LanguageCount._make, sorted(Counter(_table_for(n).costs[1:]).items())))
+
+
+class CostRow(NamedTuple):
+    k: int
+    ell: int  # ell(n, k)
+    ratio: Fraction  # ell / k
 
 
 class MainOptReport(NamedTuple):
@@ -194,7 +205,7 @@ class MainOptReport(NamedTuple):
     passed: bool
     matches_f: bool
     base_ratio: Fraction
-    rows: tuple[tuple[int, int, Fraction], ...]  # (k, ell(n, k), ell/k)
+    rows: tuple[CostRow, ...]
     tightest_k: int
     semantics: str = STAR_FREE_SEMANTICS
 
@@ -203,27 +214,16 @@ def check_main_opt(n: int) -> MainOptReport:
     """Verify ell(n,k)/k >= ell(n,n!)/n! = f(n)/n! for every 1 <= k <= n!."""
     # n! read off the table, which refuses an n past the cap first.
     factorial = len(_table_for(n).universe.permutation_indices)
-    full_cost = ell(n, factorial)
-    matches_f = full_cost == lengths.f(n)
-    base_ratio = Fraction(full_cost, factorial)
-    rows: list[tuple[int, int, Fraction]] = []
-    passed = matches_f
-    tightest_k = factorial
-    tightest_ratio = None
-    for k in range(1, factorial + 1):
-        value = ell(n, k)
-        ratio = Fraction(value, k)
-        rows.append((k, value, ratio))
-        if ratio < base_ratio:
-            passed = False
-        if tightest_ratio is None or ratio < tightest_ratio:
-            tightest_ratio = ratio
-            tightest_k = k
+    costs = [ell(n, k) for k in range(1, factorial + 1)]
+    rows = tuple(CostRow(k, cost, Fraction(cost, k)) for k, cost in enumerate(costs, 1))
+    matches_f = costs[-1] == lengths.f(n)
+    base_ratio = rows[-1].ratio
+    tightest = min(rows, key=lambda row: row.ratio)  # the first k of least ratio
     return MainOptReport(
         n=n,
-        passed=passed,
+        passed=matches_f and tightest.ratio >= base_ratio,
         matches_f=matches_f,
         base_ratio=base_ratio,
-        rows=tuple(rows),
-        tightest_k=tightest_k,
+        rows=rows,
+        tightest_k=tightest.k,
     )

@@ -544,7 +544,7 @@ def test_estimate_rows_match_reference():
     rows = bounds.estimate_power_of_two(8)
     assert [row.m for row in rows] == list(range(1, 9))
     for row in rows:
-        assert row.f_exact == lengths.f(row.n)
+        assert row.f == lengths.f(row.n)
         assert all(mp.isfinite(e) for e in bounds.endpoints(row.ratio))
         assert enclosed(row.ln_ratio, LN_RATIOS[row.m], tol="1e-12")
         assert not row.anomalous

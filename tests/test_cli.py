@@ -295,8 +295,9 @@ def test_lemmas(capsys):
 
 def test_lemmas_reports_a_failing_triple_growth_sweep(capsys, monkeypatch):
     failing = lengths.TripleGrowthReport(
-        max_n=4, passed=False, min_ratio=Fraction(5, 2), min_ratio_at=2,
-        violations=((2, Fraction(5, 2)), (3, Fraction(11, 4))))
+        passed=False, min_ratio=Fraction(5, 2), min_ratio_at=2,
+        violations=(lengths.GrowthViolation(2, Fraction(5, 2)),
+                    lengths.GrowthViolation(3, Fraction(11, 4))))
     monkeypatch.setattr(lengths, "check_triple_growth", lambda max_n: failing)
     code, out, _ = run(capsys, "lemmas", "--max-n", "4")
     assert code == 1
@@ -760,7 +761,20 @@ def test_bounds_grid_stops_at_the_largest_power_of_ten_it_decides(capsys):
 def test_bounds_refuses_max_n_0(capsys):
     code, out, err = run(capsys, "bounds", "--max-n", "0")
     assert (code, out) == (2, "")
-    assert err == "error: max_n must be >= 1, got 0\n"
+    assert err == "error: --max-n must be at least 1, got 0\n"
+
+
+# Each refusal names the flag the user passed, not a library argument.
+@pytest.mark.parametrize("argv, message", [
+    (["len", "--max-n", "0"], "--max-n must be at least 1, got 0"),
+    (["table", "--max-n", "0"], "--max-n must be at least 1, got 0"),
+    (["lemmas", "--max-n", "0"], "--max-n must be at least 1, got 0"),
+    (["bounds", "--max-n", "-3"], "--max-n must be at least 1, got -3"),
+    (["estimate", "--max-m", "11"], "--max-m must be at most 10, got 11"),
+    (["estimate", "--max-m", "-1"], "--max-m must be at least 0, got -1"),
+], ids=["len", "table", "lemmas", "bounds", "estimate-high", "estimate-low"])
+def test_range_refusals_name_the_flag(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1063,6 +1077,33 @@ def test_record_fields_are_the_json_keys(capsys, monkeypatch):
         {"n": 3, "k": 1, "delta": -1, "reason": "negative slack"}]
     assert list(failure["violations"][0]) == list(violation._asdict())
 
+    real_f = lengths.f
+    monkeypatch.setattr(lengths, "f", lambda n: 6614 if n == 8 else real_f(n))
+    code, out, _ = run(capsys, "lemmas", "--max-n", "9")
+    assert code == 1
+    growth = json.loads(out)["report"]["triple_growth"]
+    assert list(lengths.TripleGrowthReport._fields) == list(growth) == [
+        "passed", "min_ratio", "min_ratio_at", "violations"]
+    assert list(lengths.GrowthViolation._fields) == list(growth["violations"][0]) == [
+        "n", "ratio"]
+    monkeypatch.undo()
+
+    fields = ["m", "n", "f", "estimate", "ratio", "ln_ratio", "anomalous"]
+    assert list(bounds.EstimateRow._fields) == fields
+    code, out, _ = run(capsys, "estimate", "--max-m", "2")
+    assert code == 0
+    assert [list(row) for row in json.loads(out)["report"]["rows"]] == [fields] * 2
+    code, out, _ = run(capsys, "estimate", "--max-m", "2", "--format", "csv")
+    assert code == 0 and out.splitlines()[0].split(",") == fields
+
+    code, out, _ = run(capsys, "oracle", "--n", "2")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert list(oracle.CostRow._fields) == list(
+        report["per_permutation_cost"]["rows"][0]) == ["k", "ell", "ratio"]
+    assert list(oracle.LanguageCount._fields) == list(
+        report["languages_by_cost"][0]) == ["cost", "languages"]
+
 
 def test_readme_library_example_runs():
     # The README's `## Library` block, run as written, so a doc example that
@@ -1234,6 +1275,35 @@ def test_oracle_exits_1_when_a_k_beats_the_full_language(capsys, monkeypatch):
     code, out, _ = run(capsys, "oracle", "--n", "3")
     assert code == 1
     assert json.loads(out)["report"]["per_permutation_cost"]["passed"] is False
+
+
+def test_oracle_exits_1_when_the_full_cost_misses_f(capsys, monkeypatch):
+    real = lengths.f
+    monkeypatch.setattr(lengths, "f", lambda n: 16 if n == 3 else real(n))
+    code, out, _ = run(capsys, "oracle", "--n", "3")
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert (report["f"], report["matches_f"]) == (16, False)
+    assert report["per_permutation_cost"]["passed"] is False
+
+
+@pytest.mark.parametrize("status", [bounds.UNDECIDED, bounds.VIOLATED])
+def test_bounds_exits_1_when_one_report_is_not_certified(capsys, monkeypatch, status):
+    real = bounds.check_stirling_sandwich
+    monkeypatch.setattr(bounds, "check_stirling_sandwich",
+                        lambda max_n: real(max_n)._replace(status=status))
+    code, out, _ = run(capsys, "bounds", "--max-n", "8", "--grid", "2:4:1")
+    assert code == 1
+    statuses = [r["status"] for r in json.loads(out)["report"]["reports"]]
+    assert statuses.count(status) == 1 and statuses.count(bounds.CERTIFIED) == 6
+
+
+# Reports that carry no `passed` and no `status` decide nothing.
+@pytest.mark.parametrize("argv", [
+    ["estimate"], ["oracle", "--n", "3", "--k", "3"], ["len", "--max-n", "3"],
+    ["table", "--max-n", "3", "--format", "json"]])
+def test_reports_without_a_verdict_exit_0(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_oracle_single_k(capsys):
